@@ -290,9 +290,9 @@ type DriverStats struct {
 	// snapshot result.
 	Analyses   int
 	Reanalyses int
-	// Clones counts whole-program clones performed (one defensive input
-	// copy plus one per attempted restructuring); ClonesAvoided counts
-	// analyzed conditionals that needed none.
+	// Clones counts program copies: one defensive deep copy of the input
+	// plus one copy-on-write fork per attempted restructuring or fold;
+	// ClonesAvoided counts analyzed conditionals that needed none.
 	Clones        int
 	ClonesAvoided int
 	// Failures counts contained per-conditional failures by category

@@ -203,6 +203,7 @@ func Apply(p *ir.Program, bf *BranchFact) (redirected int, changed bool) {
 			return 0, false
 		}
 		p.RemoveEdge(n.ID, drop)
+		n = p.Mut(n.ID)
 		n.Kind = ir.NNop
 		n.Synthetic = true
 		return 0, true
@@ -222,6 +223,8 @@ func Apply(p *ir.Program, bf *BranchFact) (redirected int, changed bool) {
 			if pn == nil || pn.Kind == ir.NCall || pn.Kind == ir.NExit {
 				continue
 			}
+			// Re-read: an earlier redirect may have privatized the branch.
+			n = p.Node(bf.Branch)
 			arm := n.Succs[0]
 			if e.Outcome == pred.False {
 				arm = n.Succs[1]

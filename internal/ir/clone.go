@@ -2,8 +2,9 @@ package ir
 
 // Clone returns a deep copy of the program. The copy shares nothing mutable
 // with the original, so it can be restructured independently (the
-// optimization drivers clone before transforming, keeping the original for
-// comparison runs).
+// optimization driver clones its input once, keeping the original for
+// comparison runs). A transactional attempt that may be discarded uses the
+// cheaper Fork instead.
 func Clone(p *Program) *Program {
 	q := &Program{
 		MainProc:    p.MainProc,

@@ -1,0 +1,158 @@
+package ir
+
+// Fork returns a copy-on-write copy of the program for one transactional
+// attempt. The fork copies only the Nodes and Vars pointer slices and the
+// Proc headers (with their Entries and Exits); every node stays shared with
+// p until the fork writes it. The ir mutators privatize a node — the node
+// struct plus its Succs and Preds — the first time the fork writes it, and
+// code outside this package that writes node fields directly must obtain
+// the node through Mut first. Rollback is discarding the fork; adoption is
+// using it in p's place.
+//
+// Forking also ends p's ownership of its nodes: from then on p privatizes
+// before writing too, so neither side can write through to the other. Var
+// structs and Proc.Formals are shared outright and never written after
+// construction. Fork writes p's ownership bookkeeping, so like any mutation
+// it must not run concurrently with other use of p.
+func Fork(p *Program) *Program {
+	q := &Program{
+		MainProc:    p.MainProc,
+		SourceLines: p.SourceLines,
+		Vars:        append([]*Var(nil), p.Vars...),
+		// Room for the nodes a typical attempt creates, so the first
+		// splits do not copy the whole pointer slice again.
+		Nodes: make([]*Node, len(p.Nodes), len(p.Nodes)+len(p.Nodes)/8+16),
+		cow:   true,
+	}
+	copy(q.Nodes, p.Nodes)
+	q.Procs = make([]*Proc, len(p.Procs))
+	procs := make([]Proc, len(p.Procs))
+	ends := 0
+	for _, pr := range p.Procs {
+		if pr != nil {
+			ends += len(pr.Entries) + len(pr.Exits)
+		}
+	}
+	// One block for every entry and exit list; each carve has cap == len, so
+	// appending to one reallocates instead of overwriting its neighbor.
+	block := make([]NodeID, 0, ends)
+	carve := func(ids []NodeID) []NodeID {
+		block = append(block, ids...)
+		return block[len(block)-len(ids) : len(block) : len(block)]
+	}
+	for i, pr := range p.Procs {
+		if pr == nil {
+			continue
+		}
+		cp := &procs[i]
+		*cp = *pr
+		cp.Entries = carve(pr.Entries)
+		cp.Exits = carve(pr.Exits)
+		q.Procs[i] = cp
+	}
+	p.cow = true
+	p.owned = nil
+	p.touched = nil
+	return q
+}
+
+// Mut returns node id for writing, or nil when the node is deleted. On a
+// program that was forked, or is a fork, the first Mut of a node replaces
+// it with a private copy (its struct and its Succs and Preds lists) and
+// records it in Touched; later calls return that copy. Pointers obtained
+// through Node before the Mut keep seeing the shared version, so callers
+// that write must re-read through Mut. On a program that was never forked
+// Mut is Node.
+func (p *Program) Mut(id NodeID) *Node {
+	n := p.Nodes[id]
+	if !p.cow || n == nil || p.owns(id) {
+		return n
+	}
+	c := p.allocNode()
+	*c = *n
+	c.Succs = p.copyEdges(n.Succs)
+	c.Preds = p.copyEdges(n.Preds)
+	p.Nodes[id] = c
+	p.touch(id)
+	return c
+}
+
+// Touched returns the nodes the program privatized, created or deleted
+// since it was made by Fork or last forked, in first-touch order. Every
+// other node is pointer-identical to the one in the program it was forked
+// from, so diffing only these nodes finds every change. It is nil for a
+// program that was never forked.
+func (p *Program) Touched() []NodeID { return p.touched }
+
+// Unshare makes p own every node again, as if it had never been forked. The
+// caller asserts that p is the only program still in use among those it
+// shares nodes with — every fork of it and every program it was forked from
+// has been discarded — so writing in place cannot reach another program.
+func (p *Program) Unshare() {
+	p.cow = false
+	p.owned = nil
+	p.touched = nil
+}
+
+func (p *Program) owns(id NodeID) bool {
+	w := int(id) >> 6
+	return w < len(p.owned) && p.owned[w]&(1<<(uint(id)&63)) != 0
+}
+
+// touch marks a node as the program's own and records it in Touched once.
+func (p *Program) touch(id NodeID) {
+	if p.owns(id) {
+		return
+	}
+	w := int(id) >> 6
+	if w >= len(p.owned) {
+		// Every id is below cap(p.Nodes), so this covers the arena's growth
+		// until the next reallocation.
+		grown := make([]uint64, (cap(p.Nodes)+63)/64)
+		copy(grown, p.owned)
+		p.owned = grown
+	}
+	p.owned[w] |= 1 << (uint(id) & 63)
+	p.touched = append(p.touched, id)
+}
+
+// allocNode hands out a node slot from the pool. The pool grows with the
+// program: a whole program carves chunks in proportion to its size, while a
+// fork carves in proportion to the nodes it has written so far, so an
+// attempt that touches a few nodes does not pay for a thousand.
+func (p *Program) allocNode() *Node {
+	if len(p.nodePool) == 0 {
+		size := len(p.Nodes)
+		if p.cow {
+			size = len(p.touched)
+		}
+		if size < 64 {
+			size = 64
+		} else if size > 1024 {
+			size = 1024
+		}
+		p.nodePool = make([]Node, size)
+	}
+	n := &p.nodePool[0]
+	p.nodePool = p.nodePool[1:]
+	return n
+}
+
+// copyEdges returns a private copy of an edge list with room for two more
+// edges, carved from the edge pool when it fits.
+func (p *Program) copyEdges(ids []NodeID) []NodeID {
+	if len(ids) == 0 {
+		return nil
+	}
+	size := len(ids) + 2
+	if size > 64 {
+		return append(make([]NodeID, 0, size), ids...)
+	}
+	if len(p.edgePool) < size {
+		p.edgePool = make([]NodeID, 256)
+	}
+	s := p.edgePool[:len(ids):size]
+	p.edgePool = p.edgePool[size:]
+	copy(s, ids)
+	return s
+}

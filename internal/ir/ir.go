@@ -315,6 +315,15 @@ type Proc struct {
 }
 
 // Program is a complete ICFG with its variable arena.
+//
+// A program built, decoded or cloned owns all of its nodes and may be
+// written freely. Once it is forked (see Fork) it shares nodes with the
+// fork, and both sides must write nodes only through the mutators
+// (NewNode, AddEdge, RemoveEdge, RedirectSucc, DeleteNode) or through a
+// pointer obtained from Mut; a direct write through a pointer from Node,
+// Nodes or LiveNodes would reach the other program. The optimization
+// driver forks the working program once per transactional attempt and
+// never writes the working program itself.
 type Program struct {
 	Procs []*Proc
 	Vars  []*Var
@@ -332,6 +341,12 @@ type Program struct {
 	nodePool []Node
 	edgePool []NodeID
 	varPool  []Var
+	// cow is set once the program was forked or is a fork: it then owns
+	// only the nodes marked in owned (privatized or created since the
+	// fork), and touched lists those plus the nodes it deleted.
+	cow     bool
+	owned   []uint64
+	touched []NodeID
 }
 
 // newEdgeList returns an empty edge list with room for two entries carved
@@ -371,23 +386,16 @@ func (p *Program) NewVar(name string, kind VarKind, proc int) VarID {
 
 // NewNode appends a node of the given kind to the arena.
 func (p *Program) NewNode(kind NodeKind, proc int) *Node {
-	if len(p.nodePool) == 0 {
-		size := len(p.Nodes)
-		if size < 64 {
-			size = 64
-		} else if size > 1024 {
-			size = 1024
-		}
-		p.nodePool = make([]Node, size)
-	}
-	n := &p.nodePool[0]
-	p.nodePool = p.nodePool[1:]
+	n := p.allocNode()
 	*n = Node{ID: NodeID(len(p.Nodes)), Kind: kind, Proc: proc, Dst: NoVar}
 	switch kind {
 	case NEntry, NExit, NCall, NAssert, NNop:
 		n.Synthetic = true
 	}
 	p.Nodes = append(p.Nodes, n)
+	if p.cow {
+		p.touch(n.ID)
+	}
 	return n
 }
 
@@ -395,14 +403,14 @@ func (p *Program) NewNode(kind NodeKind, proc int) *Node {
 // Parallel edges are permitted only for branches whose two arms reach the
 // same node; elsewhere a duplicate edge is ignored.
 func (p *Program) AddEdge(from, to NodeID) {
-	f, t := p.Nodes[from], p.Nodes[to]
-	if f.Kind != NBranch {
+	if f := p.Nodes[from]; f.Kind != NBranch {
 		for _, s := range f.Succs {
 			if s == to {
 				return
 			}
 		}
 	}
+	f, t := p.Mut(from), p.Mut(to)
 	if f.Succs == nil {
 		f.Succs = p.newEdgeList()
 	}
@@ -415,7 +423,7 @@ func (p *Program) AddEdge(from, to NodeID) {
 
 // RemoveEdge deletes one instance of the edge from → to.
 func (p *Program) RemoveEdge(from, to NodeID) {
-	f, t := p.Nodes[from], p.Nodes[to]
+	f, t := p.Mut(from), p.Mut(to)
 	f.Succs = removeOne(f.Succs, to)
 	t.Preds = removeOne(t.Preds, from)
 }
@@ -432,7 +440,7 @@ func removeOne(ids []NodeID, x NodeID) []NodeID {
 // RedirectSucc replaces the successor old of node from with new, preserving
 // edge order (important for branch true/false arms).
 func (p *Program) RedirectSucc(from, old, new NodeID) {
-	f := p.Nodes[from]
+	f := p.Mut(from)
 	replaced := false
 	for i, s := range f.Succs {
 		if s == old {
@@ -444,21 +452,30 @@ func (p *Program) RedirectSucc(from, old, new NodeID) {
 	if !replaced {
 		panic(fmt.Sprintf("ir: RedirectSucc: %d is not a successor of %d", old, from))
 	}
-	p.Nodes[old].Preds = removeOne(p.Nodes[old].Preds, from)
-	p.Nodes[new].Preds = append(p.Nodes[new].Preds, from)
+	o := p.Mut(old)
+	o.Preds = removeOne(o.Preds, from)
+	t := p.Mut(new)
+	t.Preds = append(t.Preds, from)
 }
 
-// DeleteNode removes a node and all its incident edges from the graph.
+// DeleteNode removes a node and all its incident edges from the graph. Only
+// the neighbors' edge lists are rewritten: the node itself is dropped, so a
+// fork does not privatize it first.
 func (p *Program) DeleteNode(id NodeID) {
 	n := p.Nodes[id]
 	if n == nil {
 		return
 	}
-	for _, s := range append([]NodeID(nil), n.Succs...) {
-		p.RemoveEdge(id, s)
+	for _, s := range n.Succs {
+		t := p.Mut(s)
+		t.Preds = removeOne(t.Preds, id)
 	}
-	for _, m := range append([]NodeID(nil), n.Preds...) {
-		p.RemoveEdge(m, id)
+	for _, m := range n.Preds {
+		f := p.Mut(m)
+		f.Succs = removeOne(f.Succs, id)
+	}
+	if p.cow {
+		p.touch(id)
 	}
 	p.Nodes[id] = nil
 }

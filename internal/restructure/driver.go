@@ -14,13 +14,17 @@ import (
 
 // Test-only fault-injection hooks (see SetFaultInjection). testHookAnalyze
 // runs at the start of every branch analysis against the round's snapshot;
-// testHookAfterApply runs on the scratch clone after a successful Eliminate,
+// testHookAfterApply runs on the scratch fork after a successful Eliminate,
 // before the gating oracles, and a non-nil return is treated as a validation
-// failure. Both may panic to exercise the driver's fault isolation. They
+// failure; it must write nodes only through the ir mutators or Mut.
+// testHookSettle observes every transactional attempt (correlation apply or
+// fold) once it is settled, before an adopted fork replaces the working
+// program. All may panic to exercise the driver's fault isolation. They
 // must be nil outside tests.
 var (
 	testHookAnalyze    func(snapshot *ir.Program, b ir.NodeID)
 	testHookAfterApply func(scratch *ir.Program, cond ir.NodeID) error
+	testHookSettle     func(work, scratch *ir.Program, adopted bool)
 )
 
 // DriverOptions configures the two-phase optimization driver.
@@ -173,10 +177,11 @@ type DriverStats struct {
 	// result (the analysis had visited a changed node).
 	Analyses   int
 	Reanalyses int
-	// Clones counts ir.Clone calls: one defensive clone of the input plus
-	// one per attempted restructuring. ClonesAvoided counts analyzed
-	// conditionals that needed no clone because no restructuring was
-	// attempted for them.
+	// Clones counts program copies: one defensive deep copy of the input
+	// (ir.Clone) plus one copy-on-write fork (ir.Fork) per transactional
+	// attempt, correlation applies and fold attempts alike. ClonesAvoided
+	// counts analyzed conditionals that needed no copy because no
+	// restructuring was attempted for them.
 	Clones        int
 	ClonesAvoided int
 	// Failures counts contained per-conditional failures by category; nil
@@ -464,14 +469,17 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 				out.Reports = append(out.Reports, cr.rep)
 				continue
 			}
-			// Attempt the restructuring on a scratch clone so a failure —
-			// including a panic or a gate violation — cannot corrupt the
-			// working program. This is the only place the driver clones
-			// after the initial defensive copy. Adopting the clone is the
-			// commit point; every earlier exit rolls back by discarding it.
-			scratch := ir.Clone(work)
+			// Attempt the restructuring on a copy-on-write fork so a
+			// failure — including a panic or a gate violation — cannot
+			// corrupt the working program, which is never written. Adopting
+			// the fork is the commit point; every earlier exit rolls back by
+			// discarding it.
+			scratch := ir.Fork(work)
 			out.Stats.Clones++
 			oc, declined, fail := applyOne(work, scratch, cr, opts, gate, &out.Stats)
+			if testHookSettle != nil {
+				testHookSettle(work, scratch, fail == nil && declined == nil)
+			}
 			switch {
 			case fail != nil:
 				cr.rep.Failure = fail
@@ -552,6 +560,9 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	if gate != nil {
 		gate.finish(work)
 	}
+	// Every fork and fork parent of work is discarded, so the result owns
+	// its nodes again and callers may write it in place.
+	work.Unshare()
 	out.Program = work
 	return out
 }
@@ -754,27 +765,28 @@ func visitedDirty(res *analysis.Result, dirty map[ir.NodeID]bool, dirtyBits []ui
 	return false
 }
 
-// markChanged records every node that differs between the pre- and
-// post-restructuring programs: created, deleted, retyped, or re-wired nodes
-// all count, so a snapshot analysis that visited none of them would compute
-// the same result on the new program (its demand-driven traversal can only
-// reach changed program parts through a changed node). Changed nodes are
-// recorded twice — in the dirty map (consumed by the memo Commit) and in
-// the dirty bitset (consumed by visitedDirty) — and the grown bitset is
-// returned.
+// markChanged records every node that differs between the working program
+// and its adopted fork: created, deleted, retyped, or re-wired nodes all
+// count, so a snapshot analysis that visited none of them would compute the
+// same result on the new program (its demand-driven traversal can only
+// reach changed program parts through a changed node). Only the fork's
+// touched nodes can differ — every other node is shared with the working
+// program — so only they are compared. Changed nodes are recorded twice —
+// in the dirty map (consumed by the memo Commit) and in the dirty bitset
+// (consumed by visitedDirty) — and the grown bitset is returned.
 func markChanged(dirty map[ir.NodeID]bool, dirtyBits []uint64, before, after *ir.Program) []uint64 {
 	words := (len(after.Nodes) + 63) / 64
 	for len(dirtyBits) < words {
 		dirtyBits = append(dirtyBits, 0)
 	}
-	for i, bn := range after.Nodes {
+	for _, id := range after.Touched() {
 		var an *ir.Node
-		if i < len(before.Nodes) {
-			an = before.Nodes[i]
+		if int(id) < len(before.Nodes) {
+			an = before.Nodes[id]
 		}
-		if nodeChanged(an, bn) {
-			dirty[ir.NodeID(i)] = true
-			dirtyBits[i>>6] |= 1 << (uint(i) & 63)
+		if nodeChanged(an, after.Nodes[id]) {
+			dirty[id] = true
+			dirtyBits[id>>6] |= 1 << (uint(id) & 63)
 		}
 	}
 	return dirtyBits

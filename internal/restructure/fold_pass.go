@@ -71,9 +71,12 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out 
 				// driver's duplication budget still gates the estimate.
 				continue
 			}
-			scratch := ir.Clone(work)
+			scratch := ir.Fork(work)
 			stats.Clones++
 			redirected, changed, fail := foldOne(work, scratch, bf, base, initiallyDead, inputs, stats)
+			if testHookSettle != nil {
+				testHookSettle(work, scratch, changed && fail == nil)
+			}
 			if !changed {
 				continue
 			}

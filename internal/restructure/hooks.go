@@ -26,9 +26,12 @@ type FaultInjection struct {
 	// round's snapshot. Panicking here exercises FailPanic containment; the
 	// snapshot lets a hook target only branches of a marked program.
 	Analyze func(snapshot *ir.Program, b ir.NodeID)
-	// AfterApply runs on the scratch clone after a successful Eliminate,
+	// AfterApply runs on the scratch fork after a successful Eliminate,
 	// before the gating oracles; a non-nil error is treated as a validation
-	// failure (FailValidate).
+	// failure (FailValidate). The fork shares every node it has not written
+	// with the working program (ir.Fork), so the hook must write nodes only
+	// through the ir mutators or scratch.Mut; a direct write through
+	// scratch.Nodes or scratch.Node lands in the working program.
 	AfterApply func(scratch *ir.Program, cond ir.NodeID) error
 	// CheckAnswers substitutes the answer set the static cross-check sees
 	// for one conditional, simulating a buggy backward analysis (FailCheck)

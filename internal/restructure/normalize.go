@@ -282,6 +282,7 @@ func pruneProgram(p *ir.Program, initiallyDead map[ir.NodeID]bool, onRemove func
 			if n == nil || len(n.Succs) != 1 {
 				continue
 			}
+			n = p.Mut(id)
 			n.Kind = ir.NNop
 			n.Synthetic = true
 			changed = true

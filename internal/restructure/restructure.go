@@ -52,8 +52,11 @@ type Outcome struct {
 }
 
 // Eliminate restructures the program to eliminate the analyzed conditional
-// along its correlated paths. The program is mutated in place; on error it
-// may be left inconsistent, so callers clone first and discard on failure.
+// along its correlated paths. The program is mutated in place, only through
+// the ir mutators and ir.Program.Mut, so it may be a copy-on-write fork
+// (ir.Fork). On error it may be left inconsistent, so callers fork or clone
+// first and discard on failure. The result is not validated: a caller must
+// run ir.Validate before adopting it, as the driver does once per attempt.
 func Eliminate(p *ir.Program, res *analysis.Result) (*Outcome, error) {
 	if res == nil {
 		return nil, fmt.Errorf("restructure: nil analysis result")
@@ -90,9 +93,6 @@ func Eliminate(p *ir.Program, res *analysis.Result) (*Outcome, error) {
 	}
 	r.eliminateConditional()
 	r.prune()
-	if err := ir.Validate(p); err != nil {
-		return nil, fmt.Errorf("restructure: produced invalid graph: %w", err)
-	}
 	r.out.BranchDescendants = make(map[ir.NodeID][]ir.NodeID)
 	p.LiveNodes(func(n *ir.Node) {
 		if n.Kind == ir.NBranch {
@@ -628,8 +628,10 @@ func (r *rest) split(id ir.NodeID, q *analysis.Query) {
 }
 
 // cloneNode duplicates a node including its incident edges and analysis
-// bookkeeping (Q[n], A[n,*]).
+// bookkeeping (Q[n], A[n,*]). The source is privatized first, so on a fork
+// a self-loop edge added below is visible to the source's later reads.
 func (r *rest) cloneNode(n *ir.Node) *ir.Node {
+	n = r.p.Mut(n.ID)
 	c := r.p.NewNode(n.Kind, n.Proc)
 	c.Dst = n.Dst
 	c.RHS = n.RHS
@@ -730,6 +732,7 @@ func (r *rest) reorderBranchArms() error {
 		case o0 == tf[0] && o1 == tf[1]:
 			// Already ordered.
 		case o0 == tf[1] && o1 == tf[0]:
+			n = r.p.Mut(n.ID)
 			n.Succs[0], n.Succs[1] = n.Succs[1], n.Succs[0]
 		default:
 			err = fmt.Errorf("restructure: branch %d arms (%d,%d) do not descend from (%d,%d)",
@@ -770,6 +773,7 @@ func (r *rest) eliminateConditional() {
 		default:
 			continue
 		}
+		n = r.p.Mut(n.ID)
 		n.Kind = ir.NNop
 		n.Synthetic = true
 		r.out.BranchCopiesRemoved++

@@ -49,6 +49,9 @@ func eliminateOne(t *testing.T, p *ir.Program, b *ir.Node, opts analysis.Options
 	if err != nil {
 		t.Fatalf("Eliminate: %v\n%s", err, work.Dump())
 	}
+	if err := ir.Validate(work); err != nil {
+		t.Fatalf("Eliminate produced an invalid graph: %v\n%s", err, work.Dump())
+	}
 	return work, oc
 }
 

@@ -220,7 +220,8 @@ func TestStructuralCorruptionCaughtByValidate(t *testing.T) {
 		// Break edge symmetry: retarget a successor without fixing preds.
 		for _, n := range scratch.Nodes {
 			if n != nil && n.Kind == ir.NAssign && len(n.Succs) == 1 {
-				n.Succs[0] = n.ID // self-loop the assign; preds now dangle
+				m := scratch.Mut(n.ID)
+				m.Succs[0] = m.ID // self-loop the assign; preds now dangle
 				return nil
 			}
 		}
@@ -253,7 +254,7 @@ func TestDiffMismatchRollsBack(t *testing.T) {
 		}
 		for _, n := range scratch.Nodes {
 			if n != nil && n.Kind == ir.NPrint && n.Val.IsConst {
-				n.Val.Const += 1000 // wrong output, still a valid graph
+				scratch.Mut(n.ID).Val.Const += 1000 // wrong output, still a valid graph
 				return nil
 			}
 		}
@@ -315,7 +316,7 @@ func TestOpGrowthRollsBack(t *testing.T) {
 		// than the one branch execution the elimination itself saves, so
 		// net executed operations must grow.
 		main := scratch.Procs[scratch.MainProc]
-		entry := scratch.Node(main.Entries[0])
+		entry := scratch.Mut(main.Entries[0])
 		succ := entry.Succs[0]
 		prev := entry
 		for i := 0; i < 4; i++ {
@@ -328,7 +329,7 @@ func TestOpGrowthRollsBack(t *testing.T) {
 			n.Succs = []ir.NodeID{succ}
 			prev = n
 		}
-		sn := scratch.Node(succ)
+		sn := scratch.Mut(succ)
 		for i, pr := range sn.Preds {
 			if pr == entry.ID {
 				sn.Preds[i] = prev.ID

@@ -154,7 +154,7 @@ func TestLadderContainedKindsPinViaBreaker(t *testing.T) {
 				AfterApply: func(scratch *ir.Program, _ ir.NodeID) error {
 					for _, n := range scratch.Nodes {
 						if n != nil && n.Kind == ir.NPrint && n.Val.IsConst {
-							n.Val.Const += 1000
+							scratch.Mut(n.ID).Val.Const += 1000
 							return nil
 						}
 					}
@@ -179,7 +179,7 @@ func TestLadderContainedKindsPinViaBreaker(t *testing.T) {
 						return nil
 					}
 					main := scratch.Procs[scratch.MainProc]
-					entry := scratch.Node(main.Entries[0])
+					entry := scratch.Mut(main.Entries[0])
 					succ := entry.Succs[0]
 					prev := entry
 					for i := 0; i < 4; i++ {
@@ -192,7 +192,7 @@ func TestLadderContainedKindsPinViaBreaker(t *testing.T) {
 						n.Succs = []ir.NodeID{succ}
 						prev = n
 					}
-					sn := scratch.Node(succ)
+					sn := scratch.Mut(succ)
 					for i, pr := range sn.Preds {
 						if pr == entry.ID {
 							sn.Preds[i] = prev.ID
