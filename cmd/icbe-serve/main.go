@@ -15,10 +15,8 @@
 //	GET  /readyz          readiness (503 while draining)
 //	GET  /stats           aggregate service statistics
 //
-// With -pool-workers > 0 the server keeps a pool of disposable worker
-// processes (re-execs of this binary unless -worker-bin overrides) that
-// pre-analyze large programs per-procedure; worker crashes only cost warmth,
-// never change response bytes.
+// Analysis runs in-process: -workers sets how many goroutines the driver
+// analyzes one request's conditionals with.
 //
 // SIGTERM or SIGINT starts a graceful drain: admission stops, in-flight
 // requests finish by their deadlines (cancelled cooperatively after
@@ -38,14 +36,10 @@ import (
 	"syscall"
 	"time"
 
-	"icbe/internal/pool"
 	"icbe/internal/server"
 )
 
 func main() {
-	// A re-exec'd worker never reaches flag parsing: it speaks the pool
-	// protocol on stdin/stdout and exits when the supervisor closes the pipe.
-	pool.MaybeWorkerMain()
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		maxInFlight = flag.Int("max-inflight", 4, "concurrent optimizations")
@@ -62,9 +56,6 @@ func main() {
 		brkMaxCool  = flag.Duration("breaker-max-cooldown", 30*time.Second, "breaker cooldown cap under repeated failed probes")
 		cacheSize   = flag.Int("cache-entries", 1024, "in-memory result cache entries; 0 disables the memory layer")
 		storeDir    = flag.String("store-dir", "", "durable result+summary store directory; empty disables the disk layer")
-		poolWorkers = flag.Int("pool-workers", 0, "analysis worker processes; 0 keeps analysis in-process")
-		workerBin   = flag.String("worker-bin", "", "worker executable (empty re-execs this binary)")
-		poolMin     = flag.Int("pool-min-conds", 8, "minimum analyzable conditionals before a program is pool-sharded")
 		batchItems  = flag.Int("max-batch-items", 16, "item cap per /optimize-batch request")
 	)
 	flag.Parse()
@@ -84,9 +75,6 @@ func main() {
 		Workers:          *workers,
 		CacheEntries:     *cacheSize,
 		StoreDir:         *storeDir,
-		PoolWorkers:      *poolWorkers,
-		WorkerBin:        *workerBin,
-		PoolMinConds:     *poolMin,
 		MaxBatchItems:    *batchItems,
 		Breaker: server.BreakerConfig{
 			Window:        *brkWindow,

@@ -205,12 +205,13 @@ type Options struct {
 	// counters aside). Only the interprocedural analysis has summaries. The
 	// memo must not be shared between concurrent runs.
 	SummaryMemo *analysis.SummaryMemo
-	// SeedRecords are portable summary records injected into the run's
-	// summary memo before the first round — the worker pool's pre-analysis
-	// seed. Injection is strict verify-on-read and replay is exact, so
-	// seeds accelerate the run without changing the optimized program or
-	// the report (Report.Stats.SeedsInjected aside). Ignored for runs
-	// without a summary memo (intraprocedural or Scratch).
+	// SeedRecords are portable summary records (for example a prior run's
+	// ExportPristine) injected into the run's summary memo before the first
+	// round, equivalent to seeding SummaryMemo through
+	// analysis.SummaryMemo.Inject. Injection is strict verify-on-read and
+	// replay is exact, so seeds accelerate the run without changing the
+	// optimized program or the report (Report.Stats.SeedsInjected aside).
+	// Ignored for runs without a summary memo (intraprocedural or Scratch).
 	SeedRecords []analysis.PortableRecord
 	// Scratch disables the cross-round incremental engine (summary memo
 	// and root records): every requeued conditional re-analyzes from
@@ -307,8 +308,8 @@ type DriverStats struct {
 	SNEMemoHits    int64
 	CacheBytes     int64
 	// SeedsInjected counts portable records accepted from
-	// Options.SeedRecords into the run's memo before the first round (the
-	// worker pool's pre-analysis seed, post verify-on-read).
+	// Options.SeedRecords into the run's memo before the first round, post
+	// verify-on-read (the count SummaryMemo.Inject would return).
 	SeedsInjected int
 	// QueriesReused counts node–query pairs reconstructed from memo records
 	// (summary and root-record replays) instead of re-propagated;

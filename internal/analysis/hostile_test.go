@@ -10,9 +10,10 @@ import (
 	"icbe/internal/pred"
 )
 
-// Hostile-bytes hardening for the portable-record surface. Records now cross
-// process boundaries (the worker pool ships them over pipes), so the decode
-// side must be fail-closed against bytes no honest worker would produce:
+// Hostile-bytes hardening for the portable-record surface. Records cross
+// process boundaries (the durable summary store reads them back from disk),
+// so the decode side must be fail-closed against bytes no honest writer
+// would produce:
 // truncated documents, garbage field values, duplicate keys. The contract is
 // that Inject never panics, rejects every invalid record, and leaves the memo
 // with no partial mutation — a poisoned payload yields exactly the cold run.

@@ -225,15 +225,6 @@ func newSummaryMemo(autoCommit bool) *SummaryMemo {
 // for sharing across the analyzers a driver creates round after round.
 func NewSummaryMemo() *SummaryMemo { return newSummaryMemo(false) }
 
-// NewAutoCommitMemo creates an empty memo that publishes each record the
-// moment its analysis completes, with no commit points. It is for serial
-// callers analyzing an unchanging program — the pool worker's shard loop —
-// where later conditionals should replay earlier ones' summaries immediately
-// and ExportPristine must return everything recorded (an auto-commit memo is
-// never frozen, so the unfrozen export path sees committed and pending
-// records alike).
-func NewAutoCommitMemo() *SummaryMemo { return newSummaryMemo(true) }
-
 func (m *SummaryMemo) lookup(k memoKey) *memoRecord {
 	m.mu.RLock()
 	rec := m.committed[k]

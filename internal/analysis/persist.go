@@ -67,8 +67,8 @@ func (m *SummaryMemo) ExportPristine() []PortableRecord {
 	if m.frozen {
 		recs = m.pristine
 	} else {
-		// No Commit yet: everything recorded so far — committed (auto-commit
-		// memos publish immediately) and pending — is pristine.
+		// No Commit yet: everything recorded so far, committed or pending,
+		// was computed against the pristine program.
 		for _, rec := range m.committed {
 			if !rec.injected {
 				recs = append(recs, rec)

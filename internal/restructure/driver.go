@@ -83,10 +83,11 @@ type DriverOptions struct {
 	// driver runs.
 	Memo *analysis.SummaryMemo
 	// SeedRecords are portable summary records injected into the run's memo
-	// before the first round (the worker pool's pre-analysis, or any other
-	// out-of-process seed). Injection is strict verify-on-read and replay is
-	// pair-for-pair exact, so seeds change warmth, never results; invalid or
-	// stale records are silently dropped. Ignored when the run has no memo.
+	// before the first round, equivalent to seeding Memo through
+	// analysis.SummaryMemo.Inject. Injection is strict verify-on-read and
+	// replay is pair-for-pair exact, so seeds change warmth, never results;
+	// invalid or stale records are silently dropped. Ignored when the run has
+	// no memo.
 	SeedRecords []analysis.PortableRecord
 	// Scratch disables the cross-round incremental engine entirely (no
 	// summary memo, no root records): every requeued conditional is
@@ -198,10 +199,10 @@ type DriverStats struct {
 	SNEMemoHits    int64
 	CacheBytes     int64
 	// SeedsInjected counts portable records accepted into the memo from
-	// DriverOptions.SeedRecords before the first round — how much of the
-	// worker pool's pre-analysis survived verify-on-read. Telemetry, not
-	// result: it varies with pool health and is scrubbed from response
-	// bodies.
+	// DriverOptions.SeedRecords before the first round: the records that
+	// survived verify-on-read, as SummaryMemo.Inject counts them. Telemetry,
+	// not result: it varies with what the seed held and is scrubbed from
+	// response bodies.
 	SeedsInjected int
 	// QueriesReused counts node–query pairs reconstructed from memo
 	// records (summary and root-record replays) instead of re-propagated;

@@ -76,9 +76,9 @@ func scrubStats(d *reportjson.DriverStats) {
 	d.SNEMemoEntries = 0
 	d.SNEMemoHits = 0
 	d.CacheBytes = 0
-	// Pool warmth is operational, not semantic: a request that ran while
-	// the worker pool was degraded must serve the same bytes as one that
-	// ran fully seeded.
+	// Seed records are equivalent to seeding the SummaryMemo through
+	// Inject: they change warmth, never results, so a seeded run must serve
+	// the same bytes as an unseeded one.
 	d.SeedsInjected = 0
 	// The reuse counters depend on what the summary store happened to have
 	// warm when the run started (a seeded run replays more than a cold
@@ -102,7 +102,7 @@ func scrubStats(d *reportjson.DriverStats) {
 // result is cacheable, exactly what the store holds and replays.
 func buildBody(lr *ladderResult, req *OptimizeRequest) []byte {
 	resp := OptimizeResponse{
-		Tier:     lr.tier.bodyTier().String(),
+		Tier:     lr.tier.String(),
 		Degraded: lr.tier > TierFull,
 		Attempts: lr.attempts,
 		Report:   reportjson.FromReport(lr.report),
@@ -127,10 +127,12 @@ func buildBody(lr *ladderResult, req *OptimizeRequest) []byte {
 
 // cacheable reports whether a ladder result may enter the store and be
 // published to singleflight waiters: full tier only (a degraded result is an
-// artifact of this request's deadline) and untruncated. A pooled result is a
-// full result — the body is byte-identical by construction — so it caches.
+// artifact of this request's deadline) and untruncated. A run whose memo was
+// seeded — through Inject from the store, or equivalently through
+// SeedRecords — is still a full result with byte-identical bytes, so it
+// caches.
 func cacheable(lr *ladderResult) bool {
-	return lr.tier <= TierFull && lr.report != nil && !lr.report.Truncated
+	return lr.tier == TierFull && lr.report != nil && !lr.report.Truncated
 }
 
 // writeRaw serves pre-rendered response bytes with the cache-status and

@@ -14,20 +14,10 @@ import (
 // service's current ceiling (TierFull unless a circuit breaker has pinned it
 // lower) and, on a failed or timed-out attempt, retries one rung cheaper
 // with capped exponential backoff. The bottom rung cannot fail, so every
-// admitted request reaches a terminal response.
+// admitted request reaches a terminal response. A summary memo seeded from
+// the store (SummaryMemo.Inject, or equivalently Options.SeedRecords) only
+// warms an attempt: it never changes the rung or the response bytes.
 type Tier int
-
-// TierPooled is the rung above TierFull: the same full-fidelity
-// configuration, preceded by a worker-pool pre-analysis whose portable
-// records seed the attempt's summary memo. It exists only when the server
-// has a healthy pool and the program is large enough to shard; because
-// seeds are replayed pair-for-pair exactly, a pooled attempt renders
-// byte-identically to a full one (bodyTier maps the label), and a failed
-// pooled attempt descends past TierFull — it already was the full
-// configuration. Its value sits above TierFull so the existing tier
-// arithmetic (breaker ceilings, descent order, degraded = tier > TierFull)
-// is untouched.
-const TierPooled Tier = -1
 
 const (
 	// TierFull runs both oracles: differential shadow execution (Verify)
@@ -49,8 +39,6 @@ const (
 
 func (t Tier) String() string {
 	switch t {
-	case TierPooled:
-		return "pooled"
 	case TierFull:
 		return "full"
 	case TierCheckOnly:
@@ -72,7 +60,7 @@ func (t Tier) configure(o icbe.Options) icbe.Options {
 	fold := o.Fold
 	o.Verify, o.Check, o.CheckFatal, o.Fold = false, false, false, false
 	switch t {
-	case TierPooled, TierFull:
+	case TierFull:
 		o.Verify, o.Check, o.CheckFatal = true, true, true
 		o.Fold = fold
 	case TierCheckOnly:
@@ -83,19 +71,6 @@ func (t Tier) configure(o icbe.Options) icbe.Options {
 		o.Interprocedural = false
 	}
 	return o
-}
-
-// bodyTier maps a tier to the label it carries in response bodies. TierPooled
-// renders as "full": the pool only seeds the memo, replay is exact, and the
-// byte-determinism contract (§12) requires a pool-seeded response to be
-// byte-identical to the in-process one. The pooled/full distinction stays
-// visible in /stats (the tiers map and the pool gauges), which is telemetry,
-// not result.
-func (t Tier) bodyTier() Tier {
-	if t == TierPooled {
-		return TierFull
-	}
-	return t
 }
 
 // minAttemptBudget is the smallest deadline slice worth starting an
@@ -162,22 +137,12 @@ func (s *Server) runLadder(ctx context.Context, prog *icbe.Program, base icbe.Op
 		if memoFor != nil {
 			base.SummaryMemo = memoFor()
 		}
-		base.SeedRecords = nil
-		if tier == TierPooled {
-			// The pool pre-analysis gets a slice of this attempt's budget;
-			// whatever it returns (possibly nothing — crashed workers, open
-			// breaker, deadline) seeds the memo. The attempt itself always
-			// proceeds: the pool accelerates, it is never a dependency.
-			sctx, scancel := context.WithTimeout(ctx, budget/2)
-			base.SeedRecords = s.poolSeed(sctx, prog, base)
-			scancel()
-		}
 		actx, cancel := context.WithTimeout(ctx, budget)
 		opt, rep, err, panicked := optimizeAttempt(actx, prog, tier.configure(base))
 		expired := actx.Err() != nil
 		cancel()
 
-		a := Attempt{Tier: tier.bodyTier().String(), Outcome: "ok"}
+		a := Attempt{Tier: tier.String(), Outcome: "ok"}
 		if rep != nil {
 			a.Failures = rep.Stats.Failures
 			for k, n := range rep.Stats.Failures {
@@ -208,13 +173,6 @@ func (s *Server) runLadder(ctx context.Context, prog *icbe.Program, base icbe.Op
 			return lr
 		}
 		lr.retries++
-		if tier == TierPooled {
-			// A pooled attempt already ran the full configuration (seeds
-			// only change warmth), so descend past TierFull: retrying it
-			// in-process would fail the same way and would leave an extra
-			// "full" attempt in the trace that a pool-less run never has.
-			tier++
-		}
 		s.sleepBackoff(ctx, backoff)
 		if backoff *= 2; backoff > s.cfg.BackoffCap {
 			backoff = s.cfg.BackoffCap

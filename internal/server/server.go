@@ -39,7 +39,6 @@ import (
 
 	"icbe"
 	"icbe/internal/ir"
-	"icbe/internal/pool"
 	"icbe/internal/reportjson"
 	"icbe/internal/store"
 )
@@ -79,16 +78,6 @@ type Config struct {
 	// fault-injection seam for chaos tests.
 	StoreFS store.FS
 
-	// PoolWorkers > 0 starts that many worker processes (internal/pool) and
-	// upgrades eligible full-tier requests to the pooled rung: per-procedure
-	// sharded pre-analysis whose records seed the optimize run. Zero keeps
-	// everything in-process.
-	PoolWorkers int
-	// WorkerBin is the worker executable; empty re-execs this binary.
-	WorkerBin string
-	// PoolMinConds is the minimum analyzable-conditional count before a
-	// program is worth sharding; smaller programs skip the pool round-trip.
-	PoolMinConds int
 	// MaxBatchItems caps the items of one /optimize-batch request.
 	MaxBatchItems int
 
@@ -97,10 +86,6 @@ type Config struct {
 	sleep func(ctx context.Context, d time.Duration)
 	// storeCfg fully overrides the derived store configuration (test seam).
 	storeCfg *store.Config
-	// poolCfg overrides the derived pool configuration (test seam for fast
-	// heartbeats/backoffs and chaos env injection); Workers/WorkerBin are
-	// still taken from the fields above when unset in it.
-	poolCfg *pool.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -131,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 100 * time.Millisecond
 	}
-	if c.PoolMinConds <= 0 {
-		c.PoolMinConds = 8
-	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 16
 	}
@@ -156,7 +138,6 @@ type Server struct {
 	brk       *breakerSet
 	met       *metrics
 	store     *store.Store // nil = caching disabled
-	pool      *pool.Pool   // nil = in-process analysis only
 	draining  atomic.Bool
 	wg        sync.WaitGroup
 	baseCtx   context.Context
@@ -185,21 +166,6 @@ func New(cfg Config) *Server {
 			Dir:          cfg.StoreDir,
 			FS:           cfg.StoreFS,
 		})
-	}
-	if cfg.poolCfg != nil || cfg.PoolWorkers > 0 {
-		pc := pool.Config{}
-		if cfg.poolCfg != nil {
-			pc = *cfg.poolCfg
-		}
-		if pc.Workers <= 0 {
-			pc.Workers = cfg.PoolWorkers
-		}
-		if pc.WorkerBin == "" {
-			pc.WorkerBin = cfg.WorkerBin
-		}
-		// A pool that cannot even name its worker binary degrades to the
-		// in-process path; like the store, pool trouble is never fatal.
-		s.pool, _ = pool.New(pc)
 	}
 	return s
 }
@@ -231,12 +197,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.closePool()
 		return nil
 	case <-ctx.Done():
 		s.cancelAll()
 		<-done
-		s.closePool()
 		return ctx.Err()
 	}
 }
@@ -252,10 +216,6 @@ func (s *Server) Stats() StatsSnapshot {
 	if s.store != nil {
 		st := s.store.Stats()
 		snap.Store = &st
-	}
-	if s.pool != nil {
-		ps := s.pool.Stats()
-		snap.Pool = &ps
 	}
 	return snap
 }
@@ -491,7 +451,6 @@ func (s *Server) serveOne(parent context.Context, req *OptimizeRequest) serveOut
 		}
 	}()
 	base := s.baseOptions(req.Options)
-	tier = s.poolStart(tier, prog, base)
 	lr := s.runLadder(ctx, prog, base, tier, s.memoFactory(prog, ph, base))
 	s.brk.record(lr.kinds, probes)
 	recorded = true

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"icbe/internal/pool"
 	"icbe/internal/reportjson"
 	"icbe/internal/store"
 )
@@ -159,7 +158,6 @@ type StatsSnapshot struct {
 	OptimizeRuns  int64                    `json:"optimize_runs"`
 	CacheServed   int64                    `json:"cache_served"`
 	Store         *store.Snapshot          `json:"store,omitempty"`
-	Pool          *pool.Snapshot           `json:"pool,omitempty"`
 	Batch         BatchStats               `json:"batch"`
 	Breakers      map[string]BreakerStatus `json:"breakers"`
 	Ceiling       string                   `json:"ceiling"`

@@ -124,3 +124,15 @@ func serverStats(t *testing.T, url string) StatsSnapshot {
 	}
 	return snap
 }
+
+func waitUntil(t *testing.T, d time.Duration, what string, ok func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if ok() {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
