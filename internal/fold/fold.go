@@ -10,7 +10,7 @@
 //
 // The package is a pure graph analysis plus an unguarded rewrite: the
 // transactional harness around it (internal/restructure's fold pass) owns
-// scratch clones, validation, invariant regression, shadow execution, and
+// the forks, validation, invariant regression, shadow execution, and
 // the post-fold re-check.
 package fold
 
@@ -178,8 +178,8 @@ func Compute(p *ir.Program, s *check.SCCP) *Facts {
 // parallel edges into the branch (RedirectSucc rewires the first occurrence
 // only), call and exit predecessors (their out-edges carry interprocedural
 // linkage), and arms that loop back into the branch itself. It performs no
-// verification — callers run it on a scratch clone under the transactional
-// gates.
+// verification — callers run it on a fork (ir.Fork) under the
+// transactional gates, so it writes only through the ir mutators and Mut.
 func Apply(p *ir.Program, bf *BranchFact) (redirected int, changed bool) {
 	n := p.Node(bf.Branch)
 	if n == nil || n.Kind != ir.NBranch || len(n.Succs) != 2 {

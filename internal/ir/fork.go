@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // Fork returns a copy-on-write copy of the program for one transactional
 // attempt. The fork copies only the Nodes and Vars pointer slices and the
 // Proc headers (with their Entries and Exits); every node stays shared with
@@ -14,6 +16,10 @@ package ir
 // structs and Proc.Formals are shared outright and never written after
 // construction. Fork writes p's ownership bookkeeping, so like any mutation
 // it must not run concurrently with other use of p.
+//
+// A fork of a settled program (see Settle) is Local: it keeps p's entry
+// and exit lists and variable count so Validate can check only the region
+// the fork touched.
 func Fork(p *Program) *Program {
 	q := &Program{
 		MainProc:    p.MainProc,
@@ -33,6 +39,14 @@ func Fork(p *Program) *Program {
 			ends += len(pr.Entries) + len(pr.Exits)
 		}
 	}
+	if p.settled {
+		q.base = &forkBase{
+			entries: make([][]NodeID, len(p.Procs)),
+			exits:   make([][]NodeID, len(p.Procs)),
+			vars:    len(p.Vars),
+		}
+		ends *= 2
+	}
 	// One block for every entry and exit list; each carve has cap == len, so
 	// appending to one reallocates instead of overwriting its neighbor.
 	block := make([]NodeID, 0, ends)
@@ -49,11 +63,57 @@ func Fork(p *Program) *Program {
 		cp.Entries = carve(pr.Entries)
 		cp.Exits = carve(pr.Exits)
 		q.Procs[i] = cp
+		if q.base != nil {
+			q.base.entries[i] = carve(pr.Entries)
+			q.base.exits[i] = carve(pr.Exits)
+		}
 	}
 	p.cow = true
 	p.owned = nil
 	p.touched = nil
+	p.prior = nil
+	// p's touched set restarts empty, so it no longer describes p's changes
+	// against a settled program.
+	p.base = nil
 	return q
+}
+
+// Settle records that p is valid (Validate returns nil) and at a prune
+// fixpoint: every node is reachable from its procedure's entries, no
+// non-main entry lost its last call site, and no call-site exit, call,
+// branch or dead end is left for the prune's structural cascades. Every
+// edge of a settled program is also in both of its lists, as the mutators
+// keep them (Validate checks only the successor side). The optimization
+// driver settles each attempt it adopts, since that attempt ended with a
+// prune and passed Validate. Forks of a settled program are
+// Local. Any later write through the mutators or Mut clears the mark;
+// edits to a procedure's Entries or Exits and writes that bypass Mut are
+// not seen and break the claim.
+func (p *Program) Settle() { p.settled = true }
+
+// Local reports whether p is a fork of a settled program. Every node such
+// a fork has not touched is shared with a valid program at a prune
+// fixpoint, so the per-attempt passes need look only at the region around
+// Touched; on any other program they look at every live node. A fork that
+// is forked in turn stops being Local, as its touched set restarts.
+func (p *Program) Local() bool { return p.base != nil }
+
+// RegionNodes calls f in ascending ID order for each live node of p's
+// region: on a Local program the nodes it touched, otherwise every live
+// node. The region is fixed when the call starts, so nodes f touches or
+// creates are not visited.
+func (p *Program) RegionNodes(f func(*Node)) {
+	if !p.Local() {
+		p.LiveNodes(f)
+		return
+	}
+	ids := slices.Clone(p.touched)
+	slices.Sort(ids)
+	for _, id := range ids {
+		if n := p.Nodes[id]; n != nil {
+			f(n)
+		}
+	}
 }
 
 // Mut returns node id for writing, or nil when the node is deleted. On a
@@ -62,8 +122,12 @@ func Fork(p *Program) *Program {
 // records it in Touched; later calls return that copy. Pointers obtained
 // through Node before the Mut keep seeing the shared version, so callers
 // that write must re-read through Mut. On a program that was never forked
-// Mut is Node.
+// Mut is Node. A fork's every node write must go through Mut (or the
+// mutators, which use it): a write that bypasses it reaches the program
+// the fork shares the node with, and on a Local fork it also escapes
+// Validate, which checks only the region around Touched.
 func (p *Program) Mut(id NodeID) *Node {
+	p.settled = false
 	n := p.Nodes[id]
 	if !p.cow || n == nil || p.owns(id) {
 		return n
@@ -73,7 +137,7 @@ func (p *Program) Mut(id NodeID) *Node {
 	c.Succs = p.copyEdges(n.Succs)
 	c.Preds = p.copyEdges(n.Preds)
 	p.Nodes[id] = c
-	p.touch(id)
+	p.touch(id, n)
 	return c
 }
 
@@ -92,6 +156,9 @@ func (p *Program) Unshare() {
 	p.cow = false
 	p.owned = nil
 	p.touched = nil
+	p.prior = nil
+	p.settled = false
+	p.base = nil
 }
 
 func (p *Program) owns(id NodeID) bool {
@@ -99,8 +166,9 @@ func (p *Program) owns(id NodeID) bool {
 	return w < len(p.owned) && p.owned[w]&(1<<(uint(id)&63)) != 0
 }
 
-// touch marks a node as the program's own and records it in Touched once.
-func (p *Program) touch(id NodeID) {
+// touch marks a node as the program's own and records it in Touched once,
+// with prior, the version it replaced (nil for a created node).
+func (p *Program) touch(id NodeID, prior *Node) {
 	if p.owns(id) {
 		return
 	}
@@ -114,6 +182,7 @@ func (p *Program) touch(id NodeID) {
 	}
 	p.owned[w] |= 1 << (uint(id) & 63)
 	p.touched = append(p.touched, id)
+	p.prior = append(p.prior, prior)
 }
 
 // allocNode hands out a node slot from the pool. The pool grows with the

@@ -218,10 +218,10 @@ type RHS struct {
 }
 
 // Node is a single ICFG node. The payload fields used depend on Kind.
-// Nodes dominate the optimizer's allocation profile (every scratch clone
-// copies the whole arena), so fields are laid out size-descending to
-// minimize padding rather than grouped by kind; the comments keep the
-// per-kind grouping.
+// Nodes dominate the optimizer's allocation profile (a fork privatizes a
+// node by copying it, and Clone copies the whole arena), so fields are laid
+// out size-descending to minimize padding rather than grouped by kind; the
+// comments keep the per-kind grouping.
 type Node struct {
 	// NAssign / NCallExit: RHS is the assigned value; Dst (below) the
 	// destination variable, NoVar when the call result is discarded.
@@ -324,6 +324,14 @@ type Proc struct {
 // Nodes or LiveNodes would reach the other program. The optimization
 // driver forks the working program once per transactional attempt and
 // never writes the working program itself.
+//
+// A program the driver adopted is marked settled (Settle): it passed
+// Validate and ended with a prune, so it is valid and at a prune fixpoint.
+// On a fork of a settled program (Local) the per-attempt passes — the
+// restructurer's prune and scans, and Validate — look only at the region
+// around the nodes the fork touched, since every other node is shared with
+// the settled program and unchanged. A write that bypasses Mut therefore
+// escapes validation as well as isolation.
 type Program struct {
 	Procs []*Proc
 	Vars  []*Var
@@ -347,6 +355,23 @@ type Program struct {
 	cow     bool
 	owned   []uint64
 	touched []NodeID
+	// prior[i] is the node touched[i] replaced at its first touch: the
+	// version shared with the program this one was forked from, nil for a
+	// node created since.
+	prior []*Node
+	// settled marks a valid program at a prune fixpoint (Settle); a write
+	// through the mutators clears it. base is set on a fork of a settled
+	// program (Local) and keeps what the region Validate diffs against.
+	settled bool
+	base    *forkBase
+}
+
+// forkBase is the part of a settled program a fork's region Validate needs
+// beyond the nodes it touched: every procedure's entry and exit lists (code
+// outside this package edits them in place) and the variable count.
+type forkBase struct {
+	entries, exits [][]NodeID
+	vars           int
 }
 
 // newEdgeList returns an empty edge list with room for two entries carved
@@ -393,8 +418,9 @@ func (p *Program) NewNode(kind NodeKind, proc int) *Node {
 		n.Synthetic = true
 	}
 	p.Nodes = append(p.Nodes, n)
+	p.settled = false
 	if p.cow {
-		p.touch(n.ID)
+		p.touch(n.ID, nil)
 	}
 	return n
 }
@@ -474,8 +500,9 @@ func (p *Program) DeleteNode(id NodeID) {
 		f := p.Mut(m)
 		f.Succs = removeOne(f.Succs, id)
 	}
+	p.settled = false
 	if p.cow {
-		p.touch(id)
+		p.touch(id, n)
 	}
 	p.Nodes[id] = nil
 }

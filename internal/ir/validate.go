@@ -3,29 +3,57 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Validate checks the structural invariants of the ICFG, including
 // call-site normal form. It returns an error describing every violation
 // found (joined), or nil.
+//
+// On a Local fork (a fork of a settled, hence valid, program) it checks
+// only the region an attempt can have broken: the touched nodes, their
+// neighbours in both the fork's edge lists and the lists they replaced,
+// the nodes added to or dropped from a procedure's Entries or Exits, the
+// variables created since the fork, and the per-procedure checks of the
+// procedures owning any of those. Every check reads only a node's own
+// fields and its neighbours', so a violation anywhere else would have been
+// one in the settled program too; the region run reports exactly what the
+// whole-program run would, in the same order.
 func Validate(p *Program) error {
 	var errs []error
 	bad := func(format string, args ...interface{}) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-
-	// Arena consistency and edge symmetry.
-	for i, n := range p.Nodes {
-		if n == nil {
-			continue
+	rg := validationRegion(p)
+	// each visits the live nodes to check in ascending ID order.
+	each := func(f func(i int, n *Node)) {
+		if rg == nil {
+			for i, n := range p.Nodes {
+				if n != nil {
+					f(i, n)
+				}
+			}
+			return
 		}
+		for _, id := range rg.nodes {
+			if n := p.Nodes[id]; n != nil {
+				f(int(id), n)
+			}
+		}
+	}
+
+	// Arena consistency and edge symmetry; live counts the checked nodes
+	// per procedure for the entry-less procedure check below.
+	live := make([]int, len(p.Procs))
+	each(func(i int, n *Node) {
 		if int(n.ID) != i {
 			bad("node at index %d has ID %d", i, n.ID)
 		}
 		if n.Proc < 0 || n.Proc >= len(p.Procs) {
 			bad("node %d has invalid proc %d", n.ID, n.Proc)
-			continue
+			return
 		}
+		live[n.Proc]++
 		for _, s := range n.Succs {
 			sn := p.Node(s)
 			if sn == nil {
@@ -42,10 +70,16 @@ func Validate(p *Program) error {
 				bad("node %d has dangling predecessor %d", n.ID, m)
 			}
 		}
-	}
+	})
 
-	// Variable arena consistency.
-	for i, v := range p.Vars {
+	// Variable arena consistency. Variables are never written after
+	// creation, so a region run checks only those created since the fork.
+	firstVar := 0
+	if rg != nil {
+		firstVar = rg.vars
+	}
+	for i := firstVar; i < len(p.Vars); i++ {
+		v := p.Vars[i]
 		if v == nil {
 			continue
 		}
@@ -78,7 +112,7 @@ func Validate(p *Program) error {
 
 	// Per-kind shape. Nodes with an invalid proc were reported above and
 	// cannot be checked further without faulting.
-	p.LiveNodes(func(n *Node) {
+	each(func(_ int, n *Node) {
 		if n.Proc < 0 || n.Proc >= len(p.Procs) || p.Procs[n.Proc] == nil {
 			return
 		}
@@ -230,11 +264,15 @@ func Validate(p *Program) error {
 	// Procedure entry/exit lists refer to live nodes of the right kind. A
 	// procedure whose every call site was optimized away may be fully
 	// pruned (no entries and no nodes) — that is valid dead-code removal.
-	for _, pr := range p.Procs {
-		if pr == nil {
+	// In a region run a procedure that lost its entries but kept nodes
+	// always keeps a live region node: the first live node after the
+	// deleted ones on its path from an old entry was touched by the
+	// deletion.
+	for i, pr := range p.Procs {
+		if pr == nil || (rg != nil && !rg.procs[i]) {
 			continue
 		}
-		if len(pr.Entries) == 0 && len(p.ProcNodes(pr.Index)) > 0 {
+		if len(pr.Entries) == 0 && pr.Index >= 0 && pr.Index < len(live) && live[pr.Index] > 0 {
 			bad("proc %q has nodes but no entries", pr.Name)
 		}
 		seenEntry := make(map[NodeID]bool)
@@ -283,6 +321,73 @@ func Validate(p *Program) error {
 	}
 
 	return errors.Join(errs...)
+}
+
+// validRegion is what a region Validate checks: nodes in ascending ID
+// order, the procedures whose per-procedure checks run, and the first
+// variable created since the fork.
+type validRegion struct {
+	nodes []NodeID
+	procs []bool
+	vars  int
+}
+
+// validationRegion returns the region Validate checks on a Local fork, or
+// nil to check the whole program.
+func validationRegion(p *Program) *validRegion {
+	if !p.Local() {
+		return nil
+	}
+	rg := &validRegion{procs: make([]bool, len(p.Procs)), vars: p.base.vars}
+	in := make([]uint64, (len(p.Nodes)+63)/64)
+	add := func(id NodeID) {
+		if id < 0 || int(id) >= len(p.Nodes) {
+			return
+		}
+		w, b := id>>6, uint64(1)<<(uint(id)&63)
+		if in[w]&b == 0 {
+			in[w] |= b
+			rg.nodes = append(rg.nodes, id)
+		}
+	}
+	addNode := func(n *Node) {
+		if n == nil {
+			return
+		}
+		if n.Proc >= 0 && n.Proc < len(rg.procs) {
+			rg.procs[n.Proc] = true
+		}
+		for _, s := range n.Succs {
+			add(s)
+		}
+		for _, m := range n.Preds {
+			add(m)
+		}
+	}
+	for i, id := range p.touched {
+		add(id)
+		addNode(p.Nodes[id])
+		addNode(p.prior[i])
+	}
+	for i, pr := range p.Procs {
+		if pr == nil || i >= len(p.base.entries) {
+			continue
+		}
+		for _, l := range [2][2][]NodeID{{p.base.entries[i], pr.Entries}, {p.base.exits[i], pr.Exits}} {
+			if slices.Equal(l[0], l[1]) {
+				continue
+			}
+			rg.procs[i] = true
+			for _, id := range l[0] {
+				add(id)
+			}
+			for _, id := range l[1] {
+				add(id)
+			}
+		}
+	}
+	slices.Sort(rg.nodes)
+	return rg
 }
 
 func procName(p *Program, i int) string {

@@ -16,19 +16,19 @@ var testHookCheckAnswers func(p *ir.Program, b ir.NodeID, ans analysis.AnswerSet
 // checkGate is the static verification layer of the driver
 // (DriverOptions.Check): the forward SCCP oracle cross-checks every
 // demand-driven answer before its restructuring is attempted, and the
-// invariant lint passes re-run on each scratch clone, vetoing any apply that
+// invariant lint passes re-run on each attempt's fork, vetoing any apply that
 // raises a finding the working program did not have. Like the shadow oracle
-// it gates transactionally — a veto discards the scratch clone — but it is
+// it gates transactionally — a veto discards the fork — but it is
 // static: no inputs are run, so it also covers paths shadow vectors miss.
 type checkGate struct {
 	stats *DriverStats
 	// prog/sccp cache the oracle for the current working program revision;
 	// baseline holds its per-pass invariant finding counts, the reference a
-	// scratch clone must not exceed.
+	// fork must not exceed.
 	prog     *ir.Program
 	sccp     *check.SCCP
 	baseline map[string]int
-	// pending holds the scratch clone's report between the gate check and
+	// pending holds the fork's report between the gate check and
 	// the driver's commit, so adoption reuses it instead of re-analyzing.
 	pendingProg     *ir.Program
 	pendingSCCP     *check.SCCP
@@ -91,7 +91,7 @@ func (g *checkGate) crossCheck(work *ir.Program, cr *condResult) *BranchFailure 
 	return nil
 }
 
-// checkApply runs the invariant passes on the scratch clone and vetoes the
+// checkApply runs the invariant passes on the attempt's fork and vetoes the
 // apply when any pass reports more findings than the working program's
 // baseline. On success the scratch report is stashed for adopt.
 func (g *checkGate) checkApply(scratch *ir.Program, cr *condResult) *BranchFailure {
@@ -113,7 +113,7 @@ func (g *checkGate) checkApply(scratch *ir.Program, cr *condResult) *BranchFailu
 }
 
 // adopt promotes the stashed scratch report to the gate's baseline when the
-// driver commits that clone as the new working program.
+// driver adopts that fork as the new working program.
 func (g *checkGate) adopt(work *ir.Program) {
 	if g.pendingProg == work {
 		g.prog, g.sccp, g.baseline = work, g.pendingSCCP, g.pendingBaseline

@@ -16,7 +16,8 @@ import (
 // runs at the start of every branch analysis against the round's snapshot;
 // testHookAfterApply runs on the scratch fork after a successful Eliminate,
 // before the gating oracles, and a non-nil return is treated as a validation
-// failure; it must write nodes only through the ir mutators or Mut.
+// failure; it must write nodes only through the ir mutators or Mut, and a
+// fork it leaves valid but not at a prune fixpoint must fail a later gate.
 // testHookSettle observes every transactional attempt (correlation apply or
 // fold) once it is settled, before an adopted fork replaces the working
 // program. All may panic to exercise the driver's fault isolation. They
@@ -119,7 +120,7 @@ type DriverOptions struct {
 	// classifies every remaining conditional, branches constant on all
 	// executable in-edges are folded whole, and edge-split residuals have
 	// their deciding in-edges redirected to the implied arm. Every fold is
-	// a transactional scratch-clone attempt gated by ir.Validate, the
+	// a transactional attempt on a fork (ir.Fork) gated by ir.Validate, the
 	// invariant passes, shadow execution, and a post-fold oracle re-check;
 	// vetoes roll back with FailFold. Independent of Check (the fold pass
 	// runs its own oracle), though the two compose naturally.
@@ -243,7 +244,7 @@ type DriverStats struct {
 	// place (the recall gap of the demand-driven analysis).
 	SCCPResidual int
 	// FoldAttempted counts fold-pass rewrite attempts (DriverOptions.Fold):
-	// scratch clones the fold rewriter actually changed, gates and all.
+	// forks the fold rewriter actually changed, gates and all.
 	// FoldApplied is the subset that survived every gate and was adopted;
 	// FoldDuplicated counts the in-edges edge-split folds redirected across
 	// adopted attempts (the duplication-based eliminations, degenerated to
@@ -309,7 +310,7 @@ type condResult struct {
 // conditional concurrently against the current program snapshot — the
 // analysis is demand-driven and per-conditional, so the queries are
 // independent and embarrassingly parallel. Phase 2 then applies the
-// accepted restructurings serially, cloning the working program only when a
+// accepted restructurings serially, forking the working program only when a
 // restructuring is actually attempted; a conditional whose analysis visited
 // none of the nodes changed by an earlier restructuring of the same round
 // is applied directly from its snapshot result, and only conditionals whose
@@ -318,7 +319,7 @@ type condResult struct {
 // for every worker count.
 //
 // The driver is transactional and fault-isolated: each apply runs on a
-// scratch clone and is adopted only after it passes ir.Validate (and, with
+// copy-on-write fork and is adopted only after it passes ir.Validate (and, with
 // Verify, differential shadow execution); a panic in analysis or
 // restructuring is recovered into a typed BranchFailure on that
 // conditional's report. The driver may refuse to optimize a branch, but it
@@ -493,7 +494,10 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 				cr.rep.Removed = oc.BranchCopiesRemoved
 				out.Optimized++
 				dirtyBits = markChanged(dirty, dirtyBits, work, scratch)
+				// The fork passed Validate after Eliminate's final prune,
+				// so the next attempt's passes can stay region-local.
 				work = scratch
+				work.Settle()
 				if gate != nil {
 					gate.adopt(work)
 				}
@@ -576,11 +580,11 @@ func release(cr *condResult) {
 	}
 }
 
-// applyOne performs one transactional restructuring attempt on the scratch
-// clone. It returns the outcome to commit, a graceful decline from
+// applyOne performs one transactional restructuring attempt on the fork
+// scratch. It returns the outcome to commit, a graceful decline from
 // Eliminate, or a typed failure (panic, validation, shadow-oracle
 // violation) — in every non-commit case the caller simply discards the
-// scratch clone, which is the rollback.
+// fork, which is the rollback.
 func applyOne(work, scratch *ir.Program, cr *condResult, opts DriverOptions,
 	gate *checkGate, stats *DriverStats) (oc *Outcome, declined error, fail *BranchFailure) {
 	defer func() {
@@ -604,7 +608,7 @@ func applyOne(work, scratch *ir.Program, cr *condResult, opts DriverOptions,
 			Msg: "restructured program failed structural validation", Err: err}
 	}
 	if gate != nil {
-		// Static post-apply gate: the scratch clone must not regress any
+		// Static post-apply gate: the fork must not regress any
 		// invariant lint pass over the working program's baseline.
 		if f := gate.checkApply(scratch, cr); f != nil {
 			return nil, nil, f

@@ -16,13 +16,13 @@ import (
 // names the residual conditionals it can decide, and each one is folded —
 // whole when constant on every executable in-edge, per-edge by redirection
 // for edge-split residuals — inside the same transactional harness the
-// correlation applies use. Every attempt runs on a scratch clone and must
+// correlation applies use. Every attempt runs on a fork (ir.Fork) and must
 // survive pruning + ir.Validate, the invariant lint passes against the
 // working program's baseline, differential shadow execution (always, even
 // when DriverOptions.Verify is off — folds trust a different oracle than the
 // correlation analysis, so they buy their own dynamic evidence), and a
 // post-fold oracle re-check that vetoes any fold creating a residual that
-// was not there before. A veto discards the clone and counts a FailFold;
+// was not there before. A veto discards the fork and counts a FailFold;
 // the working program is never replaced by a program that failed a gate.
 func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out *DriverResult) *ir.Program {
 	t0 := time.Now()
@@ -85,7 +85,9 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out 
 				stats.countFailure(fail.Kind)
 				continue
 			}
+			// Pruned and validated by foldOne: settled, like an apply.
 			work = scratch
+			work.Settle()
 			stats.FoldApplied++
 			stats.FoldDuplicated += redirected
 			applied = true
@@ -106,9 +108,9 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out 
 	return work
 }
 
-// foldOne performs one transactional fold attempt on the scratch clone,
+// foldOne performs one transactional fold attempt on the fork scratch,
 // running the full gate sequence. Every non-nil failure means the caller
-// discards the clone — that is the rollback. changed is false when the
+// discards the fork — that is the rollback. changed is false when the
 // rewriter had nothing safe to do for this row (no attempt happened).
 func foldOne(work, scratch *ir.Program, bf *fold.BranchFact, base *check.Report,
 	initiallyDead map[ir.NodeID]bool, inputs [][]int64,

@@ -60,14 +60,54 @@ func setSettleHook(t *testing.T, h func(work, scratch *ir.Program, adopted bool)
 	t.Cleanup(func() { testHookSettle = nil })
 }
 
+// setRegionCrossCheck checks the region passes against the whole-program
+// ones they stand in for. Every pruneProgram call on a Local fork also
+// prunes an ir.Clone of its input — which is never Local, so it runs the
+// whole-program sweep — and the two must encode identically. The returned
+// validateAgrees, which settle hooks call on every attempt, requires a
+// Local fork's Validate to agree with Validate of its clone. regions counts
+// the region passes compared.
+func setRegionCrossCheck(t *testing.T) (validateAgrees func(scratch *ir.Program), regions *int) {
+	t.Helper()
+	n := 0
+	testHookPrune = func(p *ir.Program, initiallyDead map[ir.NodeID]bool) func() {
+		if !p.Local() {
+			return func() {}
+		}
+		whole := ir.Clone(p)
+		pruneProgram(whole, initiallyDead, nil)
+		return func() {
+			n++
+			if !bytes.Equal(ir.EncodeProgram(p), ir.EncodeProgram(whole)) {
+				t.Errorf("region prune differs from the whole-program prune:\n--- region\n%s\n--- whole\n%s",
+					p.Dump(), whole.Dump())
+			}
+		}
+	}
+	t.Cleanup(func() { testHookPrune = nil })
+	return func(scratch *ir.Program) {
+		if !scratch.Local() {
+			return
+		}
+		n++
+		got, want := ir.Validate(scratch), ir.Validate(ir.Clone(scratch))
+		if (got == nil) != (want == nil) {
+			t.Errorf("region Validate = %v, whole-program Validate = %v", got, want)
+		}
+	}, &n
+}
+
 // TestTouchedDirtySetMatchesFullDiff checks, on every adopted attempt over
 // the corpus with the fold pass on, that the touched-node diff marks
 // exactly the nodes the whole-program diff marks, and that the working
-// program was not written by the attempt.
+// program was not written by the attempt. On every attempt, adopted or
+// not, the region prune and Validate must match their whole-program runs.
 func TestTouchedDirtySetMatchesFullDiff(t *testing.T) {
 	var before []byte
 	adopts := 0
+	validateAgrees, regions := setRegionCrossCheck(t)
 	setSettleHook(t, func(work, scratch *ir.Program, adopted bool) {
+		validateAgrees(scratch)
 		if !adopted {
 			return
 		}
@@ -99,6 +139,10 @@ func TestTouchedDirtySetMatchesFullDiff(t *testing.T) {
 	if adopts == 0 {
 		t.Fatal("no attempt was adopted; the test checked nothing")
 	}
+	if *regions == 0 {
+		t.Fatal("no attempt ran a region pass; the cross-check checked nothing")
+	}
+	t.Logf("%d adopted attempts, %d region passes cross-checked", adopts, *regions)
 }
 
 // TestRollbackLeavesWorkUntouched injects each failure kind an apply can
@@ -141,26 +185,48 @@ func TestRollbackLeavesWorkUntouched(t *testing.T) {
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
-			var before []byte
-			rollbacks := 0
-			setHooks(t, nil, func(scratch *ir.Program, _ ir.NodeID) error { return k.inject(scratch) })
-			setSettleHook(t, func(work, scratch *ir.Program, adopted bool) {
-				if adopted {
-					return
+			// Injected from the first attempt on, every attempt forks the
+			// unsettled input and runs the whole-program passes. Injected
+			// only after one clean adoption, every attempt forks a settled
+			// program and runs the region-local ones.
+			for _, clean := range []int{0, 1} {
+				validateAgrees, regions := setRegionCrossCheck(t)
+				var before []byte
+				rollbacks, adopts := 0, 0
+				setHooks(t, nil, func(scratch *ir.Program, _ ir.NodeID) error {
+					if adopts < clean {
+						return nil
+					}
+					return k.inject(scratch)
+				})
+				setSettleHook(t, func(work, scratch *ir.Program, adopted bool) {
+					validateAgrees(scratch)
+					if adopted {
+						adopts++
+						before = ir.EncodeProgram(scratch)
+						return
+					}
+					rollbacks++
+					if !bytes.Equal(ir.EncodeProgram(work), before) {
+						t.Errorf("rolled-back attempt changed the working program")
+					}
+				})
+				p := buildSafety(t)
+				before = ir.EncodeProgram(p)
+				res := Optimize(p, k.opts)
+				if n := res.Stats.Failures[k.kind]; n == 0 || n != rollbacks {
+					t.Fatalf("after %d clean adoptions: %v failures = %d, rollbacks observed = %d",
+						clean, k.kind, n, rollbacks)
 				}
-				rollbacks++
-				if !bytes.Equal(ir.EncodeProgram(work), before) {
-					t.Errorf("rolled-back attempt changed the working program")
+				if adopts != clean {
+					t.Fatalf("%d attempts adopted, want %d", adopts, clean)
 				}
-			})
-			p := buildSafety(t)
-			before = ir.EncodeProgram(p)
-			res := Optimize(p, k.opts)
-			if n := res.Stats.Failures[k.kind]; n == 0 || n != rollbacks {
-				t.Fatalf("%v failures = %d, rollbacks observed = %d", k.kind, n, rollbacks)
-			}
-			if !bytes.Equal(ir.EncodeProgram(res.Program), before) {
-				t.Fatal("result differs from the input after every attempt rolled back")
+				if !bytes.Equal(ir.EncodeProgram(res.Program), before) {
+					t.Fatal("result differs from the last adopted program after every later attempt rolled back")
+				}
+				if clean > 0 && *regions == 0 {
+					t.Fatal("no injected attempt ran a region pass")
+				}
 			}
 		})
 	}

@@ -31,7 +31,13 @@ type FaultInjection struct {
 	// failure (FailValidate). The fork shares every node it has not written
 	// with the working program (ir.Fork), so the hook must write nodes only
 	// through the ir mutators or scratch.Mut; a direct write through
-	// scratch.Nodes or scratch.Node lands in the working program.
+	// scratch.Nodes or scratch.Node lands in the working program, and once
+	// the working program is settled it also escapes ir.Validate, which
+	// then checks only the nodes the fork touched and their neighbours. A
+	// fork the hook leaves valid but not at a prune fixpoint (an orphaned
+	// node, say) must fail a later gate: adopting it would break the
+	// settled program's contract that later attempts' region passes rely
+	// on.
 	AfterApply func(scratch *ir.Program, cond ir.NodeID) error
 	// CheckAnswers substitutes the answer set the static cross-check sees
 	// for one conditional, simulating a buggy backward analysis (FailCheck)

@@ -2,6 +2,7 @@ package restructure
 
 import (
 	"fmt"
+	"slices"
 
 	"icbe/internal/ir"
 )
@@ -11,11 +12,14 @@ import (
 // duplicated so that each copy has exactly one call-site predecessor and
 // one procedure-exit predecessor. Only (call, exit) combinations that are
 // possible — the exit is reachable from the entry the call invokes, and the
-// pair's answers are consistent with the node's — are materialized.
+// pair's answers are consistent with the node's — are materialized. On a
+// Local fork only touched nodes can have lost normal form, so both scans
+// walk the program's region (ir.Program.RegionNodes), in ID order: copies
+// are created in that order, and any other would renumber them.
 func (r *rest) normalize() error {
 	// Verify normal form (a): each call has one entry successor.
 	var err error
-	r.p.LiveNodes(func(n *ir.Node) {
+	r.p.RegionNodes(func(n *ir.Node) {
 		if err != nil || n.Kind != ir.NCall {
 			return
 		}
@@ -35,7 +39,7 @@ func (r *rest) normalize() error {
 
 	reach := newReachCache(r.p)
 	var ces []*ir.Node
-	r.p.LiveNodes(func(n *ir.Node) {
+	r.p.RegionNodes(func(n *ir.Node) {
 		if n.Kind == ir.NCallExit {
 			ces = append(ces, n)
 		}
@@ -151,12 +155,35 @@ func (r *rest) prune() {
 	pruneProgram(r.p, r.initiallyDead, func(id ir.NodeID) { delete(r.ans, id) })
 }
 
+// testHookPrune, when non-nil, runs at the start of every pruneProgram call
+// and the function it returns when the call ends. Tests use it to compare a
+// region prune against a whole-program prune of the same input. It must be
+// nil outside tests.
+var testHookPrune func(p *ir.Program, initiallyDead map[ir.NodeID]bool) func()
+
 // pruneProgram is the standalone form of the sweep, shared with the fold
-// pass (which prunes scratch clones with no restructuring state around).
+// pass (which prunes forks with no restructuring state around).
 // initiallyDead protects entries that were already uncalled before the
 // caller's transformation; onRemove, when non-nil, observes every deleted
 // node so callers can drop their own per-node bookkeeping.
+//
+// Every step works on a region of the program (ir.Program.RegionNodes):
+// all live nodes, or on a Local fork only the nodes it touched, since the
+// settled program it was forked from was at this sweep's fixpoint. An
+// entry loses its call sites, and a node its successors or predecessors,
+// only through a write that touches it, so the dead-entry and cascade steps
+// need look only at touched nodes. Reachability can be lost only in C, the
+// forward closure of the touched nodes within their procedures: a write
+// that broke a node's path from an entry touched some node on it, and the
+// last such node still reaches it, putting it in C. C is flooded from its
+// listed entries and from its nodes with a live predecessor outside C
+// (which is reachable), and whatever the flood misses is removed. With the
+// whole program as the region, C is every live node and the flood is the
+// plain one from all entries.
 func pruneProgram(p *ir.Program, initiallyDead map[ir.NodeID]bool, onRemove func(ir.NodeID)) {
+	if testHookPrune != nil {
+		defer testHookPrune(p, initiallyDead)()
+	}
 	remove := func(id ir.NodeID) {
 		n := p.Node(id)
 		if n == nil {
@@ -176,44 +203,67 @@ func pruneProgram(p *ir.Program, initiallyDead map[ir.NodeID]bool, onRemove func
 			onRemove(id)
 		}
 	}
-	// Generation-marked reachability scratch, shared across fixpoint
-	// iterations: one O(nodes + edges) sweep over all procedures per
-	// iteration, instead of a per-procedure scan of the whole node arena
-	// (which made each iteration O(procs × nodes) — quadratic at the 100k-node
-	// scale the stress benchmark runs).
-	seen := make([]uint32, len(p.Nodes))
-	gen := uint32(0)
-	var stack []ir.NodeID
-	for {
-		gen++
+	removeAll := func(ids []ir.NodeID) bool {
 		changed := false
+		for _, id := range ids {
+			if p.Node(id) != nil {
+				remove(id)
+				changed = true
+			}
+		}
+		return changed
+	}
+	// Membership bits for C and for the flood. Nodes are only deleted
+	// here, so the arena never grows past the bits; each iteration clears
+	// exactly the bits it set.
+	words := (len(p.Nodes) + 63) / 64
+	inC, seen := make(nodeBits, words), make(nodeBits, words)
+	var region, stack, dead []ir.NodeID
+	for {
 		// Drop dead entries (never for main, which is invoked externally,
 		// and never for procedures that were already uncalled on input).
-		for _, pr := range p.Procs {
-			if pr == nil || pr.Index == p.MainProc {
-				continue
+		// An unlisted entry node is dropped here rather than by the flood
+		// below, which would miss it too.
+		dead = dead[:0]
+		p.RegionNodes(func(n *ir.Node) {
+			if n.Kind == ir.NEntry && n.Proc != p.MainProc && len(n.Preds) == 0 && !initiallyDead[n.ID] {
+				dead = append(dead, n.ID)
 			}
-			for _, e := range append([]ir.NodeID(nil), pr.Entries...) {
-				n := p.Node(e)
-				if n != nil && len(n.Preds) == 0 && !initiallyDead[e] {
-					remove(e)
-					changed = true
+		})
+		changed := removeAll(dead)
+
+		// Remove nodes unreachable from the remaining entries. Procedures
+		// partition the node arena and the walk never crosses a procedure
+		// boundary, so one flood covers them all.
+		region = region[:0]
+		p.RegionNodes(func(n *ir.Node) {
+			inC.set(n.ID)
+			region = append(region, n.ID)
+		})
+		for i := 0; i < len(region); i++ {
+			n := p.Node(region[i])
+			for _, s := range n.Succs {
+				if sn := p.Node(s); sn != nil && sn.Proc == n.Proc && !inC.has(s) {
+					inC.set(s)
+					region = append(region, s)
 				}
 			}
 		}
-		// Remove nodes unreachable from the remaining entries. Procedures
-		// partition the node arena and the walk never crosses a procedure
-		// boundary, so all entries seed one flood fill.
+		// Seed C's listed entries and its nodes with a live predecessor
+		// outside C, which is reachable.
 		stack = stack[:0]
-		for _, pr := range p.Procs {
-			if pr == nil {
-				continue
-			}
-			for _, e := range pr.Entries {
-				if p.Node(e) != nil && seen[e] != gen {
-					seen[e] = gen
-					stack = append(stack, e)
+		for _, id := range region {
+			n := p.Node(id)
+			seed := n.Kind == ir.NEntry && n.Proc >= 0 && n.Proc < len(p.Procs) &&
+				p.Procs[n.Proc] != nil && slices.Contains(p.Procs[n.Proc].Entries, id)
+			for _, m := range n.Preds {
+				if mn := p.Node(m); !seed && mn != nil && mn.Proc == n.Proc && !inC.has(m) {
+					seed = true
 				}
+			}
+			if seed {
+				seen.set(id)
+				stack = append(stack, id)
 			}
 		}
 		for len(stack) > 0 {
@@ -221,30 +271,29 @@ func pruneProgram(p *ir.Program, initiallyDead map[ir.NodeID]bool, onRemove func
 			stack = stack[:len(stack)-1]
 			n := p.Node(id)
 			for _, s := range n.Succs {
-				sn := p.Node(s)
-				if sn == nil || sn.Proc != n.Proc || seen[s] == gen {
-					continue
+				if sn := p.Node(s); sn != nil && sn.Proc == n.Proc && inC.has(s) && !seen.has(s) {
+					seen.set(s)
+					stack = append(stack, s)
 				}
-				seen[s] = gen
-				stack = append(stack, s)
 			}
 		}
 		var unreachable []ir.NodeID
-		p.LiveNodes(func(n *ir.Node) {
-			if seen[n.ID] != gen {
-				unreachable = append(unreachable, n.ID)
+		for _, id := range region {
+			if !seen.has(id) {
+				unreachable = append(unreachable, id)
 			}
-		})
-		for _, id := range unreachable {
-			if p.Node(id) != nil {
-				remove(id)
-				changed = true
-			}
+			inC.clear(id)
+			seen.clear(id)
 		}
+		slices.Sort(unreachable)
+		if removeAll(unreachable) {
+			changed = true
+		}
+
 		// Structural cascades.
 		var victims []ir.NodeID
 		var unbranch []ir.NodeID
-		p.LiveNodes(func(n *ir.Node) {
+		p.RegionNodes(func(n *ir.Node) {
 			switch n.Kind {
 			case ir.NCallExit:
 				calls, exits := callExitPredsOf(p, n)
@@ -269,11 +318,8 @@ func pruneProgram(p *ir.Program, initiallyDead map[ir.NodeID]bool, onRemove func
 				}
 			}
 		})
-		for _, id := range victims {
-			if p.Node(id) != nil {
-				remove(id)
-				changed = true
-			}
+		if removeAll(victims) {
+			changed = true
 		}
 		// A branch whose other arm was proven unreachable always takes the
 		// surviving arm.
@@ -292,3 +338,12 @@ func pruneProgram(p *ir.Program, initiallyDead map[ir.NodeID]bool, onRemove func
 		}
 	}
 }
+
+// nodeBits is a bitset over node IDs; IDs beyond it read as absent.
+type nodeBits []uint64
+
+func (b nodeBits) has(id ir.NodeID) bool {
+	return id >= 0 && int(id>>6) < len(b) && b[id>>6]&(1<<(uint(id)&63)) != 0
+}
+func (b nodeBits) set(id ir.NodeID)   { b[id>>6] |= 1 << (uint(id) & 63) }
+func (b nodeBits) clear(id ir.NodeID) { b[id>>6] &^= 1 << (uint(id) & 63) }

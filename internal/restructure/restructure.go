@@ -94,7 +94,8 @@ func Eliminate(p *ir.Program, res *analysis.Result) (*Outcome, error) {
 	r.eliminateConditional()
 	r.prune()
 	r.out.BranchDescendants = make(map[ir.NodeID][]ir.NodeID)
-	p.LiveNodes(func(n *ir.Node) {
+	// Copies are created nodes, so the region always holds them.
+	p.RegionNodes(func(n *ir.Node) {
 		if n.Kind == ir.NBranch {
 			if o := r.origOf(n.ID); o != n.ID {
 				r.out.BranchDescendants[o] = append(r.out.BranchDescendants[o], n.ID)
@@ -708,10 +709,12 @@ func removeID(ids []ir.NodeID, x ir.NodeID) []ir.NodeID {
 
 // reorderBranchArms restores the Succs[0] = true / Succs[1] = false
 // convention for every branch in the restructured region, using the
-// original-arm lineage snapshot.
+// original-arm lineage snapshot. A branch the attempt never touched keeps
+// the arms it was snapshotted with, so the program's region covers every
+// branch that can need it.
 func (r *rest) reorderBranchArms() error {
 	var err error
-	r.p.LiveNodes(func(n *ir.Node) {
+	r.p.RegionNodes(func(n *ir.Node) {
 		if err != nil || n.Kind != ir.NBranch {
 			return
 		}
@@ -742,10 +745,12 @@ func (r *rest) reorderBranchArms() error {
 	return err
 }
 
-// liveCondCopies counts surviving copies of the analyzed conditional.
+// liveCondCopies counts surviving copies of the analyzed conditional. It
+// runs only once the conditional itself is deleted, and its copies are
+// created nodes, so the program's region holds them all.
 func (r *rest) liveCondCopies() int {
 	n := 0
-	r.p.LiveNodes(func(nd *ir.Node) {
+	r.p.RegionNodes(func(nd *ir.Node) {
 		if nd.Kind == ir.NBranch && r.origOf(nd.ID) == r.res.Cond {
 			n++
 		}
@@ -758,8 +763,11 @@ func (r *rest) liveCondCopies() int {
 // lines 15–16).
 func (r *rest) eliminateConditional() {
 	root := r.res.Root
+	// Copies are created nodes and so in the program's region; the
+	// conditional itself is put there in case no split touched it.
+	r.p.Mut(r.res.Cond)
 	var victims []*ir.Node
-	r.p.LiveNodes(func(n *ir.Node) {
+	r.p.RegionNodes(func(n *ir.Node) {
 		if n.Kind == ir.NBranch && r.origOf(n.ID) == r.res.Cond {
 			victims = append(victims, n)
 		}
