@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"icbe/internal/analysis"
 	"icbe/internal/progs"
 	"icbe/internal/randprog"
 )
@@ -36,6 +37,14 @@ func renderEquivalence(t *testing.T, src string, inputs [][]int64, opts Options)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	out, _ := renderOptimized(t, p, inputs, opts)
+	return out
+}
+
+// renderOptimized is renderEquivalence on a compiled program; it also
+// returns the run's report.
+func renderOptimized(t *testing.T, p *Program, inputs [][]int64, opts Options) (string, *Report) {
+	t.Helper()
 	opt, rep, err := p.Optimize(opts)
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
@@ -67,7 +76,7 @@ func renderEquivalence(t *testing.T, src string, inputs [][]int64, opts Options)
 		}
 		fmt.Fprintf(&b, "run input=%v output=%v ops=%d conds=%d\n", in, res.Output, res.Operations, res.Conditionals)
 	}
-	return b.String()
+	return b.String(), rep
 }
 
 // equivalenceConfigs are the option sets pinned by the goldens. Verify stays
@@ -139,15 +148,11 @@ func TestScratchIncrementalEquivalence(t *testing.T) {
 	}
 	// A reduced hub-and-leaf scale program, so the shape the stress
 	// benchmark gates on is pinned by the equivalence contract too.
-	scaleCfg := randprog.ScaleConfig{
-		Globals: 3, Leaves: 12, LeafStmts: 30, Hubs: 5, Calls: 5, Conds: 3,
-		ChainLeaves: 2, ChainLen: 2,
-	}
-	for _, seed := range []uint64{1, 7} {
+	for _, seed := range scaleSeeds {
 		cases = append(cases, workload{
 			name:   fmt.Sprintf("scale-%d", seed),
-			src:    randprog.Scale(seed, scaleCfg),
-			inputs: [][]int64{{0}, {5}},
+			src:    randprog.Scale(seed, reducedScale),
+			inputs: scaleInputs,
 		})
 	}
 	for _, w := range cases {
@@ -171,6 +176,59 @@ func TestScratchIncrementalEquivalence(t *testing.T) {
 				} else if want != golden {
 					t.Errorf("workers=%d: scratch run diverged from workers=1", workers)
 				}
+			}
+		})
+	}
+}
+
+// reducedScale is a small hub-and-leaf Scale configuration: the shape the
+// stress benchmark gates on, cheap enough for every test run.
+var reducedScale = randprog.ScaleConfig{
+	Globals: 3, Leaves: 12, LeafStmts: 30, Hubs: 5, Calls: 5, Conds: 3,
+	ChainLeaves: 2, ChainLen: 2,
+}
+
+var (
+	scaleSeeds  = []uint64{1, 7}
+	scaleInputs = [][]int64{{0}, {5}}
+)
+
+// TestWarmMemoReanalysisReuse pins the summary memo's one job with a count
+// rather than a clock. Optimizing a reduced Scale program leaves the memo
+// warm with records valid for the settled program; optimizing the settled
+// program again must then rebuild at least 80% of its pairs from those
+// records, and must render byte-identically to a Scratch run. Every
+// conditional's top level is propagated fresh, so the bound sits below the
+// summary-owned share: 594 of 723 pairs (82.2%) for both seeds here, 98% on
+// the full stress program, whose leaves are far larger.
+func TestWarmMemoReanalysisReuse(t *testing.T) {
+	for _, seed := range scaleSeeds {
+		t.Run(fmt.Sprintf("scale-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			p, err := Compile(randprog.Scale(seed, reducedScale))
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			opts := DefaultOptions()
+			opts.TerminationLimit = 0
+			opts.Timeout = 2 * time.Minute
+			opts.SummaryMemo = analysis.NewSummaryMemo()
+			settled, _, err := p.Optimize(opts)
+			if err != nil {
+				t.Fatalf("optimize: %v", err)
+			}
+			got, rep := renderOptimized(t, settled, scaleInputs, opts)
+			rate := float64(rep.Stats.QueriesReused) / float64(rep.PairsTotal)
+			t.Logf("re-analysis reused %d of %d pairs (%.1f%%)", rep.Stats.QueriesReused, rep.PairsTotal, 100*rate)
+			if rate < 0.8 {
+				t.Errorf("warm re-analysis reused %d of %d pairs (%.1f%%), want at least 80%%",
+					rep.Stats.QueriesReused, rep.PairsTotal, 100*rate)
+			}
+			scratch := opts
+			scratch.SummaryMemo = nil
+			scratch.Scratch = true
+			if want, _ := renderOptimized(t, settled, scaleInputs, scratch); got != want {
+				t.Errorf("warm re-analysis diverged from scratch:\n--- scratch\n%s--- warm\n%s", want, got)
 			}
 		})
 	}

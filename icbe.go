@@ -213,10 +213,10 @@ type Options struct {
 	// optimized program or the report (Report.Stats.SeedsInjected aside).
 	// Ignored for runs without a summary memo (intraprocedural or Scratch).
 	SeedRecords []analysis.PortableRecord
-	// Scratch disables the cross-round incremental engine (summary memo
-	// and root records): every requeued conditional re-analyzes from
-	// scratch. The optimized program and report are identical either way;
-	// Scratch is the baseline for measuring the incremental speedup.
+	// Scratch disables the cross-round incremental engine (the summary
+	// memo): every requeued conditional re-analyzes from scratch. The
+	// optimized program and report are identical either way; Scratch is the
+	// baseline for measuring the incremental speedup.
 	Scratch bool
 }
 
@@ -238,9 +238,10 @@ func (o Options) analysisOpts() analysis.Options {
 		TerminationLimit: o.TerminationLimit,
 		ArithSubst:       o.ArithSubst,
 		ModSummaries:     o.ModSummaries,
-		// Summary memoization replays identical closures instead of
-		// re-propagating them; results are exact, so there is nothing to
-		// configure (only the interprocedural analysis has summaries).
+		// The driver's cross-round summary memo replays identical closures
+		// instead of re-propagating them; results are exact, so there is
+		// nothing to configure (only the interprocedural analysis has
+		// summaries).
 		MemoSummaries: o.Interprocedural,
 	}
 }
@@ -311,11 +312,11 @@ type DriverStats struct {
 	// Options.SeedRecords into the run's memo before the first round, post
 	// verify-on-read (the count SummaryMemo.Inject would return).
 	SeedsInjected int
-	// QueriesReused counts node–query pairs reconstructed from memo records
-	// (summary and root-record replays) instead of re-propagated;
-	// SubtreesInvalidated counts cached subtrees dropped because a
-	// restructuring dirtied their recorded region. Their ratio against
-	// PairsTotal is the incremental engine's reuse rate.
+	// QueriesReused counts node–query pairs reconstructed from summary
+	// records instead of re-propagated; SubtreesInvalidated counts summary
+	// records dropped because a restructuring dirtied their recorded
+	// region. Their ratio against PairsTotal is the incremental engine's
+	// reuse rate.
 	QueriesReused       int
 	SubtreesInvalidated int64
 	// PairsTotal mirrors Report.PairsTotal (replayed pairs count in both)

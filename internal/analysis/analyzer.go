@@ -36,14 +36,14 @@ type Options struct {
 	// computed with caching lack the supplier structure restructuring
 	// needs — use it for analysis-only measurements.
 	CacheAnswers bool
-	// MemoSummaries memoizes summary node entries (the TRANS closures
-	// computed at procedure exits) across AnalyzeBranch calls on the same
-	// unmodified program: a later conditional whose queries cross the same
-	// procedure exit with the same content replays the recorded closure
-	// instead of re-propagating it. Replay is exact — answers, supplier
-	// structure and pair counts match a fresh computation — so results are
-	// interchangeable with unmemoized ones (see memo.go for the contract).
-	// Only interprocedural analysis has summaries to memoize.
+	// MemoSummaries asks the optimization driver to keep a cross-round
+	// summary memo: the summary node entries (the TRANS closures computed
+	// at procedure exits) of one round replay into the next round's
+	// re-analyses instead of being re-propagated. Replay is exact — answers,
+	// supplier structure and pair counts match a fresh computation — so
+	// results are interchangeable with unmemoized ones (see memo.go for the
+	// contract). Only interprocedural analysis has summaries to memoize. An
+	// Analyzer itself replays only from a memo handed to NewWithMemo.
 	MemoSummaries bool
 }
 
@@ -80,17 +80,11 @@ type cacheKey struct {
 	c    int64
 }
 
-// New creates an analyzer for the program. With Opts.MemoSummaries it owns
-// a private summary memo that commits records as soon as each AnalyzeBranch
-// returns (the right policy for a serial caller on an unchanging program);
-// drivers that interleave analysis with program mutation should manage the
-// commit points themselves via NewWithMemo.
+// New creates an analyzer for the program, without a summary memo: every
+// conditional is analyzed by fresh propagation. Callers that analyze the
+// same program round after round share a memo through NewWithMemo.
 func New(p *ir.Program, opts Options) *Analyzer {
-	var memo *SummaryMemo
-	if opts.MemoSummaries && opts.Interprocedural {
-		memo = newSummaryMemo(true)
-	}
-	return NewWithMemo(p, opts, memo)
+	return NewWithMemo(p, opts, nil)
 }
 
 // NewWithMemo creates an analyzer that records into and replays from the
@@ -131,9 +125,6 @@ func (a *Analyzer) CacheBytes() int64 {
 // about 13/16 occupancy before growing.
 func mapEntryFootprint(kv int64) int64 { return (kv + 1) * 16 / 13 }
 
-// Memo returns the analyzer's summary memo (nil when memoization is off).
-func (a *Analyzer) Memo() *SummaryMemo { return a.memo }
-
 // cacheGet looks up a cached rolled-back answer set.
 func (a *Analyzer) cacheGet(k cacheKey) (AnswerSet, bool) {
 	a.mu.Lock()
@@ -167,13 +158,13 @@ type Result struct {
 	Interrupted bool
 	// CacheHits counts pairs answered from the cross-conditional cache
 	// (only with Options.CacheAnswers). MemoHits counts summary node
-	// entries replayed from the summary memo (only with
-	// Options.MemoSummaries).
+	// entries replayed from the summary memo (only for an analyzer created
+	// with NewWithMemo and a non-nil memo).
 	CacheHits int
 	MemoHits  int
-	// QueriesReused counts node–query pairs reconstructed from memo
-	// records (summary replays and root-record replays) instead of being
-	// re-propagated — the incremental engine's reuse counter.
+	// QueriesReused counts node–query pairs reconstructed from summary
+	// records instead of being re-propagated — the incremental engine's
+	// reuse counter.
 	QueriesReused int
 
 	st *state
@@ -314,15 +305,6 @@ type run struct {
 	st        *state
 	res       *Result
 	interrupt func() bool // nil = never; polled during propagation
-
-	// Top-level closure dependencies, collected (only when a memo is
-	// present) while owner-less queries propagate: the summaries the top
-	// level waited on, the call-site linkage nodes it consulted, and every
-	// MOD traverse/skip decision it took. recordRoot packages them into the
-	// conditional's root record; see memo.go.
-	topDeps      []*SNE
-	topLinks     []ir.NodeID
-	topModChecks []modCheck
 }
 
 // AnalyzeBranch runs the demand-driven analysis for one conditional. It
@@ -346,38 +328,16 @@ func (a *Analyzer) AnalyzeBranchInterruptible(b ir.NodeID, interrupt func() bool
 	st := acquireState(len(a.Prog.Nodes), len(a.Prog.Vars))
 	res := &Result{Cond: b, st: st}
 	r := &run{a: a, p: a.Prog, idx: a.idx, st: st, res: res, interrupt: interrupt}
-	cp := node.CondPred()
-	if a.memo != nil && !a.Opts.CacheAnswers {
-		// Incremental path: a surviving root record reconstructs this
-		// conditional's whole analysis; on any validation failure the
-		// partial state is discarded and the run falls through to the
-		// fresh path below (a stale record is never served).
-		if rr := a.memo.lookupRoot(rootKey{cond: b, v: node.CondVar, op: cp.Op, c: cp.C}); rr != nil {
-			if r.replayRoot(rr) {
-				r.rollback()
-				if !res.Truncated {
-					r.recordSNEs()
-				}
-				return res
-			}
-			st.reset()
-			*res = Result{Cond: b, st: st}
-			r.topDeps, r.topLinks, r.topModChecks = nil, nil, nil
-		}
-	}
 	// Raise the initial query at the conditional itself; the branch node is
 	// transparent, so the first processing step propagates it to all
 	// predecessors, and the pair (b, root) collects the union of all
 	// incoming answers, which restructuring uses to split b.
-	res.Root = r.internQuery(node.CondVar, cp, nil)
+	res.Root = r.internQuery(node.CondVar, node.CondPred(), nil)
 	r.raise(b, res.Root)
 	r.propagate()
 	r.rollback()
 	if a.memo != nil && !res.Truncated {
 		r.recordSNEs()
-		if !a.Opts.CacheAnswers {
-			r.recordRoot(b, node.CondVar, cp)
-		}
 	}
 	if a.cache != nil && !res.Truncated {
 		a.mu.Lock()
@@ -623,15 +583,7 @@ func (r *run) processCallExit(pid int32, n *ir.Node, q *Query) {
 		st.resolvePair(pid, AnsUndef)
 		return
 	}
-	must := r.mustTraverse(n.Callee, cv, viaRet)
-	if q.Owner == nil && r.a.memo != nil {
-		// Root records must revalidate every top-level MOD consultation:
-		// MOD sets can shrink when restructuring deletes nodes, flipping a
-		// traverse into a skip without dirtying any node the top-level
-		// closure touched.
-		r.topModChecks = append(r.topModChecks, modCheck{callee: int32(n.Callee), v: cv, viaRet: viaRet, must: must})
-	}
-	if !must {
+	if !r.mustTraverse(n.Callee, cv, viaRet) {
 		r.raise(call, r.internQuery(cv, cp, q.Owner))
 		return
 	}
@@ -648,19 +600,6 @@ func (r *run) processCallExit(pid int32, n *ir.Node, q *Query) {
 		// replay validity on the call-site linkage consulted here.
 		owner.addDep(s)
 		owner.linkNodes = append(owner.linkNodes, call, exit, en)
-	} else if r.a.memo != nil {
-		// Top-level dependency: mirrored into the run for recordRoot.
-		found := false
-		for _, d := range r.topDeps {
-			if d == s {
-				found = true
-				break
-			}
-		}
-		if !found {
-			r.topDeps = append(r.topDeps, s)
-		}
-		r.topLinks = append(r.topLinks, call, exit, en)
 	}
 	w := waiter{node: n.ID, q: q, call: call, entry: en}
 	s.Waiters = append(s.Waiters, w)
@@ -678,7 +617,9 @@ func (r *run) getSNE(exit ir.NodeID, v ir.VarID, p pred.Pred) *SNE {
 	}
 	if r.a.memo != nil {
 		if rec := r.a.memo.lookup(memoKey{exit: exit, v: v, op: p.Op, c: p.C}); rec != nil {
-			return r.replaySNE(rec)
+			if s := r.replaySNE(rec); s != nil {
+				return s
+			}
 		}
 	}
 	s := r.st.newSNE(exit)

@@ -58,27 +58,17 @@ type PortableRecord struct {
 // ExportPristine returns the memo's records that are valid for the pristine
 // input program: records staged before the first Commit (later rounds
 // compute closures against a restructured graph whose node IDs do not exist
-// in a fresh compile of the same source). Records that were themselves
-// injected from a store are excluded. The returned slices are deep copies.
+// in a fresh compile of the same source). Records injected from a store are
+// never staged, so they are never exported. The returned slices are deep
+// copies.
 func (m *SummaryMemo) ExportPristine() []PortableRecord {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var recs []*memoRecord
-	if m.frozen {
-		recs = m.pristine
-	} else {
-		// No Commit yet: everything recorded so far, committed or pending,
-		// was computed against the pristine program.
-		for _, rec := range m.committed {
-			if !rec.injected {
-				recs = append(recs, rec)
-			}
-		}
-		for _, rec := range m.pending {
-			if !rec.injected {
-				recs = append(recs, rec)
-			}
-		}
+	recs := m.pristine
+	if !m.frozen {
+		// No Commit yet: everything staged so far was computed against the
+		// pristine program.
+		recs = m.pending
 	}
 	out := make([]PortableRecord, 0, len(recs))
 	seen := make(map[memoKey]bool, len(recs))
@@ -212,10 +202,7 @@ func recordFromPortable(p *ir.Program, pr *PortableRecord) *memoRecord {
 	if !validKey(pr.Key) {
 		return nil
 	}
-	rec := &memoRecord{
-		key:      memoKey{exit: pr.Key.Exit, v: pr.Key.Var, op: pr.Key.Op, c: pr.Key.C},
-		injected: true,
-	}
+	rec := &memoRecord{key: memoKey{exit: pr.Key.Exit, v: pr.Key.Var, op: pr.Key.Op, c: pr.Key.C}}
 	for i := range pr.Pairs {
 		mp := &pr.Pairs[i]
 		if !liveNode(mp.Node, 0, true) || !validVar(mp.Var) || !validOp(mp.Op) || mp.Ans > 15 {

@@ -39,10 +39,8 @@ func (r *run) rollback() {
 	np := len(st.pairNode)
 
 	// Pass 1: supplier ranges for every unresolved pair, in pair order.
-	// Final pairs (restored from a memo record, see memo.go) already carry
-	// their recorded supplier ranges and are skipped.
 	for pid := 0; pid < np; pid++ {
-		if st.pairResolved[pid] || st.pairFinal[pid] {
+		if st.pairResolved[pid] {
 			continue
 		}
 		off := int32(len(st.supStore))
@@ -86,15 +84,11 @@ func (r *run) rollback() {
 		}
 	}
 
-	// Seed with resolutions and propagate to a fixpoint. Final pairs seed
-	// as settled sources: their restored answer sets flow to any fresh
-	// consumers, but the fixpoint never recomputes them.
+	// Seed with resolutions and propagate to a fixpoint.
 	wl := st.scratch[:0]
 	for pid := 0; pid < np; pid++ {
 		if st.pairResolved[pid] {
 			st.pairAns[pid] = st.pairRes[pid]
-			wl = append(wl, int32(pid))
-		} else if st.pairFinal[pid] {
 			wl = append(wl, int32(pid))
 		}
 	}
@@ -104,9 +98,6 @@ func (r *run) rollback() {
 			wl = wl[:len(wl)-1]
 			coff, cln := st.consOff[pid], st.consLen[pid]
 			for _, c := range st.consStore[coff : coff+cln] {
-				if st.pairFinal[c] {
-					continue
-				}
 				var union AnswerSet
 				off, ln := st.pairSupOff[c], st.pairSupLen[c]
 				for i := off; i < off+ln; i++ {

@@ -78,11 +78,6 @@ type state struct {
 	visited     []ir.NodeID
 	visitedBits []uint64
 
-	// pairFinal marks pairs whose rolled-back answers and suppliers were
-	// restored from a memo record (see memo.go): rollback seeds them as
-	// settled fixpoint sources and never recomputes them.
-	pairFinal []bool
-
 	// Query interning: queries by ID, backed by a chunked arena so the
 	// Query values are reused across runs; per-variable chains via
 	// varHead/qNext.
@@ -157,7 +152,6 @@ func (st *state) reset() {
 	st.pairSupOff = st.pairSupOff[:0]
 	st.pairSupLen = st.pairSupLen[:0]
 	st.pairSupDeleted = st.pairSupDeleted[:0]
-	st.pairFinal = st.pairFinal[:0]
 	st.supStore = st.supStore[:0]
 	st.supSrc = st.supSrc[:0]
 	st.consOff = st.consOff[:0]
@@ -274,7 +268,6 @@ func (st *state) addPair(n ir.NodeID, q *Query) int32 {
 	st.pairSupOff = append(st.pairSupOff, 0)
 	st.pairSupLen = append(st.pairSupLen, 0)
 	st.pairSupDeleted = append(st.pairSupDeleted, false)
-	st.pairFinal = append(st.pairFinal, false)
 	if len(st.nodeQ[n]) == 0 {
 		st.visited = append(st.visited, n)
 		st.visitedBits[n>>6] |= 1 << (uint(n) & 63)

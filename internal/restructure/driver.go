@@ -91,10 +91,10 @@ type DriverOptions struct {
 	// no memo.
 	SeedRecords []analysis.PortableRecord
 	// Scratch disables the cross-round incremental engine entirely (no
-	// summary memo, no root records): every requeued conditional is
-	// re-analyzed from scratch each round. The optimized program and
-	// reports are identical either way — Scratch exists as the honest
-	// baseline for measuring the incremental speedup (icbe-bench -stress).
+	// summary memo): every requeued conditional is re-analyzed from
+	// scratch each round. The optimized program and reports are identical
+	// either way — Scratch exists as the honest baseline for measuring the
+	// incremental speedup (icbe-bench -stress).
 	Scratch bool
 	// Verify enables the differential shadow-execution oracle: after each
 	// applied restructuring the pre- and post-apply programs are run over
@@ -205,13 +205,12 @@ type DriverStats struct {
 	// not result: it varies with what the seed held and is scrubbed from
 	// response bodies.
 	SeedsInjected int
-	// QueriesReused counts node–query pairs reconstructed from memo
-	// records (summary and root-record replays) instead of re-propagated;
-	// SubtreesInvalidated counts cached subtrees the per-round Commits
-	// dropped because their recorded region intersected a dirty set. Their
-	// ratio against PairsTotal is the incremental engine's hit rate. Both
-	// are deterministic across worker counts (replays come from the
-	// round-frozen memo view).
+	// QueriesReused counts node–query pairs reconstructed from summary
+	// records instead of re-propagated; SubtreesInvalidated counts summary
+	// records the per-round Commits dropped because their recorded region
+	// intersected a dirty set. Their ratio against PairsTotal is the
+	// incremental engine's hit rate. Both are deterministic across worker
+	// counts (replays come from the round-frozen memo view).
 	QueriesReused       int
 	SubtreesInvalidated int64
 	// PairsTotal mirrors DriverResult.PairsTotal (replayed pairs count in
