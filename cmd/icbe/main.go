@@ -194,7 +194,7 @@ func main() {
 					s.QueriesReused, s.PairsTotal, rate*100, s.SubtreesInvalidated)
 			}
 			if s.VerifyRuns > 0 {
-				fmt.Printf("verify: %d shadow runs, %v\n", s.VerifyRuns, s.VerifyWall)
+				fmt.Printf("verify: %d shadow comparisons, %v interpreting\n", s.VerifyRuns, s.VerifyWall)
 			}
 			if s.CheckRuns > 0 {
 				fmt.Printf("check: %d oracle runs, %d/%d claims graded (recall %.2f), %d disagreements, %d vacuous, %d residual, findings %d -> %d, %v\n",

@@ -160,11 +160,12 @@ type Options struct {
 	// worker count (the wall-clock fields of Report.Stats aside).
 	Workers int
 	// Verify enables differential shadow execution after every applied
-	// restructuring: the pre- and post-apply programs are run over
-	// VerifyInputs plus built-in input vectors, and any output difference
-	// or growth in executed operations rolls that restructuring back with
-	// a typed failure on its CondReport. Costs several interpreter runs
-	// per applied conditional (see Report.Stats.VerifyRuns).
+	// restructuring: the restructured program is run over VerifyInputs
+	// plus built-in input vectors and compared with the program before it,
+	// and any output difference or growth in executed operations rolls
+	// that restructuring back with a typed failure on its CondReport.
+	// Costs one comparison per input per applied conditional (see
+	// Report.Stats.VerifyRuns).
 	Verify bool
 	// VerifyInputs supplies workload input streams for Verify.
 	VerifyInputs [][]int64
@@ -322,12 +323,16 @@ type DriverStats struct {
 	// PairsTotal mirrors Report.PairsTotal (replayed pairs count in both)
 	// so the reuse rate is computable from the stats alone.
 	PairsTotal int
-	// VerifyRuns counts shadow executions performed by the differential
-	// oracle (Options.Verify); VerifyWall is their summed wall time.
+	// VerifyRuns counts the differential oracle's comparisons, one per
+	// input per gated restructuring or fold (Options.Verify, Options.Fold);
+	// VerifyWall is the interpreter time they took. The program before a
+	// restructuring was usually run by the attempt that produced it, so a
+	// comparison often interprets only the restructured program.
 	VerifyRuns int
 	VerifyWall time.Duration
-	// CheckRuns counts static check-layer analyses (Options.Check) and
-	// CheckWall their summed wall time. SCCPAgreements and
+	// CheckRuns counts static check-layer analyses (Options.Check): the
+	// input's baseline and one per gated restructuring. CheckWall is their
+	// summed wall time. SCCPAgreements and
 	// SCCPDisagreements count cross-checked conditionals the SCCP oracle
 	// confirmed or contradicted (disagreements are contained "check"
 	// failures; a healthy run has zero); SCCPVacuous counts conditionals the

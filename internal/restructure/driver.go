@@ -3,6 +3,7 @@ package restructure
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,12 +21,13 @@ import (
 // fork it leaves valid but not at a prune fixpoint must fail a later gate.
 // testHookSettle observes every transactional attempt (correlation apply or
 // fold) once it is settled, before an adopted fork replaces the working
-// program. All may panic to exercise the driver's fault isolation. They
+// program; carried is the facts adoption will install, nil when the attempt
+// is not adopted. All may panic to exercise the driver's fault isolation. They
 // must be nil outside tests.
 var (
 	testHookAnalyze    func(snapshot *ir.Program, b ir.NodeID)
 	testHookAfterApply func(scratch *ir.Program, cond ir.NodeID) error
-	testHookSettle     func(work, scratch *ir.Program, adopted bool)
+	testHookSettle     func(w *working, scratch *ir.Program, carried *facts)
 )
 
 // DriverOptions configures the two-phase optimization driver.
@@ -96,11 +98,11 @@ type DriverOptions struct {
 	// either way — Scratch exists as the honest baseline for measuring the
 	// incremental speedup (icbe-bench -stress).
 	Scratch bool
-	// Verify enables the differential shadow-execution oracle: after each
-	// applied restructuring the pre- and post-apply programs are run over
-	// VerifyInputs plus built-in input vectors, and any output difference
+	// Verify enables the differential shadow-execution oracle: each
+	// apply's fork is run over VerifyInputs plus built-in input vectors and
+	// compared with the working program's runs, and any output difference
 	// or operation-count growth rolls the apply back with a typed failure.
-	// Verification multiplies apply cost by the number of shadow runs; see
+	// Verification multiplies apply cost by the number of inputs; see
 	// DriverStats.VerifyRuns / VerifyWall.
 	Verify bool
 	// VerifyInputs supplies workload input vectors for Verify, checked in
@@ -217,12 +219,16 @@ type DriverStats struct {
 	// both) so reuse-rate aggregation from stats alone is self-contained:
 	// reuse rate = QueriesReused / PairsTotal.
 	PairsTotal int
-	// VerifyRuns counts shadow executions performed by the differential
-	// oracle (DriverOptions.Verify); VerifyWall is their summed wall time.
+	// VerifyRuns counts the differential oracle's comparisons, one per
+	// input per gated attempt (DriverOptions.Verify, and every fold);
+	// VerifyWall is the interpreter time they took. The working program's
+	// runs are carried across attempts, so a comparison may run only the
+	// fork.
 	VerifyRuns int
 	// CheckRuns counts static check-layer analyses (DriverOptions.Check):
-	// the initial baseline, one per attempted apply, and recomputations
-	// after commits. CheckWall is their summed wall time.
+	// the initial baseline and one per gated apply fork; the fold pass's
+	// analyses are timed in FoldWall instead. CheckWall is their summed wall
+	// time.
 	CheckRuns int
 	// SCCPAgreements and SCCPDisagreements count cross-checked conditionals
 	// whose demand-driven full answer the SCCP oracle independently
@@ -318,8 +324,8 @@ type condResult struct {
 // for every worker count.
 //
 // The driver is transactional and fault-isolated: each apply runs on a
-// copy-on-write fork and is adopted only after it passes ir.Validate (and, with
-// Verify, differential shadow execution); a panic in analysis or
+// copy-on-write fork and is adopted only after it passes ir.Validate (and,
+// with Check and Verify, the invariant and shadow gates); a panic in analysis or
 // restructuring is recovered into a typed BranchFailure on that
 // conditional's report. The driver may refuse to optimize a branch, but it
 // never crashes and never emits a program that failed a gate.
@@ -362,12 +368,11 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	out.Stats.Workers = workers
 	out.Stats.SeedsInjected = seedsInjected
 
-	work := ir.Clone(p)
+	w := &working{prog: ir.Clone(p), inputs: verifyInputs(opts), maxSteps: verifyMaxSteps,
+		check: opts.Check, verify: opts.Verify, stats: &out.Stats}
 	out.Stats.Clones = 1
-
-	var gate *checkGate
 	if opts.Check {
-		gate = newCheckGate(work, &out.Stats)
+		out.Stats.CheckFindingsPre = len(w.report().Findings)
 	}
 
 	// The work queue starts with the conditionals of the input program.
@@ -403,7 +408,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 		// Phase 1: concurrent, read-only analysis of the whole batch
 		// against the immutable snapshot. One analyzer is shared so the
 		// MOD summaries are computed once per round.
-		results := analyzeBatch(ctx, work, batch, aopts, memo, opts, workers, &out.Stats)
+		results := analyzeBatch(ctx, w.prog, batch, aopts, memo, opts, workers, &out.Stats)
 
 		// Phase 2: serial application in batch order. dirty accumulates
 		// the nodes changed by restructurings applied this round; a later
@@ -451,11 +456,11 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 			}
 			out.PairsTotal += cr.res.PairsProcessed
 			out.Stats.QueriesReused += cr.res.QueriesReused
-			if gate != nil {
+			if opts.Check {
 				// Static cross-check: a demand-driven answer contradicting
 				// the SCCP oracle refuses this conditional outright, before
 				// any restructuring is attempted.
-				if fail := gate.crossCheck(work, cr); fail != nil {
+				if fail := w.crossCheck(cr); fail != nil {
 					cr.rep.Failure = fail
 					cr.rep.Err = fail
 					out.Stats.countFailure(fail.Kind)
@@ -475,11 +480,11 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 			// corrupt the working program, which is never written. Adopting
 			// the fork is the commit point; every earlier exit rolls back by
 			// discarding it.
-			scratch := ir.Fork(work)
+			scratch := ir.Fork(w.prog)
 			out.Stats.Clones++
-			oc, declined, fail := applyOne(work, scratch, cr, opts, gate, &out.Stats)
+			oc, carried, declined, fail := applyOne(w, scratch, cr)
 			if testHookSettle != nil {
-				testHookSettle(work, scratch, fail == nil && declined == nil)
+				testHookSettle(w, scratch, carried)
 			}
 			switch {
 			case fail != nil:
@@ -492,14 +497,8 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 				cr.rep.Applied = true
 				cr.rep.Removed = oc.BranchCopiesRemoved
 				out.Optimized++
-				dirtyBits = markChanged(dirty, dirtyBits, work, scratch)
-				// The fork passed Validate after Eliminate's final prune,
-				// so the next attempt's passes can stay region-local.
-				work = scratch
-				work.Settle()
-				if gate != nil {
-					gate.adopt(work)
-				}
+				dirtyBits = markChanged(dirty, dirtyBits, w.prog, scratch)
+				w.adopt(scratch, carried)
 				// Requeue branch copies created as a side effect of this
 				// restructuring (including surviving copies of cr.b
 				// itself), in ID order for determinism.
@@ -528,7 +527,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	// silently, tagging deadline victims with a timeout failure.
 	timedOut := ctx.Err() != nil
 	for _, b := range queue {
-		node := work.Node(b)
+		node := w.prog.Node(b)
 		if node == nil || node.Kind != ir.NBranch {
 			continue
 		}
@@ -557,17 +556,17 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	if opts.Fold {
 		// The second optimizer: fold the residual conditionals the oracle
 		// decides but the correlation rounds left behind. Runs before
-		// gate.finish so the Check layer's end-of-run residual metric
+		// finishCheck so the Check layer's end-of-run residual metric
 		// reflects the folded program.
-		work = runFoldPass(ctx, work, opts, out)
+		runFoldPass(ctx, w, opts.MaxDuplication)
 	}
-	if gate != nil {
-		gate.finish(work)
+	if opts.Check {
+		w.finishCheck()
 	}
-	// Every fork and fork parent of work is discarded, so the result owns
-	// its nodes again and callers may write it in place.
-	work.Unshare()
-	out.Program = work
+	// Every fork and fork parent of the working program is discarded, so
+	// the result owns its nodes again and callers may write it in place.
+	w.prog.Unshare()
+	out.Program = w.prog
 	return out
 }
 
@@ -580,46 +579,32 @@ func release(cr *condResult) {
 }
 
 // applyOne performs one transactional restructuring attempt on the fork
-// scratch. It returns the outcome to commit, a graceful decline from
-// Eliminate, or a typed failure (panic, validation, shadow-oracle
-// violation) — in every non-commit case the caller simply discards the
-// fork, which is the rollback.
-func applyOne(work, scratch *ir.Program, cr *condResult, opts DriverOptions,
-	gate *checkGate, stats *DriverStats) (oc *Outcome, declined error, fail *BranchFailure) {
+// scratch. It returns the outcome to commit with the facts to carry, a
+// graceful decline from Eliminate, or a typed failure (panic, validation,
+// check or shadow-oracle violation) — in every non-commit case the caller
+// simply discards the fork, which is the rollback.
+func applyOne(w *working, scratch *ir.Program, cr *condResult) (oc *Outcome, carried *facts, declined error, fail *BranchFailure) {
 	defer func() {
 		if r := recover(); r != nil {
-			oc, declined = nil, nil
+			oc, carried, declined = nil, nil, nil
 			fail = panicFailure(cr.b, cr.rep.Line, r)
 		}
 	}()
 	oc, err := Eliminate(scratch, cr.res)
 	if err != nil {
-		return nil, err, nil
+		return nil, nil, err, nil
 	}
 	if testHookAfterApply != nil {
 		if err := testHookAfterApply(scratch, cr.b); err != nil {
-			return nil, nil, &BranchFailure{Kind: FailValidate, Cond: cr.b, Line: cr.rep.Line,
+			return nil, nil, nil, &BranchFailure{Kind: FailValidate, Cond: cr.b, Line: cr.rep.Line,
 				Msg: "injected validation failure", Err: err}
 		}
 	}
-	if err := ir.Validate(scratch); err != nil {
-		return nil, nil, &BranchFailure{Kind: FailValidate, Cond: cr.b, Line: cr.rep.Line,
-			Msg: "restructured program failed structural validation", Err: err}
+	if carried, fail = w.gate(scratch, false); fail != nil {
+		fail.Cond, fail.Line = cr.b, cr.rep.Line
+		return nil, nil, nil, fail
 	}
-	if gate != nil {
-		// Static post-apply gate: the fork must not regress any
-		// invariant lint pass over the working program's baseline.
-		if f := gate.checkApply(scratch, cr); f != nil {
-			return nil, nil, f
-		}
-	}
-	if opts.Verify {
-		if f := verifyShadow(work, scratch, verifyInputs(opts), stats); f != nil {
-			f.Cond, f.Line = cr.b, cr.rep.Line
-			return nil, nil, f
-		}
-	}
-	return oc, nil, nil
+	return oc, carried, nil, nil
 }
 
 // analyzeBatch runs the analysis phase for one round: every batched
@@ -810,32 +795,8 @@ func nodeChanged(a, b *ir.Node) bool {
 		a.Synthetic != b.Synthetic || a.Line != b.Line {
 		return true
 	}
-	return !equalNodeIDs(a.Succs, b.Succs) || !equalNodeIDs(a.Preds, b.Preds) ||
-		!equalVarIDs(a.Args, b.Args)
-}
-
-func equalNodeIDs(a, b []ir.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalVarIDs(a, b []ir.VarID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return !slices.Equal(a.Succs, b.Succs) || !slices.Equal(a.Preds, b.Preds) ||
+		!slices.Equal(a.Args, b.Args)
 }
 
 // sortedDescendants flattens an Outcome's branch-descendant map into ID

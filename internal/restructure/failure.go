@@ -41,7 +41,7 @@ const (
 	// working program did not have.
 	FailCheck
 	// FailFold: the residual fold pass (DriverOptions.Fold) vetoed a fold
-	// attempt — the folded clone failed validation, regressed an invariant
+	// attempt — the folded fork failed validation, regressed an invariant
 	// pass, diverged under shadow execution, or presented a residual
 	// constant branch the pre-fold program did not have.
 	FailFold

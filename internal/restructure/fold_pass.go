@@ -16,35 +16,32 @@ import (
 // names the residual conditionals it can decide, and each one is folded —
 // whole when constant on every executable in-edge, per-edge by redirection
 // for edge-split residuals — inside the same transactional harness the
-// correlation applies use. Every attempt runs on a fork (ir.Fork) and must
-// survive pruning + ir.Validate, the invariant lint passes against the
-// working program's baseline, differential shadow execution (always, even
-// when DriverOptions.Verify is off — folds trust a different oracle than the
-// correlation analysis, so they buy their own dynamic evidence), and a
-// post-fold oracle re-check that vetoes any fold creating a residual that
-// was not there before. A veto discards the fork and counts a FailFold;
-// the working program is never replaced by a program that failed a gate.
-func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out *DriverResult) *ir.Program {
+// correlation applies use. Every attempt runs on a fork (ir.Fork), is
+// pruned, and must pass the shared gate sequence (working.gate: ir.Validate,
+// the invariant passes against the working report, and differential shadow
+// execution, always, even when DriverOptions.Verify is off) and a post-fold
+// oracle re-check that vetoes any fold creating a residual that was not
+// there before. A veto discards the fork and counts a FailFold; the working
+// program is never replaced by a program that failed a gate.
+func runFoldPass(ctx context.Context, w *working, maxDuplication int) {
 	t0 := time.Now()
-	stats := &out.Stats
+	stats := w.stats
 	defer func() { stats.FoldWall += time.Since(t0) }()
 
-	base := check.AnalyzeInvariants(work)
-	facts := fold.Compute(work, base.SCCP)
-	stats.SCCPResidualBefore = facts.Residual
-	inputs := verifyInputs(opts)
+	table := fold.Compute(w.prog, w.report().SCCP)
+	stats.SCCPResidualBefore = table.Residual
 
 	// Entries that already have no predecessors when the pass starts were
 	// uncalled on input (or intentionally left by the correlation rounds);
 	// the fold pass's prune must not delete them, mirroring the
 	// restructurer's initiallyDead contract.
 	initiallyDead := make(map[ir.NodeID]bool)
-	for _, pr := range work.Procs {
+	for _, pr := range w.prog.Procs {
 		if pr == nil {
 			continue
 		}
 		for _, e := range pr.Entries {
-			if n := work.Node(e); n != nil && len(n.Preds) == 0 {
+			if n := w.prog.Node(e); n != nil && len(n.Preds) == 0 {
 				initiallyDead[e] = true
 			}
 		}
@@ -54,28 +51,28 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out 
 	// move edges forward through the graph and on adversarial loop shapes
 	// two branches can trade the same in-edge back and forth indefinitely,
 	// each exchange a semantically sound adopt.
-	budget := 8*len(facts.Branches) + 64
+	budget := 8*len(table.Branches) + 64
 
 	for ctx.Err() == nil && budget > 0 {
 		applied := false
-		for i := range facts.Branches {
-			bf := &facts.Branches[i]
+		for i := range table.Branches {
+			bf := &table.Branches[i]
 			if !bf.Foldable() || ctx.Err() != nil {
 				continue
 			}
-			if bf.Class == fold.ClassEdgeSplit && opts.MaxDuplication > 0 &&
-				outcomeClasses(bf) > opts.MaxDuplication {
+			if bf.Class == fold.ClassEdgeSplit && maxDuplication > 0 &&
+				outcomeClasses(bf) > maxDuplication {
 				// A Breitner-style duplication scheme would materialize one
 				// copy of the conditional per deciding outcome class; the
 				// degenerate redirection adds zero operations, but the
 				// driver's duplication budget still gates the estimate.
 				continue
 			}
-			scratch := ir.Fork(work)
+			scratch := ir.Fork(w.prog)
 			stats.Clones++
-			redirected, changed, fail := foldOne(work, scratch, bf, base, initiallyDead, inputs, stats)
+			redirected, changed, carried, fail := foldOne(w, scratch, bf, initiallyDead)
 			if testHookSettle != nil {
-				testHookSettle(work, scratch, changed && fail == nil)
+				testHookSettle(w, scratch, carried)
 			}
 			if !changed {
 				continue
@@ -85,75 +82,56 @@ func runFoldPass(ctx context.Context, work *ir.Program, opts DriverOptions, out 
 				stats.countFailure(fail.Kind)
 				continue
 			}
-			// Pruned and validated by foldOne: settled, like an apply.
-			work = scratch
-			work.Settle()
+			w.adopt(scratch, carried)
 			stats.FoldApplied++
 			stats.FoldDuplicated += redirected
 			applied = true
 			budget--
-			base = check.AnalyzeInvariants(work)
-			facts = fold.Compute(work, base.SCCP)
+			table = fold.Compute(w.prog, w.report().SCCP)
 			break
 		}
 		if !applied {
 			break
 		}
 	}
-	stats.SCCPResidualAfter = facts.Residual
+	stats.SCCPResidualAfter = table.Residual
 	if stats.SCCPResidualBefore > 0 {
 		stats.FoldReduction = float64(stats.SCCPResidualBefore-stats.SCCPResidualAfter) /
 			float64(stats.SCCPResidualBefore)
 	}
-	return work
 }
 
-// foldOne performs one transactional fold attempt on the fork scratch,
-// running the full gate sequence. Every non-nil failure means the caller
+// foldOne performs one transactional fold attempt on the fork scratch: the
+// rewrite, a prune, the shared gates and the post-fold re-check. It returns
+// the facts to carry on success; every non-nil failure means the caller
 // discards the fork — that is the rollback. changed is false when the
 // rewriter had nothing safe to do for this row (no attempt happened).
-func foldOne(work, scratch *ir.Program, bf *fold.BranchFact, base *check.Report,
-	initiallyDead map[ir.NodeID]bool, inputs [][]int64,
-	stats *DriverStats) (redirected int, changed bool, fail *BranchFailure) {
+func foldOne(w *working, scratch *ir.Program, bf *fold.BranchFact,
+	initiallyDead map[ir.NodeID]bool) (redirected int, changed bool, carried *facts, fail *BranchFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The scratch may be arbitrarily damaged; report the attempt and
 			// let the caller discard it.
-			redirected, changed = 0, true
+			redirected, changed, carried = 0, true, nil
 			fail = panicFailure(bf.Branch, bf.Line, r)
 		}
 	}()
 	redirected, changed = fold.Apply(scratch, bf)
 	if !changed {
-		return 0, false, nil
+		return 0, false, nil, nil
 	}
 	pruneProgram(scratch, initiallyDead, nil)
-	if err := ir.Validate(scratch); err != nil {
-		return redirected, true, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
-			Msg: "folded program failed structural validation", Err: err}
-	}
-	rep := check.AnalyzeInvariants(scratch)
-	// Registry order, not map order, so the reported pass is deterministic
-	// when several regress at once.
-	for _, p := range check.Passes() {
-		pass := p.Name()
-		n, ok := rep.PerPass[pass]
-		if !ok || n <= base.PerPass[pass] {
-			continue
+	carried, fail = w.gate(scratch, true)
+	if fail == nil {
+		if id, bad := newResidual(w.prog, scratch, w.report().SCCP, carried.rep.SCCP); bad {
+			fail = &BranchFailure{Msg: fmt.Sprintf("fold created a new residual constant branch at node %d", id)}
 		}
-		f, _ := rep.FirstFinding(pass)
-		return redirected, true, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
-			Msg: "folded program raised " + pass + " finding: " + f.Msg}
 	}
-	if f := verifyShadow(work, scratch, inputs, stats); f != nil {
-		return redirected, true, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
-			Msg: "fold failed shadow verification (" + f.Kind.String() + "): " + f.Msg, Err: f.Err}
+	if fail != nil {
+		fail.Kind, fail.Cond, fail.Line = FailFold, bf.Branch, bf.Line
+		return redirected, true, nil, fail
 	}
-	if id, bad := newResidual(work, scratch, base.SCCP, rep.SCCP); bad {
-		return redirected, true, &BranchFailure{Kind: FailFold, Cond: bf.Branch, Line: bf.Line,
-			Msg: fmt.Sprintf("fold created a new residual constant branch at node %d", id)}
-	}
-	return redirected, true, nil
+	return redirected, true, carried, nil
 }
 
 // newResidual reports an analyzable branch the oracle decides on the folded

@@ -54,7 +54,7 @@ func forkCorpus() map[string]string {
 	return out
 }
 
-func setSettleHook(t *testing.T, h func(work, scratch *ir.Program, adopted bool)) {
+func setSettleHook(t *testing.T, h func(w *working, scratch *ir.Program, carried *facts)) {
 	t.Helper()
 	testHookSettle = h
 	t.Cleanup(func() { testHookSettle = nil })
@@ -106,12 +106,13 @@ func TestTouchedDirtySetMatchesFullDiff(t *testing.T) {
 	var before []byte
 	adopts := 0
 	validateAgrees, regions := setRegionCrossCheck(t)
-	setSettleHook(t, func(work, scratch *ir.Program, adopted bool) {
+	setSettleHook(t, func(w *working, scratch *ir.Program, carried *facts) {
 		validateAgrees(scratch)
-		if !adopted {
+		if carried == nil {
 			return
 		}
 		adopts++
+		work := w.prog
 		got, want := map[ir.NodeID]bool{}, map[ir.NodeID]bool{}
 		gotBits := markChanged(got, nil, work, scratch)
 		wantBits := markChangedFull(want, nil, work, scratch)
@@ -199,15 +200,15 @@ func TestRollbackLeavesWorkUntouched(t *testing.T) {
 					}
 					return k.inject(scratch)
 				})
-				setSettleHook(t, func(work, scratch *ir.Program, adopted bool) {
+				setSettleHook(t, func(w *working, scratch *ir.Program, carried *facts) {
 					validateAgrees(scratch)
-					if adopted {
+					if carried != nil {
 						adopts++
 						before = ir.EncodeProgram(scratch)
 						return
 					}
 					rollbacks++
-					if !bytes.Equal(ir.EncodeProgram(work), before) {
+					if !bytes.Equal(ir.EncodeProgram(w.prog), before) {
 						t.Errorf("rolled-back attempt changed the working program")
 					}
 				})

@@ -3,32 +3,40 @@ package restructure
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"icbe/internal/interp"
 	"icbe/internal/ir"
 )
 
-// verifyMaxSteps bounds each shadow run of the pre-apply program so
+// verifyMaxSteps bounds each shadow run of the working program so
 // verification cannot stall the driver on a slow workload; inputs whose
-// original run exhausts the budget are skipped, not failed (the step-limit
+// working run exhausts the budget are skipped, not failed (the step-limit
 // error is typed, so "too slow" never masquerades as "wrong").
 const verifyMaxSteps = 2_000_000
 
-// verifyShadow differentially executes the pre- and post-apply programs
-// over the given inputs and returns a typed failure when the restructuring
-// violated the paper's guarantee: output must be identical and the
-// optimized program must never execute more operations (§3.2). Fault
-// behaviour must be preserved too — a run that faults must keep faulting,
-// with the same output prefix.
-func verifyShadow(pre, post *ir.Program, inputs [][]int64, stats *DriverStats) *BranchFailure {
+// verifyShadow differentially executes the working program and the fork
+// over the verify inputs and returns a typed failure when the
+// restructuring violated the paper's guarantee: output must be identical
+// and the fork must never execute more operations (§3.2). Fault behaviour
+// must be preserved too — a run that faults must keep faulting, with the
+// same output prefix. Each input counts as one comparison in VerifyRuns.
+//
+// On success it returns the fork's runs to carry: a run that completed,
+// fault or not, within maxSteps is the run maxSteps would give. Any other
+// input stays unknown and runs fresh when next needed, since an input too
+// slow before a restructuring may not be too slow after it.
+func (w *working) verifyShadow(post *ir.Program) ([]*shadowRun, *BranchFailure) {
 	t0 := time.Now()
-	defer func() { stats.VerifyWall += time.Since(t0) }()
-	for _, in := range inputs {
-		stats.VerifyRuns++
-		preRes, preErr := interp.Run(pre, interp.Options{Input: in, MaxSteps: verifyMaxSteps})
+	defer func() { w.stats.VerifyWall += time.Since(t0) }()
+	pre := w.shadowRuns()
+	carried := make([]*shadowRun, len(w.inputs))
+	for i, in := range w.inputs {
+		w.stats.VerifyRuns++
+		preRes, preErr := pre[i].res, pre[i].err
 		if errors.Is(preErr, interp.ErrStepLimit) {
-			// The original program is too slow for the shadow budget on
+			// The working program is too slow for the shadow budget on
 			// this input; there is nothing sound to compare against.
 			continue
 		}
@@ -38,23 +46,26 @@ func verifyShadow(pre, post *ir.Program, inputs [][]int64, stats *DriverStats) *
 		// bound.
 		postRes, postErr := interp.Run(post, interp.Options{Input: in, MaxSteps: 2*preRes.Steps + 4096})
 		if errors.Is(postErr, interp.ErrStepLimit) {
-			return &BranchFailure{Kind: FailOpGrowth, Msg: fmt.Sprintf(
+			return nil, &BranchFailure{Kind: FailOpGrowth, Msg: fmt.Sprintf(
 				"shadow run exceeded its step budget on input %v (original: %d steps)", in, preRes.Steps)}
 		}
 		if (preErr != nil) != (postErr != nil) {
-			return &BranchFailure{Kind: FailDiffMismatch, Err: firstErr(preErr, postErr), Msg: fmt.Sprintf(
+			return nil, &BranchFailure{Kind: FailDiffMismatch, Err: firstErr(preErr, postErr), Msg: fmt.Sprintf(
 				"fault behaviour changed on input %v (original error: %v, optimized error: %v)", in, preErr, postErr)}
 		}
-		if !equalInt64s(preRes.Output, postRes.Output) {
-			return &BranchFailure{Kind: FailDiffMismatch, Msg: fmt.Sprintf(
+		if !slices.Equal(preRes.Output, postRes.Output) {
+			return nil, &BranchFailure{Kind: FailDiffMismatch, Msg: fmt.Sprintf(
 				"output changed on input %v: %v -> %v", in, preRes.Output, postRes.Output)}
 		}
 		if postRes.Operations > preRes.Operations {
-			return &BranchFailure{Kind: FailOpGrowth, Msg: fmt.Sprintf(
+			return nil, &BranchFailure{Kind: FailOpGrowth, Msg: fmt.Sprintf(
 				"executed operations grew on input %v: %d -> %d", in, preRes.Operations, postRes.Operations)}
 		}
+		if postRes.Steps <= w.maxSteps {
+			carried[i] = &shadowRun{postRes, postErr}
+		}
 	}
-	return nil
+	return carried, nil
 }
 
 func firstErr(errs ...error) error {
@@ -64,18 +75,6 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-func equalInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // verifyInputs builds the shadow-execution input set: the caller's
