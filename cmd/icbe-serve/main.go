@@ -1,7 +1,10 @@
 // Command icbe-serve runs the resilient optimization service: a long-running
 // HTTP/JSON front end that compiles and optimizes MiniC programs with
-// admission control, per-request deadlines, a degradation ladder, and
-// per-failure-kind circuit breakers (see internal/server).
+// admission control and per-request deadlines (see internal/server). Every
+// answer is either the checked optimization (tier "full": shadow execution
+// and the static check layer on, every adopted change gated) or the compiled
+// program echoed back (tier "passthrough") when that attempt times out or
+// fails.
 //
 // Usage:
 //
@@ -50,10 +53,6 @@ func main() {
 		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "clamp on client-requested deadlines")
 		workers     = flag.Int("workers", 2, "driver analysis workers per request")
 		drainTO     = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight work on SIGTERM before cooperative cancellation")
-		brkWindow   = flag.Duration("breaker-window", 10*time.Second, "circuit-breaker failure-rate window")
-		brkTrip     = flag.Int("breaker-trip", 5, "failures within the window that trip a breaker")
-		brkCooldown = flag.Duration("breaker-cooldown", 2*time.Second, "initial breaker cooldown before a half-open probe")
-		brkMaxCool  = flag.Duration("breaker-max-cooldown", 30*time.Second, "breaker cooldown cap under repeated failed probes")
 		cacheSize   = flag.Int("cache-entries", 1024, "in-memory result cache entries; 0 disables the memory layer")
 		storeDir    = flag.String("store-dir", "", "durable result+summary store directory; empty disables the disk layer")
 		batchItems  = flag.Int("max-batch-items", 16, "item cap per /optimize-batch request")
@@ -76,12 +75,6 @@ func main() {
 		CacheEntries:     *cacheSize,
 		StoreDir:         *storeDir,
 		MaxBatchItems:    *batchItems,
-		Breaker: server.BreakerConfig{
-			Window:        *brkWindow,
-			TripThreshold: *brkTrip,
-			Cooldown:      *brkCooldown,
-			MaxCooldown:   *brkMaxCool,
-		},
 	})
 	if snap := svc.Stats(); *storeDir != "" && (snap.Store == nil || !snap.Store.DiskEnabled) {
 		// A broken store directory degrades the service to compute-only; it

@@ -6,9 +6,9 @@ import (
 )
 
 // AllFailureKinds enumerates every FailureKind the driver can contain, in
-// gating order. Callers that key state per kind — the serving layer keeps a
-// circuit breaker per kind — iterate this instead of hard-coding the
-// taxonomy, so a kind added here is automatically covered there.
+// gating order. The serving layer's fault-kind table test iterates it, so a
+// kind added here fails that test until it has a fault case (or a skip
+// naming why no hook can force it).
 func AllFailureKinds() []FailureKind {
 	return []FailureKind{
 		FailPanic, FailValidate, FailDiffMismatch, FailOpGrowth, FailTimeout, FailCheck, FailFold,
@@ -16,8 +16,8 @@ func AllFailureKinds() []FailureKind {
 }
 
 // FaultInjection bundles the driver's fault-injection hooks so tests outside
-// this package (the serving layer's degradation-ladder tests) can force each
-// FailureKind. Every field may be nil. The hooks are process globals read by
+// this package (the serving layer's fault-kind and chaos tests) can force
+// each FailureKind. Every field may be nil. The hooks are process globals read by
 // concurrent analysis workers without synchronization: install them before
 // any driver run starts, clear them after every run has finished, and never
 // use them outside tests.

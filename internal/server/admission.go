@@ -39,8 +39,8 @@ func newAdmission(maxInFlight, maxQueue int, maxBytes int64) *admission {
 }
 
 // estimateBytes is the admission-time memory estimate for one request: the
-// driver clones the program repeatedly and the analysis keeps pooled run
-// state, both roughly proportional to source size.
+// compiled program, the forks its applies and folds run on, and the
+// analysis state, all roughly proportional to source size.
 func estimateBytes(srcLen int) int64 {
 	return int64(srcLen)*32 + 64<<10
 }

@@ -27,7 +27,7 @@ import (
 // hashing entirely, which is what makes a warm hit an order of magnitude
 // cheaper than the cheapest compute.
 //
-// Only full-tier, untruncated results enter the cache: a degraded or
+// Only full-tier, untruncated results enter the cache: a passthrough or
 // truncated body is shaped by the request's deadline, which is deliberately
 // excluded from the key. For the same reason the singleflight leader
 // publishes only cacheable bodies to its waiters.
@@ -97,24 +97,24 @@ func scrubStats(d *reportjson.DriverStats) {
 	// they are pure functions of (program, request shape).
 }
 
-// buildBody renders the deterministic response body for a terminal ladder
-// result. The bytes returned are exactly what is served — and, when the
-// result is cacheable, exactly what the store holds and replays.
-func buildBody(lr *ladderResult, req *OptimizeRequest) []byte {
+// buildBody renders the deterministic response body for a request's
+// terminal result. The bytes returned are exactly what is served — and, when
+// the result is cacheable, exactly what the store holds and replays.
+func buildBody(r *attemptResult, req *OptimizeRequest) []byte {
 	resp := OptimizeResponse{
-		Tier:     lr.tier.String(),
-		Degraded: lr.tier > TierFull,
-		Attempts: lr.attempts,
-		Report:   reportjson.FromReport(lr.report),
+		Tier:     r.tier.String(),
+		Degraded: r.tier != TierFull,
+		Attempts: r.attempts,
+		Report:   reportjson.FromReport(r.report),
 	}
 	if resp.Report != nil {
 		scrubStats(&resp.Report.Stats)
 	}
 	if !req.NoDump {
-		resp.Dump = lr.prog.Dump()
+		resp.Dump = r.prog.Dump()
 	}
 	if req.Run || len(req.Input) > 0 {
-		if res, err := lr.prog.Run(req.Input); err != nil {
+		if res, err := r.prog.Run(req.Input); err != nil {
 			resp.RunError = err.Error()
 		} else {
 			resp.Output = res.Output
@@ -125,14 +125,13 @@ func buildBody(lr *ladderResult, req *OptimizeRequest) []byte {
 	return buf.Bytes()
 }
 
-// cacheable reports whether a ladder result may enter the store and be
-// published to singleflight waiters: full tier only (a degraded result is an
-// artifact of this request's deadline) and untruncated. A run whose memo was
-// seeded — through Inject from the store, or equivalently through
-// SeedRecords — is still a full result with byte-identical bytes, so it
-// caches.
-func cacheable(lr *ladderResult) bool {
-	return lr.tier == TierFull && lr.report != nil && !lr.report.Truncated
+// cacheable reports whether a result may enter the store and be published to
+// singleflight waiters: full tier only (a passthrough may be an artifact of
+// this request's deadline) and untruncated. A run whose memo was seeded —
+// through Inject from the store, or equivalently through SeedRecords — is
+// still a full result with byte-identical bytes, so it caches.
+func cacheable(r *attemptResult) bool {
+	return r.tier == TierFull && r.report != nil && !r.report.Truncated
 }
 
 // writeRaw serves pre-rendered response bytes with the cache-status and
@@ -153,34 +152,29 @@ func cacheKeys(prog *icbe.Program, fp store.Fingerprint) (store.ResultKey, *ir.P
 	return store.KeyForProgram(ph.Sum, sha256.Sum256(ir.EncodeProgram(g)), fp), ph
 }
 
-// memoFactory builds the per-attempt summary-memo supplier for one request:
-// a fresh memo each attempt, seeded from the durable store when one is
-// attached. Fresh per attempt because a failed attempt's partial commits
-// must not leak into the next rung.
-func (s *Server) memoFactory(prog *icbe.Program, ph *ir.ProgramHash, base icbe.Options) func() *analysis.SummaryMemo {
+// summaryMemo builds one request's summary memo, seeded from the durable
+// store when one is attached (nil without a store).
+func (s *Server) summaryMemo(prog *icbe.Program, ph *ir.ProgramHash, base icbe.Options) *analysis.SummaryMemo {
 	if s.store == nil {
 		return nil
 	}
-	sfp := store.NewSummaryFingerprint(base.ArithSubst, base.ModSummaries)
-	g := prog.Graph()
-	return func() *analysis.SummaryMemo {
-		m := analysis.NewSummaryMemo()
-		if s.store.DiskEnabled() {
-			s.store.LoadSummaries(g, ph, sfp, m)
-		}
-		return m
+	m := analysis.NewSummaryMemo()
+	if s.store.DiskEnabled() {
+		sfp := store.NewSummaryFingerprint(base.ArithSubst, base.ModSummaries)
+		s.store.LoadSummaries(prog.Graph(), ph, sfp, m)
 	}
+	return m
 }
 
 // persistResult records a cacheable result in the store: the body, the
-// optimized program for verify-on-read, the L1 mapping, and the winning
-// attempt's pristine summary records.
-func (s *Server) persistResult(prog *icbe.Program, ph *ir.ProgramHash, key store.ResultKey, base icbe.Options, lr *ladderResult, body []byte) *store.Entry {
-	ent := &store.Entry{Body: body, Prog: ir.EncodeProgram(lr.prog.Graph())}
+// optimized program for verify-on-read, the L1 mapping, and the pristine
+// summary records of the memo the request ran with (base.SummaryMemo).
+func (s *Server) persistResult(prog *icbe.Program, ph *ir.ProgramHash, key store.ResultKey, base icbe.Options, r *attemptResult, body []byte) *store.Entry {
+	ent := &store.Entry{Body: body, Prog: ir.EncodeProgram(r.prog.Graph())}
 	s.store.PutResult(key, ent)
-	if lr.memo != nil {
+	if base.SummaryMemo != nil {
 		sfp := store.NewSummaryFingerprint(base.ArithSubst, base.ModSummaries)
-		if recs := lr.memo.ExportPristine(); len(recs) > 0 {
+		if recs := base.SummaryMemo.ExportPristine(); len(recs) > 0 {
 			s.store.SaveSummaries(prog.Graph(), ph, sfp, recs)
 		}
 	}

@@ -12,15 +12,14 @@
 //   - Deadlines: every request carries a deadline (defaulted and clamped)
 //     propagated into the driver's cooperative cancellation, so a slow
 //     analysis ends on time with partial work rather than being killed.
-//   - Crash-only request isolation: panics and fatal check refusals are
-//     contained per request and classified; the process never exits.
-//   - A degradation ladder (see Tier) retries failed or timed-out requests at
-//     progressively cheaper configurations down to a parse-and-echo
-//     passthrough, with capped exponential backoff between rungs. Every
-//     admitted request reaches a terminal, tier-labeled response.
-//   - Per-FailureKind circuit breakers (see breakerSet) pin the service at a
-//     degraded tier while a failure kind's rate is elevated and probe their
-//     way back up through half-open trial requests.
+//   - Crash-only request isolation: panics are contained per request and
+//     classified; the process never exits.
+//   - Two outcomes (see Tier): every served optimization ran with both
+//     oracles on and every adopted change passed every gate; a conditional
+//     an oracle refuses is rolled back and counted, and the rest is served.
+//     When that full-tier attempt times out or fails, the compiled program
+//     is echoed back instead. Every admitted request reaches a terminal,
+//     tier-labeled response.
 //   - Graceful drain: Drain stops admission (readyz turns 503), lets
 //     in-flight work finish by its deadlines, and only then cancels
 //     cooperatively.
@@ -61,12 +60,6 @@ type Config struct {
 	MaxDeadline     time.Duration
 	// Workers is the per-request driver worker ceiling.
 	Workers int
-	// BackoffBase/BackoffCap shape the ladder's capped exponential backoff
-	// between degradation retries.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// Breaker tunes the per-FailureKind circuit breakers.
-	Breaker BreakerConfig
 
 	// CacheEntries bounds the in-memory result cache; StoreDir roots the
 	// durable store. With both zero (the default) the server computes every
@@ -81,9 +74,6 @@ type Config struct {
 	// MaxBatchItems caps the items of one /optimize-batch request.
 	MaxBatchItems int
 
-	// now and sleep are test seams (nil = real clock / timer sleep).
-	now   func() time.Time
-	sleep func(ctx context.Context, d time.Duration)
 	// storeCfg fully overrides the derived store configuration (test seam).
 	storeCfg *store.Config
 }
@@ -110,24 +100,10 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 5 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 100 * time.Millisecond
-	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 16
 	}
-	c.Breaker = c.Breaker.withDefaults()
 	return c
-}
-
-func (c Config) clock() func() time.Time {
-	if c.now != nil {
-		return c.now
-	}
-	return time.Now
 }
 
 // Server is one service instance. Create with New, mount Handler, stop with
@@ -135,7 +111,6 @@ func (c Config) clock() func() time.Time {
 type Server struct {
 	cfg       Config
 	adm       *admission
-	brk       *breakerSet
 	met       *metrics
 	store     *store.Store // nil = caching disabled
 	draining  atomic.Bool
@@ -151,8 +126,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		adm:       newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.MaxInFlightBytes),
-		brk:       newBreakerSet(cfg.Breaker, cfg.clock()),
-		met:       newMetrics(cfg.clock()()),
+		met:       newMetrics(),
 		baseCtx:   baseCtx,
 		cancelAll: cancel,
 	}
@@ -207,12 +181,9 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Stats returns the current aggregate snapshot (the /stats payload).
 func (s *Server) Stats() StatsSnapshot {
-	snap := s.met.snapshot(s.cfg.clock()())
+	snap := s.met.snapshot()
 	snap.Draining = s.draining.Load()
 	snap.QueueDepth, snap.InFlight, snap.InFlightBytes = s.adm.gauges()
-	breakers, ceiling := s.brk.snapshot()
-	snap.Breakers = breakers
-	snap.Ceiling = ceiling.String()
 	if s.store != nil {
 		st := s.store.Stats()
 		snap.Store = &st
@@ -237,8 +208,8 @@ type OptimizeRequest struct {
 	Options *RequestOptions `json:"options,omitempty"`
 }
 
-// RequestOptions is the client-tunable subset of icbe.Options. Oracle and
-// analysis-mode selection belong to the degradation ladder, not the client.
+// RequestOptions is the client-tunable subset of icbe.Options. The oracles
+// are not among them: every served optimization runs with Verify and Check.
 type RequestOptions struct {
 	// Term is the analysis termination limit (node-query pairs).
 	Term int `json:"term,omitempty"`
@@ -251,15 +222,15 @@ type RequestOptions struct {
 	// Compact contracts synthetic no-op nodes after optimization.
 	Compact bool `json:"compact,omitempty"`
 	// Fold enables the residual constant-branch fold pass after the
-	// correlation rounds. It only runs at the full tier: the fold pass
-	// insists on its own shadow and re-check gates, so the degradation
-	// ladder drops it together with the other oracles.
+	// correlation rounds, each fold gated by its own shadow and re-check
+	// oracles.
 	Fold bool `json:"fold,omitempty"`
 }
 
-// OptimizeResponse is the /optimize response body. Tier labels the rung that
-// produced the result; Degraded is set whenever that is not the full
-// configuration, and Attempts traces the descent.
+// OptimizeResponse is the /optimize response body. Tier labels what produced
+// the result: "full" (the checked optimization) or "passthrough" (the
+// compiled program echoed back). Degraded is set exactly when the response
+// is a passthrough, and Attempts traces why.
 //
 // The body is deterministic: every field is a pure function of the program
 // and the request shape, never of timing, worker scheduling, or cache
@@ -350,7 +321,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, out serveOutcome) {
 }
 
 // serveOne runs one optimize request end to end — validation, admission,
-// cache, singleflight, ladder — and returns the response it would serve. It
+// cache, singleflight, optimization — and returns the response it would serve. It
 // holds its own admission slot, so concurrent batch items contend with
 // single requests on equal terms.
 func (s *Server) serveOne(parent context.Context, req *OptimizeRequest) serveOutcome {
@@ -443,30 +414,23 @@ func (s *Server) serveOne(parent context.Context, req *OptimizeRequest) serveOut
 		defer func() { s.store.FinishFlight(l2, flight, published) }()
 	}
 
-	tier, probes := s.brk.admitTier()
-	recorded := false
-	defer func() {
-		if !recorded {
-			s.brk.abortProbe(probes)
-		}
-	}()
 	base := s.baseOptions(req.Options)
-	lr := s.runLadder(ctx, prog, base, tier, s.memoFactory(prog, ph, base))
-	s.brk.record(lr.kinds, probes)
-	recorded = true
+	base.SummaryMemo = s.summaryMemo(prog, ph, base)
+	res := optimize(ctx, prog, base)
 
-	body := buildBody(lr, req)
+	body := buildBody(res, req)
 	cacheStatus := "bypass"
-	if s.store != nil && cacheable(lr) {
-		published = s.persistResult(prog, ph, l2, base, lr, body)
+	if s.store != nil && cacheable(res) {
+		published = s.persistResult(prog, ph, l2, base, res, body)
 		cacheStatus = "miss"
 	}
 	elapsed := time.Since(t0)
-	s.met.complete(lr, elapsed)
+	s.met.complete(res, elapsed)
 	return serveOutcome{status: http.StatusOK, body: body, cacheStatus: cacheStatus, elapsed: elapsed}
 }
 
-// baseOptions builds the pre-tier option set for one request.
+// baseOptions builds one request's option set before the full tier turns
+// its oracles on.
 func (s *Server) baseOptions(ro *RequestOptions) icbe.Options {
 	o := icbe.DefaultOptions()
 	o.Workers = s.cfg.Workers
@@ -493,7 +457,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	// unhealthy (readiness does that).
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
-		"uptime_ms": s.cfg.clock()().Sub(s.met.start).Milliseconds(),
+		"uptime_ms": time.Since(s.met.start).Milliseconds(),
 	})
 }
 

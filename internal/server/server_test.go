@@ -111,12 +111,7 @@ func TestHealthzReadyzStats(t *testing.T) {
 	if snap.LatencyMS.Count != 1 || snap.LatencyMS.P99 <= 0 {
 		t.Fatalf("latency stats = %+v", snap.LatencyMS)
 	}
-	if snap.Ceiling != "full" {
-		t.Fatalf("ceiling = %q, want full", snap.Ceiling)
-	}
-	if len(snap.Breakers) != 7 {
-		t.Fatalf("breakers = %d entries, want one per failure kind", len(snap.Breakers))
-	}
+	assertTwoTiers(t, snap)
 	if snap.QueueDepth != 0 || snap.InFlight != 0 || snap.InFlightBytes != 0 {
 		t.Fatalf("gauges not drained: %d/%d/%d", snap.QueueDepth, snap.InFlight, snap.InFlightBytes)
 	}

@@ -23,7 +23,6 @@ type metrics struct {
 	admitted    int64
 	completed   int64
 	degraded    int64
-	retries     int64
 	panics      int64 // handler panics contained by the recovery middleware
 	shed        map[string]int64
 	tiers       map[string]int64
@@ -39,9 +38,9 @@ type metrics struct {
 	n    int64
 }
 
-func newMetrics(now time.Time) *metrics {
+func newMetrics() *metrics {
 	return &metrics{
-		start:    now,
+		start:    time.Now(),
 		shed:     make(map[string]int64),
 		tiers:    make(map[string]int64),
 		failures: make(map[string]int64),
@@ -95,21 +94,27 @@ func (m *metrics) cacheServe(latency time.Duration) {
 	m.observeLatency(latency)
 }
 
-// complete folds one terminal response into the aggregates.
-func (m *metrics) complete(lr *ladderResult, latency time.Duration) {
+// complete folds one terminal response into the aggregates. The failure
+// counts are the attempts' contained driver failures plus the server-level
+// "panic" and "timeout" attempt outcomes.
+func (m *metrics) complete(r *attemptResult, latency time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.completed++
-	m.tiers[lr.tier.String()]++
-	if lr.tier > TierFull {
+	m.tiers[r.tier.String()]++
+	if r.tier != TierFull {
 		m.degraded++
 	}
-	m.retries += int64(lr.retries)
-	for k, n := range lr.kinds {
-		m.failures[k] += int64(n)
+	for _, a := range r.attempts {
+		for k, n := range a.Failures {
+			m.failures[k] += int64(n)
+		}
+		if a.Outcome == "panic" || a.Outcome == "timeout" {
+			m.failures[a.Outcome]++
+		}
 	}
-	if lr.report != nil {
-		m.driver.Add(reportjson.FromDriverStats(lr.report.Stats))
+	if r.report != nil {
+		m.driver.Add(reportjson.FromDriverStats(r.report.Stats))
 		m.runs++
 	}
 	m.observeLatency(latency)
@@ -139,30 +144,27 @@ type LatencyStats struct {
 
 // StatsSnapshot is the /stats payload.
 type StatsSnapshot struct {
-	UptimeMS      int64                    `json:"uptime_ms"`
-	Draining      bool                     `json:"draining"`
-	Requests      int64                    `json:"requests"`
-	Admitted      int64                    `json:"admitted"`
-	Completed     int64                    `json:"completed"`
-	Degraded      int64                    `json:"degraded"`
-	Retries       int64                    `json:"retries"`
-	HandlerPanics int64                    `json:"handler_panics"`
-	Shed          map[string]int64         `json:"shed,omitempty"`
-	ShedTotal     int64                    `json:"shed_total"`
-	QueueDepth    int64                    `json:"queue_depth"`
-	InFlight      int                      `json:"in_flight"`
-	InFlightBytes int64                    `json:"in_flight_bytes"`
-	Tiers         map[string]int64         `json:"tiers,omitempty"`
-	Failures      map[string]int64         `json:"failures,omitempty"`
-	Driver        reportjson.DriverStats   `json:"driver"`
-	OptimizeRuns  int64                    `json:"optimize_runs"`
-	CacheServed   int64                    `json:"cache_served"`
-	Store         *store.Snapshot          `json:"store,omitempty"`
-	Batch         BatchStats               `json:"batch"`
-	Breakers      map[string]BreakerStatus `json:"breakers"`
-	Ceiling       string                   `json:"ceiling"`
-	LatencyMS     LatencyStats             `json:"latency_ms"`
-	Goroutines    int                      `json:"goroutines"`
+	UptimeMS      int64                  `json:"uptime_ms"`
+	Draining      bool                   `json:"draining"`
+	Requests      int64                  `json:"requests"`
+	Admitted      int64                  `json:"admitted"`
+	Completed     int64                  `json:"completed"`
+	Degraded      int64                  `json:"degraded"` // passthrough answers
+	HandlerPanics int64                  `json:"handler_panics"`
+	Shed          map[string]int64       `json:"shed,omitempty"`
+	ShedTotal     int64                  `json:"shed_total"`
+	QueueDepth    int64                  `json:"queue_depth"`
+	InFlight      int                    `json:"in_flight"`
+	InFlightBytes int64                  `json:"in_flight_bytes"`
+	Tiers         map[string]int64       `json:"tiers,omitempty"`
+	Failures      map[string]int64       `json:"failures,omitempty"`
+	Driver        reportjson.DriverStats `json:"driver"`
+	OptimizeRuns  int64                  `json:"optimize_runs"`
+	CacheServed   int64                  `json:"cache_served"`
+	Store         *store.Snapshot        `json:"store,omitempty"`
+	Batch         BatchStats             `json:"batch"`
+	LatencyMS     LatencyStats           `json:"latency_ms"`
+	Goroutines    int                    `json:"goroutines"`
 }
 
 // BatchStats is the /stats batch block: accepted batch requests and the items
@@ -172,16 +174,15 @@ type BatchStats struct {
 	Items    int64 `json:"items"`
 }
 
-func (m *metrics) snapshot(now time.Time) StatsSnapshot {
+func (m *metrics) snapshot() StatsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := StatsSnapshot{
-		UptimeMS:      now.Sub(m.start).Milliseconds(),
+		UptimeMS:      time.Since(m.start).Milliseconds(),
 		Requests:      m.requests,
 		Admitted:      m.admitted,
 		Completed:     m.completed,
 		Degraded:      m.degraded,
-		Retries:       m.retries,
 		HandlerPanics: m.panics,
 		Shed:          copyInt64s(m.shed),
 		Tiers:         copyInt64s(m.tiers),

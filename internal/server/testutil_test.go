@@ -14,8 +14,8 @@ import (
 )
 
 // okSrc is a small program with two fully correlated conditionals plus
-// output, so every tier of the ladder has real work and the shadow oracle
-// has output to compare.
+// output, so the full tier has real work and the shadow oracle has output to
+// compare.
 const okSrc = `
 var g = 7;
 
@@ -28,7 +28,7 @@ func main() {
 }
 `
 
-// fakeClock drives the breaker timing deterministically.
+// fakeClock drives the store health breaker's timing deterministically.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -123,6 +123,17 @@ func serverStats(t *testing.T, url string) StatsSnapshot {
 		t.Fatalf("/stats status = %d", status)
 	}
 	return snap
+}
+
+// assertTwoTiers checks that /stats counts only the two tiers the service
+// serves: the checked optimization and the passthrough echo.
+func assertTwoTiers(t *testing.T, snap StatsSnapshot) {
+	t.Helper()
+	for tier := range snap.Tiers {
+		if tier != "full" && tier != "passthrough" {
+			t.Fatalf("/stats tiers = %v, want only full and passthrough", snap.Tiers)
+		}
+	}
 }
 
 func waitUntil(t *testing.T, d time.Duration, what string, ok func() bool) {

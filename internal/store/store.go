@@ -17,7 +17,7 @@
 // their own deadlines), and disk I/O failures first retry with capped
 // backoff, then trip a store circuit breaker that pins the service to
 // compute-only serving — a "store-degraded" dimension orthogonal to the
-// server's tier ladder — with half-open recovery probes.
+// response tier — with half-open recovery probes.
 package store
 
 import (

@@ -98,7 +98,7 @@ assert s["completed"] == 12, s["completed"]
 assert s["shed"].get("oversized") == 1, s.get("shed")
 assert s["tiers"].get("full") == 11 and s["tiers"].get("passthrough") == 1, s["tiers"]
 assert s["queue_depth"] == 0 and s["in_flight"] == 0 and s["in_flight_bytes"] == 0
-assert s["ceiling"] == "full" and not s["draining"]
+assert "ceiling" not in s and "breakers" not in s and not s["draining"]
 assert s["latency_ms"]["count"] == 12 and s["latency_ms"]["p99"] > 0
 assert s["goroutines"] <= int(sys.argv[1]) + 4, (s["goroutines"], sys.argv[1])
 st = s["store"]
