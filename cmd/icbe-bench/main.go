@@ -6,7 +6,10 @@
 //	icbe-bench -all
 //	icbe-bench -table1 -table2
 //	icbe-bench -fig11 -workload stdio
-//	icbe-bench -json BENCH_3.json
+//	icbe-bench -stress -require-incremental-speedup 5
+//
+// Timings of the optimizer and the service come from the benchmark/
+// harness; see benchmark/README.md.
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 
 	"icbe/internal/experiments"
 	"icbe/internal/progs"
+	"icbe/internal/randprog"
 )
 
 func main() {
@@ -36,18 +40,19 @@ func main() {
 		workers   = flag.Int("workers", runtime.NumCPU(), "analysis worker goroutines per driver run (1 = serial)")
 		verify    = flag.Bool("verify", false, "shadow-execute every applied restructuring differentially; violations roll back")
 		timeout   = flag.Duration("timeout", 0, "per-driver-run deadline, e.g. 30s (0 = none)")
-		jsonOut   = flag.String("json", "", "write machine-readable benchmark measurements (ns/op, allocs/op, pairs/sec) to this file, e.g. BENCH_3.json")
-		bite      = flag.Bool("require-check-bite", false, "with -json: exit nonzero if the check rows report zero total SCCP agreements (a vacuous oracle)")
-		foldBite  = flag.Bool("require-fold-bite", false, "with -json: exit nonzero if no workload's residual constant-branch count drops under the fold pass")
 		stress    = flag.Bool("stress", false, "adversarial scale: optimize and re-analyze a ~100k-node generated program (plus a deep-recursion program) with the incremental engine on and off")
-		minSpeed  = flag.Float64("require-incremental-speedup", 0, "with -json or -stress: exit nonzero if incremental re-analysis of the 100k-node stress program is not this many times faster than from-scratch (0 = no gate)")
+		minSpeed  = flag.Float64("require-incremental-speedup", 0, "with -stress: exit nonzero if incremental re-analysis of the 100k-node stress program is not this many times faster than from-scratch (0 = no gate)")
 	)
 	flag.Parse()
 	experiments.Workers = *workers
 	experiments.Verify = *verify
 	experiments.Timeout = *timeout
-	if !*all && !*table1 && !*table2 && !*fig9 && !*fig10 && !*fig11 && !*headline && !*inlining && !*heuristic && !*checkRep && !*stress && *jsonOut == "" {
+	if !*all && !*table1 && !*table2 && !*fig9 && !*fig10 && !*fig11 && !*headline && !*inlining && !*heuristic && !*checkRep && !*stress {
 		flag.PrintDefaults()
+		os.Exit(2)
+	}
+	if *minSpeed > 0 && !*stress {
+		fmt.Fprintln(os.Stderr, "icbe-bench: -require-incremental-speedup needs -stress")
 		os.Exit(2)
 	}
 
@@ -61,11 +66,9 @@ func main() {
 		ws = []*progs.Workload{w}
 	}
 
-	if *jsonOut != "" {
-		check(writeBenchJSON(*jsonOut, ws, *termLim, *bite, *foldBite, *minSpeed))
-	}
 	if *stress {
-		rec, err := measureStress(1)
+		// The hub-and-leaf scale program: ~100k nodes, 190 procedures.
+		rec, err := measureStress("randprog.Scale(seed=1)", "", randprog.Scale(1, randprog.ScaleConfig{}))
 		check(err)
 		fmt.Println(formatStress(rec))
 		if *minSpeed > 0 && rec.ReanalyzeSpeedup < *minSpeed {
@@ -73,7 +76,12 @@ func main() {
 				rec.ReanalyzeSpeedup, *minSpeed)
 			os.Exit(1)
 		}
-		recRec, err := measureRecursionStress(1)
+		// A cyclic call graph (self-recursive chains and mutual-recursion
+		// rings) whose summaries settle by fixed point through the cycle:
+		// the entry/exit-splitting stress the scale shape cannot produce.
+		recRec, err := measureStress("randprog.Recursion(seed=1)", "recursion ", randprog.Recursion(1, randprog.RecConfig{
+			Chains: 8, ChainLen: 5, Depth: 40, BodyStmts: 120, Globals: 3,
+		}))
 		check(err)
 		fmt.Println(formatStress(recRec))
 	}

@@ -8,39 +8,37 @@ import (
 
 	"icbe/internal/analysis"
 	"icbe/internal/ir"
-	"icbe/internal/randprog"
 	"icbe/internal/restructure"
 )
 
-// stressRecord is the adversarial-scale measurement in the BENCH_<n>.json
-// output: one ~100k-node, 190-procedure randprog.Scale program driven through
-// the optimizer with the incremental engine on and off. Two comparisons are
-// published. "Optimize" is the full cold optimization run, where the engine's
-// wins are cross-round (replaying subtrees whose regions survived earlier
-// rounds' restructurings). "Reanalyze" re-runs the driver over the settled
-// output program with the warm memo — the regime the incremental engine
-// exists for (repeat queries over unchanged procedures) — against a
-// from-scratch re-analysis of the same program. Both comparisons assert the
-// two modes produce byte-identical optimized programs and identical
-// deterministic counters before any timing is reported.
+// stressRecord is one adversarial-scale measurement: a generated program
+// driven through the optimizer with the incremental engine on and off. Two
+// comparisons are reported. "Optimize" is the full cold optimization run,
+// where the engine's wins are cross-round (replaying subtrees whose regions
+// survived earlier rounds' restructurings). "Reanalyze" re-runs the driver
+// over the settled output program with the warm memo — the regime the
+// incremental engine exists for (repeat queries over unchanged procedures) —
+// against a from-scratch re-analysis of the same program. Both comparisons
+// assert the two modes produce byte-identical optimized programs and
+// identical deterministic counters before any timing is reported.
 type stressRecord struct {
-	Name         string `json:"name"`
-	Nodes        int    `json:"nodes"`
-	Procs        int    `json:"procs"`
-	Conditionals int    `json:"conditionals"`
+	Name         string
+	Nodes        int
+	Procs        int
+	Conditionals int
 
-	OptimizeScratchMs     float64 `json:"optimize_scratch_ms"`
-	OptimizeIncrementalMs float64 `json:"optimize_incremental_ms"`
-	OptimizeSpeedup       float64 `json:"optimize_speedup"`
-	QueriesReused         int     `json:"queries_reused"`
-	PairsTotal            int     `json:"pairs_total"`
-	ReuseRate             float64 `json:"reuse_rate"`
-	SubtreesInvalidated   int64   `json:"subtrees_invalidated"`
+	OptimizeScratchMs     float64
+	OptimizeIncrementalMs float64
+	OptimizeSpeedup       float64
+	QueriesReused         int
+	PairsTotal            int
+	ReuseRate             float64
+	SubtreesInvalidated   int64
 
-	ReanalyzeScratchMs     float64 `json:"reanalyze_scratch_ms"`
-	ReanalyzeIncrementalMs float64 `json:"reanalyze_incremental_ms"`
-	ReanalyzeSpeedup       float64 `json:"reanalyze_speedup"`
-	ReanalyzeReuseRate     float64 `json:"reanalyze_reuse_rate"`
+	ReanalyzeScratchMs     float64
+	ReanalyzeIncrementalMs float64
+	ReanalyzeSpeedup       float64
+	ReanalyzeReuseRate     float64
 }
 
 // stressOptions is the driver configuration for the scale runs: serial (so
@@ -84,16 +82,16 @@ func sameOutcome(what string, a, b *restructure.DriverResult) error {
 	return nil
 }
 
-// measureStress runs the adversarial-scale comparison on randprog.Scale's
-// default configuration.
-func measureStress(seed uint64) (*stressRecord, error) {
-	src := randprog.Scale(seed, randprog.ScaleConfig{})
+// measureStress runs the incremental-vs-scratch comparison on src, a
+// generated program recorded under name. label prefixes the run names in
+// divergence errors, so a failure says which program diverged.
+func measureStress(name, label, src string) (*stressRecord, error) {
 	p, err := ir.Build(src)
 	if err != nil {
-		return nil, fmt.Errorf("stress: scale program does not compile: %w", err)
+		return nil, fmt.Errorf("stress: %s does not compile: %w", name, err)
 	}
 	rec := &stressRecord{
-		Name:  fmt.Sprintf("randprog.Scale(seed=%d)", seed),
+		Name:  name,
 		Nodes: len(p.Nodes),
 		Procs: len(p.Procs),
 	}
@@ -110,7 +108,7 @@ func measureStress(seed uint64) (*stressRecord, error) {
 
 	sres, st := timedRun(p, scratch)
 	ires, it := timedRun(p, warm)
-	if err := sameOutcome("optimize", sres, ires); err != nil {
+	if err := sameOutcome(label+"optimize", sres, ires); err != nil {
 		return nil, err
 	}
 	rec.OptimizeScratchMs = ms(st)
@@ -130,66 +128,7 @@ func measureStress(seed uint64) (*stressRecord, error) {
 	final := ires.Program
 	rsres, rst := timedRun(final, scratch)
 	rires, rit := timedRun(final, warm)
-	if err := sameOutcome("reanalyze", rsres, rires); err != nil {
-		return nil, err
-	}
-	rec.ReanalyzeScratchMs = ms(rst)
-	rec.ReanalyzeIncrementalMs = ms(rit)
-	rec.ReanalyzeSpeedup = ratio(rst, rit)
-	if rires.PairsTotal > 0 {
-		rec.ReanalyzeReuseRate = float64(rires.Stats.QueriesReused) / float64(rires.PairsTotal)
-	}
-	return rec, nil
-}
-
-// measureRecursionStress runs the same incremental-vs-scratch comparison on
-// the deep-recursion generator: a cyclic call graph (self-recursive chains
-// and mutual-recursion rings) whose summaries settle by fixed point through
-// the cycle — the entry/exit-splitting stress the hub-and-leaf scale shape
-// cannot produce.
-func measureRecursionStress(seed uint64) (*stressRecord, error) {
-	src := randprog.Recursion(seed, randprog.RecConfig{
-		Chains: 8, ChainLen: 5, Depth: 40, BodyStmts: 120, Globals: 3,
-	})
-	p, err := ir.Build(src)
-	if err != nil {
-		return nil, fmt.Errorf("stress: recursion program does not compile: %w", err)
-	}
-	rec := &stressRecord{
-		Name:  fmt.Sprintf("randprog.Recursion(seed=%d)", seed),
-		Nodes: len(p.Nodes),
-		Procs: len(p.Procs),
-	}
-	p.LiveNodes(func(n *ir.Node) {
-		if n.Kind == ir.NBranch && !n.Synthetic {
-			rec.Conditionals++
-		}
-	})
-
-	scratch := stressOptions()
-	scratch.Scratch = true
-	warm := stressOptions()
-	warm.Memo = analysis.NewSummaryMemo()
-
-	sres, st := timedRun(p, scratch)
-	ires, it := timedRun(p, warm)
-	if err := sameOutcome("recursion optimize", sres, ires); err != nil {
-		return nil, err
-	}
-	rec.OptimizeScratchMs = ms(st)
-	rec.OptimizeIncrementalMs = ms(it)
-	rec.OptimizeSpeedup = ratio(st, it)
-	rec.QueriesReused = ires.Stats.QueriesReused
-	rec.PairsTotal = ires.PairsTotal
-	if ires.PairsTotal > 0 {
-		rec.ReuseRate = float64(ires.Stats.QueriesReused) / float64(ires.PairsTotal)
-	}
-	rec.SubtreesInvalidated = ires.Stats.SubtreesInvalidated
-
-	final := ires.Program
-	rsres, rst := timedRun(final, scratch)
-	rires, rit := timedRun(final, warm)
-	if err := sameOutcome("recursion reanalyze", rsres, rires); err != nil {
+	if err := sameOutcome(label+"reanalyze", rsres, rires); err != nil {
 		return nil, err
 	}
 	rec.ReanalyzeScratchMs = ms(rst)

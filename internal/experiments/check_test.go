@@ -11,8 +11,7 @@ import (
 // the full workload set the branch-sensitive oracle must actually grade
 // claims (nonzero agreements and recall on most workloads), and must never
 // contradict the demand-driven analysis or surface lint findings. A
-// regression to a vacuous oracle (all-zero agreements) fails here before it
-// fails in CI's bench smoke.
+// regression to a vacuous oracle (all-zero agreements) fails here.
 func TestCheckReportOracleBites(t *testing.T) {
 	rows, err := CheckReport(progs.All(), PaperTerminationLimit)
 	if err != nil {

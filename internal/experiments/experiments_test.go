@@ -38,12 +38,25 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+// TestTable2 pins Table 2's cost metric, the node–query pairs each workload's
+// analysis visits, exactly: it is host-independent, so any change to the
+// analysis's work shows here as a count, not as a timing.
 func TestTable2(t *testing.T) {
-	rows, err := Table2(fast(), PaperTerminationLimit)
+	wantPairs := map[string]int{
+		"stdio": 289, "compress": 69, "lisp": 313, "m88k": 293,
+		"goboard": 183, "scanner": 2262, "oodispatch": 165,
+	}
+	rows, err := Table2(progs.All(), PaperTerminationLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rows) != len(wantPairs) {
+		t.Fatalf("rows = %d, want the %d paper workloads", len(rows), len(wantPairs))
+	}
 	for _, r := range rows {
+		if r.PairsTotal != wantPairs[r.Name] {
+			t.Errorf("%s: %d node-query pairs, want %d", r.Name, r.PairsTotal, wantPairs[r.Name])
+		}
 		if r.PairsTotal <= 0 || r.PairsPerCond <= 0 {
 			t.Errorf("no analysis work recorded: %+v", r)
 		}
