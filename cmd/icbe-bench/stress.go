@@ -116,9 +116,7 @@ func measureStress(name, label, src string) (*stressRecord, error) {
 	rec.OptimizeSpeedup = ratio(st, it)
 	rec.QueriesReused = ires.Stats.QueriesReused
 	rec.PairsTotal = ires.PairsTotal
-	if ires.PairsTotal > 0 {
-		rec.ReuseRate = float64(ires.Stats.QueriesReused) / float64(ires.PairsTotal)
-	}
+	rec.ReuseRate = ires.Stats.ReuseRate
 	rec.SubtreesInvalidated = ires.Stats.SubtreesInvalidated
 
 	// Re-analysis over the settled program. The warm memo's surviving
@@ -134,9 +132,7 @@ func measureStress(name, label, src string) (*stressRecord, error) {
 	rec.ReanalyzeScratchMs = ms(rst)
 	rec.ReanalyzeIncrementalMs = ms(rit)
 	rec.ReanalyzeSpeedup = ratio(rst, rit)
-	if rires.PairsTotal > 0 {
-		rec.ReanalyzeReuseRate = float64(rires.Stats.QueriesReused) / float64(rires.PairsTotal)
-	}
+	rec.ReanalyzeReuseRate = rires.Stats.ReuseRate
 	return rec, nil
 }
 

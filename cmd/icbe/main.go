@@ -186,12 +186,8 @@ func main() {
 					s.SNEMemoEntries, s.SNEMemoHits, float64(s.CacheBytes)/1024)
 			}
 			if s.QueriesReused > 0 || s.SubtreesInvalidated > 0 {
-				rate := 0.0
-				if s.PairsTotal > 0 {
-					rate = float64(s.QueriesReused) / float64(s.PairsTotal)
-				}
 				fmt.Printf("incremental: %d/%d pairs reused (%.0f%%), %d subtrees invalidated\n",
-					s.QueriesReused, s.PairsTotal, rate*100, s.SubtreesInvalidated)
+					s.QueriesReused, s.PairsTotal, s.ReuseRate*100, s.SubtreesInvalidated)
 			}
 			if s.VerifyRuns > 0 {
 				fmt.Printf("verify: %d shadow comparisons, %v interpreting\n", s.VerifyRuns, s.VerifyWall)

@@ -280,97 +280,12 @@ type CondReport struct {
 	Err error
 }
 
-// DriverStats exposes the optimization driver's cost counters (see
-// restructure.DriverStats). All fields except the wall-clock durations are
-// deterministic and identical for every worker count.
-type DriverStats struct {
-	// Workers is the analysis worker count used; Rounds counts
-	// analyze/apply rounds.
-	Workers int
-	Rounds  int
-	// Analyses counts per-conditional analysis runs; Reanalyses is the
-	// subset repeated because an applied restructuring invalidated a
-	// snapshot result.
-	Analyses   int
-	Reanalyses int
-	// Clones counts program copies: one defensive deep copy of the input
-	// plus one copy-on-write fork per attempted restructuring or fold;
-	// ClonesAvoided counts analyzed conditionals that needed none.
-	Clones        int
-	ClonesAvoided int
-	// Failures counts contained per-conditional failures by category
-	// ("panic", "validate", "diff-mismatch", "op-growth", "timeout",
-	// "check"); nil when the run had none. Every counted failure was
-	// rolled back.
-	Failures map[string]int
-	// SNEMemoEntries and SNEMemoHits count the summary-memo records held at
-	// the end of the run and the procedure summaries replayed from them
-	// instead of re-propagated; CacheBytes is the memo's memory footprint.
-	SNEMemoEntries int
-	SNEMemoHits    int64
-	CacheBytes     int64
-	// SeedsInjected counts portable records accepted from
-	// Options.SeedRecords into the run's memo before the first round, post
-	// verify-on-read (the count SummaryMemo.Inject would return).
-	SeedsInjected int
-	// QueriesReused counts node–query pairs reconstructed from summary
-	// records instead of re-propagated; SubtreesInvalidated counts summary
-	// records dropped because a restructuring dirtied their recorded
-	// region. Their ratio against PairsTotal is the incremental engine's
-	// reuse rate.
-	QueriesReused       int
-	SubtreesInvalidated int64
-	// PairsTotal mirrors Report.PairsTotal (replayed pairs count in both)
-	// so the reuse rate is computable from the stats alone.
-	PairsTotal int
-	// VerifyRuns counts the differential oracle's comparisons, one per
-	// input per gated restructuring or fold (Options.Verify, Options.Fold);
-	// VerifyWall is the interpreter time they took. The program before a
-	// restructuring was usually run by the attempt that produced it, so a
-	// comparison often interprets only the restructured program.
-	VerifyRuns int
-	VerifyWall time.Duration
-	// CheckRuns counts static check-layer analyses (Options.Check): the
-	// input's baseline and one per gated restructuring. CheckWall is their
-	// summed wall time. SCCPAgreements and
-	// SCCPDisagreements count cross-checked conditionals the SCCP oracle
-	// confirmed or contradicted (disagreements are contained "check"
-	// failures; a healthy run has zero); SCCPVacuous counts conditionals the
-	// oracle proved unreachable, and SCCPDecided every non-vacuous
-	// conditional with a full demand-driven answer. SCCPRecall is the graded
-	// fraction (agreements+disagreements)/decided. SCCPResidual counts
-	// analyzable branches of the final program whose outcome the oracle
-	// still decides — constant branches ICBE left in place.
-	// CheckFindingsPre/Post count invariant lint findings on the input and
-	// final programs.
-	CheckRuns         int
-	CheckWall         time.Duration
-	SCCPAgreements    int
-	SCCPDisagreements int
-	SCCPVacuous       int
-	SCCPDecided       int
-	SCCPRecall        float64
-	SCCPResidual      int
-	CheckFindingsPre  int
-	CheckFindingsPost int
-	// Fold-pass counters (Options.Fold). FoldAttempted counts gated fold
-	// attempts, FoldApplied the adopted subset, and FoldDuplicated the
-	// in-edges redirected by edge-split folds. SCCPResidualBefore/After
-	// bracket the pass's residual constant-branch count and FoldReduction
-	// is (before−after)/before; FoldWall is the pass's wall time. All zero
-	// when the pass is disabled.
-	FoldAttempted      int
-	FoldApplied        int
-	FoldDuplicated     int
-	SCCPResidualBefore int
-	SCCPResidualAfter  int
-	FoldReduction      float64
-	FoldWall           time.Duration
-	// AnalysisWall and ApplyWall are the summed wall-clock times of the
-	// concurrent analysis phases and the serial apply phases.
-	AnalysisWall time.Duration
-	ApplyWall    time.Duration
-}
+// DriverStats exposes the optimization driver's cost counters. It is
+// restructure.DriverStats, declared once with its JSON names and a stat
+// class per field: "result" fields are deterministic and identical for
+// every worker count, "telemetry" fields (wall clocks, Workers, memo
+// warmth) vary from run to run.
+type DriverStats = restructure.DriverStats
 
 // Report summarizes one Optimize run.
 type Report struct {
@@ -441,48 +356,7 @@ func (p *Program) OptimizeContext(ctx context.Context, opts Options) (op *Progra
 		OperationsBefore: ir.Collect(p.g).Operations,
 		OperationsAfter:  ir.Collect(dr.Program).Operations,
 		Truncated:        dr.Truncated,
-		Stats: DriverStats{
-			Workers:             dr.Stats.Workers,
-			Rounds:              dr.Stats.Rounds,
-			Analyses:            dr.Stats.Analyses,
-			Reanalyses:          dr.Stats.Reanalyses,
-			Clones:              dr.Stats.Clones,
-			ClonesAvoided:       dr.Stats.ClonesAvoided,
-			SNEMemoEntries:      dr.Stats.SNEMemoEntries,
-			SNEMemoHits:         dr.Stats.SNEMemoHits,
-			CacheBytes:          dr.Stats.CacheBytes,
-			SeedsInjected:       dr.Stats.SeedsInjected,
-			QueriesReused:       dr.Stats.QueriesReused,
-			SubtreesInvalidated: dr.Stats.SubtreesInvalidated,
-			PairsTotal:          dr.Stats.PairsTotal,
-			VerifyRuns:          dr.Stats.VerifyRuns,
-			VerifyWall:          dr.Stats.VerifyWall,
-			AnalysisWall:        dr.Stats.AnalysisWall,
-			ApplyWall:           dr.Stats.ApplyWall,
-			CheckRuns:           dr.Stats.CheckRuns,
-			CheckWall:           dr.Stats.CheckWall,
-			SCCPAgreements:      dr.Stats.SCCPAgreements,
-			SCCPDisagreements:   dr.Stats.SCCPDisagreements,
-			SCCPVacuous:         dr.Stats.SCCPVacuous,
-			SCCPDecided:         dr.Stats.SCCPDecided,
-			SCCPRecall:          dr.Stats.SCCPRecall,
-			SCCPResidual:        dr.Stats.SCCPResidual,
-			CheckFindingsPre:    dr.Stats.CheckFindingsPre,
-			CheckFindingsPost:   dr.Stats.CheckFindingsPost,
-			FoldAttempted:       dr.Stats.FoldAttempted,
-			FoldApplied:         dr.Stats.FoldApplied,
-			FoldDuplicated:      dr.Stats.FoldDuplicated,
-			SCCPResidualBefore:  dr.Stats.SCCPResidualBefore,
-			SCCPResidualAfter:   dr.Stats.SCCPResidualAfter,
-			FoldReduction:       dr.Stats.FoldReduction,
-			FoldWall:            dr.Stats.FoldWall,
-		},
-	}
-	for kind, n := range dr.Stats.Failures {
-		if rep.Stats.Failures == nil {
-			rep.Stats.Failures = make(map[string]int, len(dr.Stats.Failures))
-		}
-		rep.Stats.Failures[kind.String()] = n
+		Stats:            dr.Stats,
 	}
 	for _, r := range dr.Reports {
 		c := CondReport{

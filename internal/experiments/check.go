@@ -59,7 +59,7 @@ func CheckReport(ws []*progs.Workload, termLimit int) ([]CheckRow, error) {
 			Residual:      dr.Stats.SCCPResidual,
 			FindingsPre:   dr.Stats.CheckFindingsPre,
 			FindingsPost:  dr.Stats.CheckFindingsPost,
-			CheckFailures: dr.Stats.Failures[restructure.FailCheck],
+			CheckFailures: dr.Stats.Failures[restructure.FailCheck.String()],
 		})
 	}
 	return rows, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,10 +179,24 @@ func TestHeadline(t *testing.T) {
 	}
 }
 
+// TestInliningComparison runs the comparison twice over every workload: the
+// inliner clones callee bodies in a fixed order, so both runs must agree on
+// every row, and goboard's row is pinned.
 func TestInliningComparison(t *testing.T) {
-	rows, err := InliningComparison(fast(), PaperTerminationLimit, 200)
+	rows, err := InliningComparison(progs.All(), PaperTerminationLimit, 200)
 	if err != nil {
 		t.Fatal(err)
+	}
+	again, err := InliningComparison(progs.All(), PaperTerminationLimit, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, again) {
+		t.Errorf("two runs disagree:\n%s\n%s", FormatInlining(rows), FormatInlining(again))
+	}
+	const goboard = "goboard    |     176.1       17.5 |    1212.0       16.6     12\n"
+	if s := FormatInlining(rows); !strings.Contains(s, goboard) {
+		t.Errorf("goboard row changed, want\n%s got\n%s", goboard, s)
 	}
 	for _, r := range rows {
 		if r.InlinedCalls == 0 {

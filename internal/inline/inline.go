@@ -30,8 +30,11 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 	entry := p.EntrySucc(call)
 
 	// Nodes of the callee reachable from the invoked entry (other entries'
-	// exclusive regions are not part of this call).
+	// exclusive regions are not part of this call), in discovery order: the
+	// clones below are numbered and wired in that order, so the inlined
+	// program is the same on every run.
 	reach := make(map[ir.NodeID]bool)
+	order := []ir.NodeID{entry.ID}
 	stack := []ir.NodeID{entry.ID}
 	reach[entry.ID] = true
 	for len(stack) > 0 {
@@ -43,6 +46,7 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 				continue
 			}
 			reach[s] = true
+			order = append(order, s)
 			stack = append(stack, s)
 		}
 	}
@@ -75,7 +79,7 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 	// Clone the body. Entry and exit nodes become nops; the wiring below
 	// redirects through them.
 	nodeMap := make(map[ir.NodeID]ir.NodeID)
-	for id := range reach {
+	for _, id := range order {
 		n := p.Node(id)
 		kind := n.Kind
 		if kind == ir.NEntry || kind == ir.NExit {
@@ -123,7 +127,7 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 	// even when both ends lie in the callee (recursion): they are never
 	// cloned — the return wiring and the nested-call wiring below handle
 	// them.
-	for id := range reach {
+	for _, id := range order {
 		n := p.Node(id)
 		if n.Kind != ir.NExit {
 			for _, s := range n.Succs {

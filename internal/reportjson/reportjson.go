@@ -1,12 +1,13 @@
 // Package reportjson is the single machine-readable encoding of an
 // optimization report. Both `cmd/icbe -json` and the serving layer
 // (internal/server's /optimize responses and /stats aggregates) marshal
-// through these types, so the CLI and the service can never drift: a field
-// added here appears in both, and a consumer can parse either with one
-// schema.
+// through these types, so the CLI and the service can never drift, and a
+// consumer can parse either with one schema.
 //
-// Durations are encoded as integer nanoseconds (suffix `_ns`) so aggregation
-// across requests is exact integer addition.
+// The driver counters are not copied here: Report.Stats is
+// icbe.DriverStats itself, whose JSON tags are the wire names. Durations
+// encode as integer nanoseconds (suffix `_ns`), so aggregation across
+// requests is exact integer addition.
 package reportjson
 
 import (
@@ -16,61 +17,20 @@ import (
 	"icbe"
 )
 
-// Report mirrors icbe.Report.
+// Report is the wire form of icbe.Report.
 type Report struct {
-	Optimized        int            `json:"optimized"`
-	PairsTotal       int            `json:"pairs_total"`
-	OperationsBefore int            `json:"operations_before"`
-	OperationsAfter  int            `json:"operations_after"`
-	Truncated        bool           `json:"truncated"`
-	Failures         map[string]int `json:"failures,omitempty"`
-	Stats            DriverStats    `json:"stats"`
-	Conditionals     []CondReport   `json:"conditionals,omitempty"`
+	Optimized        int              `json:"optimized"`
+	PairsTotal       int              `json:"pairs_total"`
+	OperationsBefore int              `json:"operations_before"`
+	OperationsAfter  int              `json:"operations_after"`
+	Truncated        bool             `json:"truncated"`
+	Failures         map[string]int   `json:"failures,omitempty"`
+	Stats            icbe.DriverStats `json:"stats"`
+	Conditionals     []CondReport     `json:"conditionals,omitempty"`
 }
 
-// DriverStats mirrors icbe.DriverStats. All fields except Workers and the
-// wall clocks are deterministic per run; all fields except Workers are
-// meaningful to sum across runs with Add.
-type DriverStats struct {
-	Workers           int            `json:"workers"`
-	Rounds            int            `json:"rounds"`
-	Analyses          int            `json:"analyses"`
-	Reanalyses        int            `json:"reanalyses"`
-	Clones            int            `json:"clones"`
-	ClonesAvoided     int            `json:"clones_avoided"`
-	Failures          map[string]int `json:"failures,omitempty"`
-	SNEMemoEntries    int            `json:"sne_memo_entries"`
-	SNEMemoHits       int64          `json:"sne_memo_hits"`
-	CacheBytes        int64          `json:"cache_bytes"`
-	SeedsInjected     int            `json:"seeds_injected"`
-	QueriesReused     int            `json:"queries_reused"`
-	SubtreesInvalid   int64          `json:"subtrees_invalidated"`
-	PairsTotal        int            `json:"pairs_total"`
-	ReuseRate         float64        `json:"reuse_rate"`
-	VerifyRuns        int            `json:"verify_runs"`
-	VerifyWallNS      int64          `json:"verify_wall_ns"`
-	CheckRuns         int            `json:"check_runs"`
-	CheckWallNS       int64          `json:"check_wall_ns"`
-	SCCPAgreements    int            `json:"sccp_agreements"`
-	SCCPDisagreements int            `json:"sccp_disagreements"`
-	SCCPVacuous       int            `json:"sccp_vacuous"`
-	SCCPDecided       int            `json:"sccp_decided"`
-	SCCPRecall        float64        `json:"sccp_recall"`
-	SCCPResidual      int            `json:"sccp_residual"`
-	CheckFindingsPre  int            `json:"check_findings_pre"`
-	CheckFindingsPost int            `json:"check_findings_post"`
-	FoldAttempted     int            `json:"fold_attempted"`
-	FoldApplied       int            `json:"fold_applied"`
-	FoldDuplicated    int            `json:"fold_duplicated"`
-	ResidualBefore    int            `json:"sccp_residual_before"`
-	ResidualAfter     int            `json:"sccp_residual_after"`
-	FoldReduction     float64        `json:"fold_reduction"`
-	AnalysisWallNS    int64          `json:"analysis_wall_ns"`
-	ApplyWallNS       int64          `json:"apply_wall_ns"`
-	FoldWallNS        int64          `json:"fold_wall_ns"`
-}
-
-// CondReport mirrors icbe.CondReport.
+// CondReport is the wire form of icbe.CondReport: its error becomes a
+// string.
 type CondReport struct {
 	Line           int    `json:"line"`
 	Analyzable     bool   `json:"analyzable"`
@@ -96,8 +56,8 @@ func FromReport(r *icbe.Report) *Report {
 		OperationsBefore: r.OperationsBefore,
 		OperationsAfter:  r.OperationsAfter,
 		Truncated:        r.Truncated,
-		Failures:         copyCounts(r.Stats.Failures),
-		Stats:            FromDriverStats(r.Stats),
+		Failures:         r.Stats.Failures,
+		Stats:            r.Stats,
 	}
 	for _, c := range r.Conditionals {
 		wc := CondReport{
@@ -116,133 +76,6 @@ func FromReport(r *icbe.Report) *Report {
 			wc.Error = c.Err.Error()
 		}
 		out.Conditionals = append(out.Conditionals, wc)
-	}
-	return out
-}
-
-// FromDriverStats converts driver counters to their wire form.
-func FromDriverStats(s icbe.DriverStats) DriverStats {
-	return DriverStats{
-		Workers:           s.Workers,
-		Rounds:            s.Rounds,
-		Analyses:          s.Analyses,
-		Reanalyses:        s.Reanalyses,
-		Clones:            s.Clones,
-		ClonesAvoided:     s.ClonesAvoided,
-		Failures:          copyCounts(s.Failures),
-		SNEMemoEntries:    s.SNEMemoEntries,
-		SNEMemoHits:       s.SNEMemoHits,
-		CacheBytes:        s.CacheBytes,
-		SeedsInjected:     s.SeedsInjected,
-		QueriesReused:     s.QueriesReused,
-		SubtreesInvalid:   s.SubtreesInvalidated,
-		PairsTotal:        s.PairsTotal,
-		ReuseRate:         reuseRate(s.QueriesReused, s.PairsTotal),
-		VerifyRuns:        s.VerifyRuns,
-		VerifyWallNS:      int64(s.VerifyWall),
-		CheckRuns:         s.CheckRuns,
-		CheckWallNS:       int64(s.CheckWall),
-		SCCPAgreements:    s.SCCPAgreements,
-		SCCPDisagreements: s.SCCPDisagreements,
-		SCCPVacuous:       s.SCCPVacuous,
-		SCCPDecided:       s.SCCPDecided,
-		SCCPRecall:        s.SCCPRecall,
-		SCCPResidual:      s.SCCPResidual,
-		CheckFindingsPre:  s.CheckFindingsPre,
-		CheckFindingsPost: s.CheckFindingsPost,
-		FoldAttempted:     s.FoldAttempted,
-		FoldApplied:       s.FoldApplied,
-		FoldDuplicated:    s.FoldDuplicated,
-		ResidualBefore:    s.SCCPResidualBefore,
-		ResidualAfter:     s.SCCPResidualAfter,
-		FoldReduction:     s.FoldReduction,
-		AnalysisWallNS:    int64(s.AnalysisWall),
-		ApplyWallNS:       int64(s.ApplyWall),
-		FoldWallNS:        int64(s.FoldWall),
-	}
-}
-
-// Add accumulates another run's counters into d (Workers is kept as the
-// maximum, SCCPRecall is recomputed from the summed grading counts, every
-// other field sums). The serving layer's /stats aggregates per-request
-// DriverStats with it.
-func (d *DriverStats) Add(o DriverStats) {
-	if o.Workers > d.Workers {
-		d.Workers = o.Workers
-	}
-	d.Rounds += o.Rounds
-	d.Analyses += o.Analyses
-	d.Reanalyses += o.Reanalyses
-	d.Clones += o.Clones
-	d.ClonesAvoided += o.ClonesAvoided
-	if len(o.Failures) > 0 {
-		if d.Failures == nil {
-			d.Failures = make(map[string]int, len(o.Failures))
-		}
-		for k, n := range o.Failures {
-			d.Failures[k] += n
-		}
-	}
-	d.SNEMemoEntries += o.SNEMemoEntries
-	d.SNEMemoHits += o.SNEMemoHits
-	d.CacheBytes += o.CacheBytes
-	d.SeedsInjected += o.SeedsInjected
-	d.QueriesReused += o.QueriesReused
-	d.SubtreesInvalid += o.SubtreesInvalid
-	d.PairsTotal += o.PairsTotal
-	// Like SCCPRecall, the reuse rate is recomputed from the summed counts
-	// rather than summed itself.
-	d.ReuseRate = reuseRate(d.QueriesReused, d.PairsTotal)
-	d.VerifyRuns += o.VerifyRuns
-	d.VerifyWallNS += o.VerifyWallNS
-	d.CheckRuns += o.CheckRuns
-	d.CheckWallNS += o.CheckWallNS
-	d.SCCPAgreements += o.SCCPAgreements
-	d.SCCPDisagreements += o.SCCPDisagreements
-	d.SCCPVacuous += o.SCCPVacuous
-	d.SCCPDecided += o.SCCPDecided
-	// The recall ratio is recomputed from the summed counts rather than
-	// summed itself — a ratio does not aggregate by addition.
-	d.SCCPRecall = 0
-	if d.SCCPDecided > 0 {
-		d.SCCPRecall = float64(d.SCCPAgreements+d.SCCPDisagreements) / float64(d.SCCPDecided)
-	}
-	d.SCCPResidual += o.SCCPResidual
-	d.CheckFindingsPre += o.CheckFindingsPre
-	d.CheckFindingsPost += o.CheckFindingsPost
-	d.FoldAttempted += o.FoldAttempted
-	d.FoldApplied += o.FoldApplied
-	d.FoldDuplicated += o.FoldDuplicated
-	d.ResidualBefore += o.ResidualBefore
-	d.ResidualAfter += o.ResidualAfter
-	// The residual-reduction ratio is recomputed from the summed before and
-	// after counts rather than summed itself, mirroring SCCPRecall above.
-	d.FoldReduction = 0
-	if d.ResidualBefore > 0 {
-		d.FoldReduction = float64(d.ResidualBefore-d.ResidualAfter) / float64(d.ResidualBefore)
-	}
-	d.AnalysisWallNS += o.AnalysisWallNS
-	d.ApplyWallNS += o.ApplyWallNS
-	d.FoldWallNS += o.FoldWallNS
-}
-
-// reuseRate is the incremental engine's hit rate: the fraction of all
-// settled node–query pairs that were reconstructed from memo records
-// instead of re-propagated.
-func reuseRate(reused, total int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	return float64(reused) / float64(total)
-}
-
-func copyCounts(m map[string]int) map[string]int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
 	}
 	return out
 }

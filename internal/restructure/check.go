@@ -40,17 +40,12 @@ func (w *working) crossCheck(cr *condResult) *BranchFailure {
 	return nil
 }
 
-// finishCheck computes the check layer's end-of-run counters: the recall
-// ratio (graded fraction of the decided, non-vacuous claims), the residual
+// finishCheck computes the check layer's end-of-run counters: the residual
 // metric (analyzable branches of the final program the oracle still
-// decides — branches ICBE could have eliminated), and the residual
-// invariant finding count.
+// decides — branches ICBE could have eliminated) and the residual invariant
+// finding count.
 func (w *working) finishCheck() {
 	rep := w.report()
-	if w.stats.SCCPDecided > 0 {
-		w.stats.SCCPRecall = float64(w.stats.SCCPAgreements+w.stats.SCCPDisagreements) /
-			float64(w.stats.SCCPDecided)
-	}
 	w.stats.SCCPResidual = check.RecallCount(w.prog, rep.SCCP)
 	w.stats.CheckFindingsPost = len(rep.Findings)
 }

@@ -166,120 +166,6 @@ type CondReport struct {
 	Err error
 }
 
-// DriverStats exposes the two-phase driver's cost counters so the effect of
-// parallel analysis and clone avoidance is measurable from reports and
-// benchmarks. All fields except the wall-clock durations are deterministic
-// and identical for every worker count.
-type DriverStats struct {
-	// Workers is the analysis-phase worker count actually used.
-	Workers int
-	// Rounds counts snapshot rounds (one concurrent analysis phase plus
-	// one serial apply phase each).
-	Rounds int
-	// Analyses counts AnalyzeBranch runs; Reanalyses is the subset queued
-	// again because an applied restructuring invalidated the snapshot
-	// result (the analysis had visited a changed node).
-	Analyses   int
-	Reanalyses int
-	// Clones counts program copies: one defensive deep copy of the input
-	// (ir.Clone) plus one copy-on-write fork (ir.Fork) per transactional
-	// attempt, correlation applies and fold attempts alike. ClonesAvoided
-	// counts analyzed conditionals that needed no copy because no
-	// restructuring was attempted for them.
-	Clones        int
-	ClonesAvoided int
-	// Failures counts contained per-conditional failures by category; nil
-	// when the run had none. Every counted failure was rolled back and
-	// carries a CondReport entry with its BranchFailure.
-	Failures map[FailureKind]int
-	// SNEMemoEntries and SNEMemoHits expose the cross-conditional summary
-	// memo (analysis.SummaryMemo): committed records at the end of the run
-	// and summaries replayed instead of re-propagated. CacheBytes is the
-	// memo's footprint. The driver commits the memo once per round against
-	// the round's dirty set and workers replay only from the frozen
-	// per-round view, so all three are deterministic.
-	SNEMemoEntries int
-	SNEMemoHits    int64
-	CacheBytes     int64
-	// SeedsInjected counts portable records accepted into the memo from
-	// DriverOptions.SeedRecords before the first round: the records that
-	// survived verify-on-read, as SummaryMemo.Inject counts them. Telemetry,
-	// not result: it varies with what the seed held and is scrubbed from
-	// response bodies.
-	SeedsInjected int
-	// QueriesReused counts node–query pairs reconstructed from summary
-	// records instead of re-propagated; SubtreesInvalidated counts summary
-	// records the per-round Commits dropped because their recorded region
-	// intersected a dirty set. Their ratio against PairsTotal is the
-	// incremental engine's hit rate. Both are deterministic across worker
-	// counts (replays come from the round-frozen memo view).
-	QueriesReused       int
-	SubtreesInvalidated int64
-	// PairsTotal mirrors DriverResult.PairsTotal (replayed pairs count in
-	// both) so reuse-rate aggregation from stats alone is self-contained:
-	// reuse rate = QueriesReused / PairsTotal.
-	PairsTotal int
-	// VerifyRuns counts the differential oracle's comparisons, one per
-	// input per gated attempt (DriverOptions.Verify, and every fold);
-	// VerifyWall is the interpreter time they took. The working program's
-	// runs are carried across attempts, so a comparison may run only the
-	// fork.
-	VerifyRuns int
-	// CheckRuns counts static check-layer analyses (DriverOptions.Check):
-	// the initial baseline and one per gated apply fork; the fold pass's
-	// analyses are timed in FoldWall instead. CheckWall is their summed wall
-	// time.
-	CheckRuns int
-	// SCCPAgreements and SCCPDisagreements count cross-checked conditionals
-	// whose demand-driven full answer the SCCP oracle independently
-	// confirmed or contradicted. Disagreements are contained FailCheck
-	// refusals; a healthy run has zero. SCCPVacuous counts conditionals the
-	// oracle proved unreachable (neither confirmed nor graded), and
-	// SCCPDecided counts every non-vacuous conditional with a full
-	// demand-driven answer — the recall denominator.
-	SCCPAgreements    int
-	SCCPDisagreements int
-	SCCPVacuous       int
-	SCCPDecided       int
-	// SCCPRecall is the fraction of decided claims the oracle could grade:
-	// (agreements + disagreements) / decided, 0 when nothing was decided.
-	SCCPRecall float64
-	// SCCPResidual counts analyzable branches of the final program whose
-	// outcome the oracle still decides — constant branches ICBE left in
-	// place (the recall gap of the demand-driven analysis).
-	SCCPResidual int
-	// FoldAttempted counts fold-pass rewrite attempts (DriverOptions.Fold):
-	// forks the fold rewriter actually changed, gates and all.
-	// FoldApplied is the subset that survived every gate and was adopted;
-	// FoldDuplicated counts the in-edges edge-split folds redirected across
-	// adopted attempts (the duplication-based eliminations, degenerated to
-	// redirections).
-	FoldAttempted  int
-	FoldApplied    int
-	FoldDuplicated int
-	// SCCPResidualBefore and SCCPResidualAfter bracket the fold pass: the
-	// oracle's residual constant-branch count entering the pass and after
-	// its last adopted fold. Both stay zero when the pass is disabled.
-	SCCPResidualBefore int
-	SCCPResidualAfter  int
-	// FoldReduction is the fold pass's bite:
-	// (SCCPResidualBefore − SCCPResidualAfter) / SCCPResidualBefore,
-	// 0 when nothing was residual to begin with.
-	FoldReduction float64
-	// CheckFindingsPre and CheckFindingsPost count invariant lint findings
-	// on the input and final working programs (both 0 for sound inputs).
-	CheckFindingsPre  int
-	CheckFindingsPost int
-	// AnalysisWall and ApplyWall sum the wall-clock time of the analysis
-	// phases and the serial apply phases. They and VerifyWall are the only
-	// nondeterministic fields of a driver result.
-	AnalysisWall time.Duration
-	ApplyWall    time.Duration
-	VerifyWall   time.Duration
-	CheckWall    time.Duration
-	FoldWall     time.Duration
-}
-
 // DriverResult is the outcome of optimizing a whole program.
 type DriverResult struct {
 	// Program is the optimized program (the input is never mutated).
@@ -563,6 +449,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	if opts.Check {
 		w.finishCheck()
 	}
+	out.Stats.setRatios()
 	// Every fork and fork parent of the working program is discarded, so
 	// the result owns its nodes again and callers may write it in place.
 	w.prog.Unshare()

@@ -107,11 +107,3 @@ func panicFailure(cond ir.NodeID, line int, recovered interface{}) *BranchFailur
 		Stack: string(debug.Stack()),
 	}
 }
-
-// countFailure tallies a contained failure in the driver's stats.
-func (s *DriverStats) countFailure(k FailureKind) {
-	if s.Failures == nil {
-		s.Failures = make(map[FailureKind]int)
-	}
-	s.Failures[k]++
-}

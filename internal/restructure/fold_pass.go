@@ -95,10 +95,6 @@ func runFoldPass(ctx context.Context, w *working, maxDuplication int) {
 		}
 	}
 	stats.SCCPResidualAfter = table.Residual
-	if stats.SCCPResidualBefore > 0 {
-		stats.FoldReduction = float64(stats.SCCPResidualBefore-stats.SCCPResidualAfter) /
-			float64(stats.SCCPResidualBefore)
-	}
 }
 
 // foldOne performs one transactional fold attempt on the fork scratch: the

@@ -215,7 +215,7 @@ func TestRollbackLeavesWorkUntouched(t *testing.T) {
 				p := buildSafety(t)
 				before = ir.EncodeProgram(p)
 				res := Optimize(p, k.opts)
-				if n := res.Stats.Failures[k.kind]; n == 0 || n != rollbacks {
+				if n := res.Stats.Failures[k.kind.String()]; n == 0 || n != rollbacks {
 					t.Fatalf("after %d clean adoptions: %v failures = %d, rollbacks observed = %d",
 						clean, k.kind, n, rollbacks)
 				}

@@ -68,7 +68,7 @@ func countKind(res *DriverResult, k FailureKind) int {
 			n++
 		}
 	}
-	if n != res.Stats.Failures[k] {
+	if n != res.Stats.Failures[k.String()] {
 		return -1 // report/stats disagreement; caller fails with both values
 	}
 	return n
@@ -375,7 +375,7 @@ func TestDriverTimeoutSkipsQueue(t *testing.T) {
 			t.Fatalf("line %d missing timeout failure: %+v", r.Line, r.Failure)
 		}
 	}
-	if n := res.Stats.Failures[FailTimeout]; n != 3 {
+	if n := res.Stats.Failures[FailTimeout.String()]; n != 3 {
 		t.Fatalf("timeout failures in stats = %d, want 3", n)
 	}
 }
@@ -390,7 +390,7 @@ func TestCanceledContextSkipsQueue(t *testing.T) {
 		t.Fatalf("canceled ctx: Optimized = %d, Truncated = %v; want 0, true",
 			res.Optimized, res.Truncated)
 	}
-	if n := res.Stats.Failures[FailTimeout]; n != 3 {
+	if n := res.Stats.Failures[FailTimeout.String()]; n != 3 {
 		t.Fatalf("timeout failures = %d, want 3", n)
 	}
 }

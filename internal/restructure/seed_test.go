@@ -12,17 +12,12 @@ import (
 )
 
 // stripMemo zeroes what a driver result may legitimately vary in between a
-// seeded and an unseeded run: the wall clocks and worker count stripWall
-// covers, plus the memo and seed counters that measure warmth.
+// seeded and an unseeded run: the program pointer and the telemetry fields
+// (wall clocks, worker count, and the memo and seed counters that measure
+// warmth).
 func stripMemo(r *DriverResult) *DriverResult {
-	stripWall(r)
 	r.Program = nil
-	r.Stats.SNEMemoEntries = 0
-	r.Stats.SNEMemoHits = 0
-	r.Stats.CacheBytes = 0
-	r.Stats.SeedsInjected = 0
-	r.Stats.QueriesReused = 0
-	r.Stats.SubtreesInvalidated = 0
+	r.Stats.Scrub()
 	return r
 }
 

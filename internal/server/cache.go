@@ -66,40 +66,12 @@ func (s *Server) fingerprintRequest(req *OptimizeRequest) store.Fingerprint {
 	return store.NewFingerprint(enc)
 }
 
-// scrubStats zeroes every DriverStats field that is not a pure function of
-// (program, request shape): wall clocks, worker counts, and cache/memo
-// telemetry that depends on what happened to be warm. The full values still
-// reach /stats through the metrics aggregate — they are operational data,
-// not part of the result.
-func scrubStats(d *reportjson.DriverStats) {
-	d.Workers = 0
-	d.SNEMemoEntries = 0
-	d.SNEMemoHits = 0
-	d.CacheBytes = 0
-	// Seed records are equivalent to seeding the SummaryMemo through
-	// Inject: they change warmth, never results, so a seeded run must serve
-	// the same bytes as an unseeded one.
-	d.SeedsInjected = 0
-	// The reuse counters depend on what the summary store happened to have
-	// warm when the run started (a seeded run replays more than a cold
-	// one), so they are telemetry, not result.
-	d.QueriesReused = 0
-	d.SubtreesInvalid = 0
-	d.ReuseRate = 0
-	d.VerifyWallNS = 0
-	d.CheckWallNS = 0
-	d.AnalysisWallNS = 0
-	d.ApplyWallNS = 0
-	d.FoldWallNS = 0
-	// The fold counters (FoldAttempted/Applied/Duplicated, the residual
-	// before/after pair, and the recomputed reduction ratio) are deliberately
-	// kept: the fold pass adopts folds in deterministic fact-table order, so
-	// they are pure functions of (program, request shape).
-}
-
 // buildBody renders the deterministic response body for a request's
 // terminal result. The bytes returned are exactly what is served — and, when
 // the result is cacheable, exactly what the store holds and replays.
+// The driver counters' telemetry (wall clocks, workers, memo warmth) is
+// scrubbed from the body; the full values still reach /stats through the
+// metrics aggregate.
 func buildBody(r *attemptResult, req *OptimizeRequest) []byte {
 	resp := OptimizeResponse{
 		Tier:     r.tier.String(),
@@ -108,7 +80,7 @@ func buildBody(r *attemptResult, req *OptimizeRequest) []byte {
 		Report:   reportjson.FromReport(r.report),
 	}
 	if resp.Report != nil {
-		scrubStats(&resp.Report.Stats)
+		resp.Report.Stats.Scrub()
 	}
 	if !req.NoDump {
 		resp.Dump = r.prog.Dump()

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"icbe/internal/reportjson"
+	"icbe"
 	"icbe/internal/store"
 )
 
@@ -14,8 +14,8 @@ import (
 const latencyWindow = 4096
 
 // metrics aggregates request outcomes across the server's lifetime. The
-// /stats endpoint serializes a snapshot; the driver-counter aggregate reuses
-// the reportjson encoding so the service and `icbe -json` can never drift.
+// /stats endpoint serializes a snapshot; the driver-counter aggregate is the
+// record `icbe -json` encodes, so the service and the CLI can never drift.
 type metrics struct {
 	mu          sync.Mutex
 	start       time.Time
@@ -27,7 +27,7 @@ type metrics struct {
 	shed        map[string]int64
 	tiers       map[string]int64
 	failures    map[string]int64
-	driver      reportjson.DriverStats
+	driver      icbe.DriverStats
 	runs        int64
 	cacheServed int64 // responses served from the store, no driver run
 	batchReqs   int64
@@ -114,7 +114,7 @@ func (m *metrics) complete(r *attemptResult, latency time.Duration) {
 		}
 	}
 	if r.report != nil {
-		m.driver.Add(reportjson.FromDriverStats(r.report.Stats))
+		m.driver.Add(r.report.Stats)
 		m.runs++
 	}
 	m.observeLatency(latency)
@@ -144,27 +144,27 @@ type LatencyStats struct {
 
 // StatsSnapshot is the /stats payload.
 type StatsSnapshot struct {
-	UptimeMS      int64                  `json:"uptime_ms"`
-	Draining      bool                   `json:"draining"`
-	Requests      int64                  `json:"requests"`
-	Admitted      int64                  `json:"admitted"`
-	Completed     int64                  `json:"completed"`
-	Degraded      int64                  `json:"degraded"` // passthrough answers
-	HandlerPanics int64                  `json:"handler_panics"`
-	Shed          map[string]int64       `json:"shed,omitempty"`
-	ShedTotal     int64                  `json:"shed_total"`
-	QueueDepth    int64                  `json:"queue_depth"`
-	InFlight      int                    `json:"in_flight"`
-	InFlightBytes int64                  `json:"in_flight_bytes"`
-	Tiers         map[string]int64       `json:"tiers,omitempty"`
-	Failures      map[string]int64       `json:"failures,omitempty"`
-	Driver        reportjson.DriverStats `json:"driver"`
-	OptimizeRuns  int64                  `json:"optimize_runs"`
-	CacheServed   int64                  `json:"cache_served"`
-	Store         *store.Snapshot        `json:"store,omitempty"`
-	Batch         BatchStats             `json:"batch"`
-	LatencyMS     LatencyStats           `json:"latency_ms"`
-	Goroutines    int                    `json:"goroutines"`
+	UptimeMS      int64            `json:"uptime_ms"`
+	Draining      bool             `json:"draining"`
+	Requests      int64            `json:"requests"`
+	Admitted      int64            `json:"admitted"`
+	Completed     int64            `json:"completed"`
+	Degraded      int64            `json:"degraded"` // passthrough answers
+	HandlerPanics int64            `json:"handler_panics"`
+	Shed          map[string]int64 `json:"shed,omitempty"`
+	ShedTotal     int64            `json:"shed_total"`
+	QueueDepth    int64            `json:"queue_depth"`
+	InFlight      int              `json:"in_flight"`
+	InFlightBytes int64            `json:"in_flight_bytes"`
+	Tiers         map[string]int64 `json:"tiers,omitempty"`
+	Failures      map[string]int64 `json:"failures,omitempty"`
+	Driver        icbe.DriverStats `json:"driver"`
+	OptimizeRuns  int64            `json:"optimize_runs"`
+	CacheServed   int64            `json:"cache_served"`
+	Store         *store.Snapshot  `json:"store,omitempty"`
+	Batch         BatchStats       `json:"batch"`
+	LatencyMS     LatencyStats     `json:"latency_ms"`
+	Goroutines    int              `json:"goroutines"`
 }
 
 // BatchStats is the /stats batch block: accepted batch requests and the items
