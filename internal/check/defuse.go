@@ -7,8 +7,7 @@ import (
 // forEachRead calls f for every variable the node's transfer function
 // reads. Call-site exits read the callee's return variable, which is a
 // cross-procedure read handled separately by the callers that need it; the
-// implicit return-variable read at procedure exits is likewise opt-in (see
-// assignFlow.forEachMayUndefRead).
+// implicit return-variable read at procedure exits is likewise left out.
 func forEachRead(n *ir.Node, f func(ir.VarID)) {
 	operand := func(o ir.Operand) {
 		if !o.IsConst {
@@ -47,12 +46,10 @@ func forEachRead(n *ir.Node, f func(ir.VarID)) {
 	}
 }
 
-// assignFlow holds the per-node assigned-variable sets of one procedure:
-// a forward definite-assignment analysis (intersection over predecessors;
-// used to seed SCCP cells with the interpreter's implicit zero for
-// variables that may be read before any assignment) and a forward
-// maybe-assignment analysis (union over predecessors; a read of a variable
-// that is not even maybe-assigned is the use-before-def lint finding).
+// assignFlow holds the per-node maybe-assigned variable sets of one
+// procedure: a forward maybe-assignment analysis (union over
+// predecessors). A read of a variable that is not even maybe-assigned is
+// the use-before-def lint finding.
 //
 // Dataflow edges are the intraprocedural ones: successor edges within the
 // procedure, excluding return edges (procedure exit → call-site exit) and
@@ -62,29 +59,45 @@ func forEachRead(n *ir.Node, f func(ir.VarID)) {
 type assignFlow struct {
 	p    *ir.Program
 	proc int
-	// vars are the procedure's own variables in VarID order; varPos maps a
-	// VarID to its bit position.
-	vars   []ir.VarID
-	varPos map[ir.VarID]int
-	nodes  []*ir.Node
-	pos    map[ir.NodeID]int
-	words  int
-	defIn  []uint64 // definitely-assigned at node entry, words per node
-	mayIn  []uint64 // maybe-assigned at node entry
+	// vars are the procedure's own variables in VarID order, a variable's
+	// bit position being its index; nodes are its nodes in arena order.
+	vars  []ir.VarID
+	nodes []*ir.Node
+	ix    *flowIndex
+	words int
+	mayIn []uint64 // maybe-assigned at node entry, words per node
 }
 
-// analyzeAssignments runs both assignment dataflows for one procedure.
-func analyzeAssignments(p *ir.Program, proc int) *assignFlow {
-	af := &assignFlow{p: p, proc: proc, varPos: make(map[ir.VarID]int), pos: make(map[ir.NodeID]int)}
+// flowIndex maps IDs to positions in one procedure's assignFlow lists. One
+// index serves every procedure of a pass run: analyzeAssignments rewrites
+// the entries of its own nodes and variables, and a lookup confirms the
+// position against the list, so an entry another procedure left never
+// matches.
+type flowIndex struct {
+	node []int32 // by NodeID
+	vr   []int32 // by VarID
+}
+
+func newFlowIndex(p *ir.Program) *flowIndex {
+	return &flowIndex{node: make([]int32, len(p.Nodes)), vr: make([]int32, len(p.Vars))}
+}
+
+// analyzeAssignments runs the assignment dataflow for one procedure.
+func analyzeAssignments(p *ir.Program, proc int, ix *flowIndex) *assignFlow {
+	af := &assignFlow{p: p, proc: proc, ix: ix}
 	for _, v := range p.Vars {
 		if v != nil && !v.IsGlobal() && v.Proc == proc {
-			af.varPos[v.ID] = len(af.vars)
+			if v.ID >= 0 && int(v.ID) < len(ix.vr) {
+				ix.vr[v.ID] = int32(len(af.vars))
+			}
 			af.vars = append(af.vars, v.ID)
 		}
 	}
 	for _, n := range p.Nodes {
 		if n != nil && n.Proc == proc {
-			af.pos[n.ID] = len(af.nodes)
+			if n.ID >= 0 && int(n.ID) < len(ix.node) {
+				ix.node[n.ID] = int32(len(af.nodes))
+			}
 			af.nodes = append(af.nodes, n)
 		}
 	}
@@ -92,29 +105,47 @@ func analyzeAssignments(p *ir.Program, proc int) *assignFlow {
 	if af.words == 0 || len(af.nodes) == 0 {
 		return af
 	}
-	af.defIn = make([]uint64, af.words*len(af.nodes))
 	af.mayIn = make([]uint64, af.words*len(af.nodes))
-	// Non-entry in-states start at the intersection identity (all ones) for
-	// the definite analysis and empty for the maybe analysis; entry nodes
-	// have no dataflow predecessors and keep empty in-states (their formals
-	// are transfer-function definitions).
-	for i, n := range af.nodes {
-		if n.Kind != ir.NEntry {
-			row := af.defIn[i*af.words : (i+1)*af.words]
-			for w := range row {
-				row[w] = ^uint64(0)
-			}
-		}
-	}
 	af.solve()
 	return af
+}
+
+// nodePos returns the position of the node with the given ID, the last one
+// when IDs repeat. Only a graph ir.Validate rejects has an ID outside the
+// arena; those are searched for.
+func (af *assignFlow) nodePos(id ir.NodeID) (int, bool) {
+	if id >= 0 && int(id) < len(af.ix.node) {
+		i := int(af.ix.node[id])
+		return i, i < len(af.nodes) && af.nodes[i].ID == id
+	}
+	for i := len(af.nodes) - 1; i >= 0; i-- {
+		if af.nodes[i].ID == id {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// varPos returns the bit position of the procedure's variable v, with the
+// same rules as nodePos.
+func (af *assignFlow) varPos(v ir.VarID) (int, bool) {
+	if v >= 0 && int(v) < len(af.ix.vr) {
+		i := int(af.ix.vr[v])
+		return i, i < len(af.vars) && af.vars[i] == v
+	}
+	for i := len(af.vars) - 1; i >= 0; i-- {
+		if af.vars[i] == v {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // defs collects the node's assigned bit positions: assignment and call-site
 // exit destinations, plus the formals at procedure entries.
 func (af *assignFlow) defs(n *ir.Node, emit func(pos int)) {
 	add := func(v ir.VarID) {
-		if pos, ok := af.varPos[v]; ok {
+		if pos, ok := af.varPos(v); ok {
 			emit(pos)
 		}
 	}
@@ -142,15 +173,14 @@ func (af *assignFlow) flowPreds(n *ir.Node, emit func(pos int)) {
 		if mn == nil || mn.Proc != af.proc || mn.Kind == ir.NExit {
 			continue // return edges are not local dataflow
 		}
-		if pos, ok := af.pos[m]; ok {
+		if pos, ok := af.nodePos(m); ok {
 			emit(pos)
 		}
 	}
 }
 
-// solve iterates both analyses to their fixpoints with round-robin sweeps
-// (the definite sets only shrink, the maybe sets only grow, so joint
-// iteration terminates).
+// solve iterates the analysis to its fixpoint with round-robin sweeps (the
+// sets only grow, so iteration terminates).
 func (af *assignFlow) solve() {
 	w := af.words
 	// Per-node def bitsets, computed once: out(n) = in(n) | defRow(n).
@@ -161,7 +191,6 @@ func (af *assignFlow) solve() {
 			row[pos/64] |= 1 << (pos % 64)
 		})
 	}
-	defOut := make([]uint64, w)
 	mayOut := make([]uint64, w)
 	for changed := true; changed; {
 		changed = false
@@ -169,31 +198,16 @@ func (af *assignFlow) solve() {
 			if n.Kind == ir.NEntry {
 				continue // boundary in-states stay empty
 			}
-			havePreds := false
-			for k := 0; k < w; k++ {
-				defOut[k] = ^uint64(0)
-				mayOut[k] = 0
-			}
+			clear(mayOut)
 			af.flowPreds(n, func(pp int) {
-				havePreds = true
-				dr := af.defIn[pp*w : (pp+1)*w]
 				mr := af.mayIn[pp*w : (pp+1)*w]
 				gen := defRows[pp*w : (pp+1)*w]
 				for k := 0; k < w; k++ {
-					defOut[k] &= dr[k] | gen[k]
 					mayOut[k] |= mr[k] | gen[k]
 				}
 			})
-			if !havePreds {
-				continue // orphan: keep the vacuous all-ones / empty states
-			}
-			drow := af.defIn[i*w : (i+1)*w]
 			mrow := af.mayIn[i*w : (i+1)*w]
 			for k := 0; k < w; k++ {
-				if nv := drow[k] & defOut[k]; nv != drow[k] {
-					drow[k] = nv
-					changed = true
-				}
 				if nv := mrow[k] | mayOut[k]; nv != mrow[k] {
 					mrow[k] = nv
 					changed = true
@@ -203,55 +217,17 @@ func (af *assignFlow) solve() {
 	}
 }
 
-func (af *assignFlow) bit(set []uint64, nodePos int, v ir.VarID) (bool, bool) {
-	pos, ok := af.varPos[v]
-	if !ok || set == nil {
-		return false, false
-	}
-	return set[nodePos*af.words+pos/64]&(1<<(pos%64)) != 0, true
-}
-
-// definitelyAssignedIn reports whether the procedure's variable is assigned
-// on every intraprocedural path reaching the node. The second result is
-// false when the variable does not belong to this procedure.
-func (af *assignFlow) definitelyAssignedIn(n ir.NodeID, v ir.VarID) (bool, bool) {
-	pos, ok := af.pos[n]
-	if !ok {
-		return false, false
-	}
-	return af.bit(af.defIn, pos, v)
-}
-
 // maybeAssignedIn reports whether any intraprocedural path reaching the
-// node assigns the variable.
+// node assigns the variable. The second result is false when the variable
+// does not belong to this procedure.
 func (af *assignFlow) maybeAssignedIn(n ir.NodeID, v ir.VarID) (bool, bool) {
-	pos, ok := af.pos[n]
+	i, ok := af.nodePos(n)
 	if !ok {
 		return false, false
 	}
-	return af.bit(af.mayIn, pos, v)
-}
-
-// forEachMayUndefRead calls f for every procedure variable with a read that
-// is not definitely preceded by an assignment — the variables whose SCCP
-// cell must include the interpreter's implicit zero. Procedure exits count
-// as implicit reads of the return variable.
-func (af *assignFlow) forEachMayUndefRead(f func(ir.VarID)) {
-	reported := make(map[ir.VarID]bool)
-	for _, n := range af.nodes {
-		check := func(v ir.VarID) {
-			if reported[v] {
-				return
-			}
-			def, owned := af.definitelyAssignedIn(n.ID, v)
-			if owned && !def {
-				reported[v] = true
-				f(v)
-			}
-		}
-		forEachRead(n, check)
-		if n.Kind == ir.NExit && n.Proc >= 0 && n.Proc < len(af.p.Procs) && af.p.Procs[n.Proc] != nil {
-			check(af.p.Procs[n.Proc].RetVar)
-		}
+	pos, ok := af.varPos(v)
+	if !ok || af.mayIn == nil {
+		return false, false
 	}
+	return af.mayIn[i*af.words+pos/64]&(1<<(pos%64)) != 0, true
 }

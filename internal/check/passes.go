@@ -3,6 +3,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"icbe/internal/ir"
 	"icbe/internal/pred"
@@ -49,32 +50,46 @@ func flattenErrors(err error) []error {
 	return []error{err}
 }
 
-// reachableFromEntries computes the per-procedure structural reachability
-// set: BFS from the procedure's entries over same-procedure successor
-// edges. This is exactly the rule restructure's pruning uses, so a node
-// outside the set after an apply is a node pruning should have removed.
-func reachableFromEntries(p *ir.Program, pr *ir.Proc) map[ir.NodeID]bool {
-	seen := make(map[ir.NodeID]bool)
-	var stack []ir.NodeID
+// reach computes per-procedure structural reachability sets: BFS from the
+// procedure's entries over same-procedure successor edges. This is exactly
+// the rule restructure's pruning uses, so a node outside the set after an
+// apply is a node pruning should have removed. One mark array serves every
+// procedure: a node is in the current set when its mark is the current
+// walk's number.
+type reach struct {
+	mark  []int32 // by NodeID
+	walk  int32
+	stack []ir.NodeID
+}
+
+func newReach(p *ir.Program) *reach { return &reach{mark: make([]int32, len(p.Nodes))} }
+
+// from replaces the set with the nodes reachable from pr's entries.
+func (r *reach) from(p *ir.Program, pr *ir.Proc) {
+	r.walk++
+	r.stack = r.stack[:0]
 	for _, e := range pr.Entries {
-		if p.Node(e) != nil && !seen[e] {
-			seen[e] = true
-			stack = append(stack, e)
+		if p.Node(e) != nil && r.mark[e] != r.walk {
+			r.mark[e] = r.walk
+			r.stack = append(r.stack, e)
 		}
 	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(r.stack) > 0 {
+		id := r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
 		for _, s := range p.Node(id).Succs {
 			sn := p.Node(s)
-			if sn == nil || sn.Proc != pr.Index || seen[s] {
+			if sn == nil || sn.Proc != pr.Index || r.mark[s] == r.walk {
 				continue
 			}
-			seen[s] = true
-			stack = append(stack, s)
+			r.mark[s] = r.walk
+			r.stack = append(r.stack, s)
 		}
 	}
-	return seen
+}
+
+func (r *reach) has(id ir.NodeID) bool {
+	return id >= 0 && int(id) < len(r.mark) && r.mark[id] == r.walk
 }
 
 // unreachablePass flags live nodes not reachable from their procedure's
@@ -87,13 +102,14 @@ func (unreachablePass) Name() string { return "unreachable-node" }
 func (unreachablePass) Kind() Kind   { return Invariant }
 func (unreachablePass) Run(cx *Context) []Finding {
 	var out []Finding
+	seen := newReach(cx.Prog)
 	for _, pr := range cx.Prog.Procs {
 		if pr == nil {
 			continue
 		}
-		seen := reachableFromEntries(cx.Prog, pr)
+		seen.from(cx.Prog, pr)
 		for _, n := range cx.Prog.ProcNodes(pr.Index) {
-			if !seen[n.ID] {
+			if !seen.has(n.ID) {
 				out = append(out, Finding{Pass: "unreachable-node", Node: n.ID, Line: n.Line,
 					Msg: fmt.Sprintf("node (%s) unreachable from proc %q entries", n.Kind, pr.Name)})
 			}
@@ -113,23 +129,26 @@ func (useBeforeDefPass) Name() string { return "use-before-def" }
 func (useBeforeDefPass) Kind() Kind   { return Invariant }
 func (useBeforeDefPass) Run(cx *Context) []Finding {
 	var out []Finding
+	ix := newFlowIndex(cx.Prog)
+	seen := newReach(cx.Prog)
+	var reportedHere []ir.VarID
 	for _, pr := range cx.Prog.Procs {
 		if pr == nil {
 			continue
 		}
-		af := analyzeAssignments(cx.Prog, pr.Index)
-		seen := reachableFromEntries(cx.Prog, pr)
+		af := analyzeAssignments(cx.Prog, pr.Index, ix)
+		seen.from(cx.Prog, pr)
 		for _, n := range af.nodes {
-			if !seen[n.ID] {
+			if !seen.has(n.ID) {
 				continue // unreachable nodes are the unreachable-node pass's finding
 			}
-			reportedHere := make(map[ir.VarID]bool)
+			reportedHere = reportedHere[:0]
 			forEachRead(n, func(v ir.VarID) {
 				may, owned := af.maybeAssignedIn(n.ID, v)
-				if !owned || may || reportedHere[v] {
+				if !owned || may || slices.Contains(reportedHere, v) {
 					return
 				}
-				reportedHere[v] = true
+				reportedHere = append(reportedHere, v)
 				name := fmt.Sprintf("v%d", int(v))
 				if v >= 0 && int(v) < len(cx.Prog.Vars) && cx.Prog.Vars[v] != nil {
 					name = cx.Prog.Vars[v].Name

@@ -307,6 +307,10 @@ type sccpRun struct {
 	queue    []ir.NodeID
 	head     int
 	inWL     []bool
+	// scratch holds the state process, processBranch or recomputeCE is
+	// building. Nothing keeps it: meetIn, feedCallHalf and convert copy what
+	// they store.
+	scratch []cell
 	// steps bounds worklist processing; exceeding the budget (possible only
 	// on adversarial graphs whose interval flows keep descending) flips
 	// saturated, the sound give-up state.
@@ -430,6 +434,13 @@ func (r *sccpRun) drain() {
 }
 
 func cloneCells(st []cell) []cell { return append([]cell(nil), st...) }
+
+// scratchCopy copies st into the run's scratch buffer, to be edited and
+// pushed before the next scratchCopy call.
+func (r *sccpRun) scratchCopy(st []cell) []cell {
+	r.scratch = append(r.scratch[:0], st...)
+	return r.scratch
+}
 
 // meetCells meets src into dst elementwise, reporting whether dst changed.
 // Aliases survive only when both sides agree; length mismatches (possible
@@ -731,14 +742,14 @@ func (r *sccpRun) process(id ir.NodeID) {
 	sp := r.spaceOf(n.Proc)
 	switch n.Kind {
 	case ir.NAssign:
-		out := cloneCells(st)
+		out := r.scratchCopy(st)
 		v, root := evalRHS(st, sp, n)
 		assign(out, sp, n.Dst, v, root)
 		r.pushAll(n, out, sp)
 	case ir.NBranch:
 		r.processBranch(n, st, sp)
 	case ir.NAssert:
-		out := cloneCells(st)
+		out := r.scratchCopy(st)
 		ok := true
 		if validOp(n.APred.Op) {
 			ok = refineGroup(out, sp, n.AVar, n.APred.Op, n.APred.C)
@@ -756,7 +767,7 @@ func (r *sccpRun) process(id ir.NodeID) {
 	case ir.NExit:
 		r.processExit(n, st, sp)
 	case ir.NCallExit:
-		out := cloneCells(st)
+		out := r.scratchCopy(st)
 		if n.Dst != ir.NoVar {
 			ret := bottom()
 			if ce := r.ces[id]; ce != nil && ce.hasExit {
@@ -785,7 +796,7 @@ func (r *sccpRun) processBranch(n *ir.Node, st []cell, sp *space) {
 	o := decideValues(n.CondOp, l, rv)
 	refinable := n.CondRHS.IsConst && validOp(n.CondOp)
 	if o != pred.False && len(n.Succs) > 0 {
-		out := cloneCells(st)
+		out := r.scratchCopy(st)
 		ok := true
 		if refinable {
 			ok = refineGroup(out, sp, n.CondVar, n.CondOp, n.CondRHS.Const)
@@ -795,7 +806,7 @@ func (r *sccpRun) processBranch(n *ir.Node, st []cell, sp *space) {
 		}
 	}
 	if o != pred.True && len(n.Succs) > 1 {
-		out := cloneCells(st)
+		out := r.scratchCopy(st)
 		ok := true
 		if refinable {
 			np := pred.Pred{Op: n.CondOp, C: n.CondRHS.Const}.Negate()
@@ -953,7 +964,7 @@ func (r *sccpRun) recomputeCE(ce *ir.Node) {
 	if ces == nil || !ces.hasCall || !ces.hasExit {
 		return
 	}
-	merged := cloneCells(ces.callSt)
+	merged := r.scratchCopy(ces.callSt)
 	for g := 0; g < r.nGlob && g < len(merged) && g < len(ces.exitGlb); g++ {
 		merged[g] = ces.exitGlb[g]
 	}

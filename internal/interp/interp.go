@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"icbe/internal/ir"
 )
@@ -70,18 +71,36 @@ func (e *RuntimeError) Error() string {
 // Unwrap exposes the categorizing sentinel, if any.
 func (e *RuntimeError) Unwrap() error { return e.Err }
 
+// frame is one activation. Its locals live in machine.stack from base on,
+// one slot per variable its procedure owns (machine.vars).
 type frame struct {
-	proc     int
+	proc     int32
+	base     int
 	callNode ir.NodeID // NCall node that created this frame; NoNode for main
-	vars     map[ir.VarID]int64
+	// foreign holds locals of other procedures, which only a graph
+	// ir.Validate rejects can reference; it is created on first write.
+	foreign map[ir.VarID]int64
+}
+
+// varLoc says where a variable lives: a global at globals[VarID], a local
+// at slot of its owning procedure's frames.
+type varLoc struct {
+	global bool
+	proc   int32 // owning procedure, -1 when it names none
+	slot   int32
 }
 
 type machine struct {
 	prog    *ir.Program
 	opts    Options
+	vars    []varLoc
 	globals []int64
+	size    []int32 // by procedure: frame size in slots
+	stack   []int64 // locals of every live frame, innermost last
 	heap    []int64
-	frames  []*frame
+	frames  []frame
+	counts  []int64 // by node ID, when Options.Profile
+	extra   map[ir.NodeID]int64
 	inPos   int
 	res     *Result
 }
@@ -92,38 +111,66 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	m := &machine{
 		prog:    p,
 		opts:    opts,
+		vars:    make([]varLoc, len(p.Vars)),
 		globals: make([]int64, len(p.Vars)),
 		heap:    make([]int64, 1), // heap[0] unused; 0 is the nil pointer
 		res:     &Result{},
 	}
-	if opts.Profile {
-		m.res.ExecCount = make(map[ir.NodeID]int64)
-	}
-	for _, v := range p.Vars {
-		if v.IsGlobal() {
+	m.size = make([]int32, len(p.Procs))
+	for i, v := range p.Vars {
+		loc := &m.vars[i]
+		switch {
+		case v.IsGlobal():
+			loc.global = true
 			m.globals[v.ID] = v.Init
+		case v.Proc >= 0 && v.Proc < len(p.Procs):
+			loc.proc, loc.slot = int32(v.Proc), m.size[v.Proc]
+			m.size[v.Proc]++
+		default:
+			loc.proc = -1
 		}
 	}
-	maxSteps := opts.MaxSteps
+	if opts.Profile {
+		m.counts = make([]int64, len(p.Nodes))
+	}
+	err := m.run()
+	if opts.Profile {
+		m.res.ExecCount = make(map[ir.NodeID]int64)
+		for id, c := range m.counts {
+			if c != 0 {
+				m.res.ExecCount[ir.NodeID(id)] = c
+			}
+		}
+		for id, c := range m.extra {
+			m.res.ExecCount[id] = c
+		}
+	}
+	return m.res, err
+}
+
+// run executes until main returns or a fault.
+func (m *machine) run() error {
+	p := m.prog
+	maxSteps := m.opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
 
 	main := p.Procs[p.MainProc]
-	m.frames = []*frame{{proc: p.MainProc, callNode: ir.NoNode, vars: make(map[ir.VarID]int64)}}
+	m.push(p.MainProc, ir.NoNode)
 	cur := p.Node(main.Entries[0])
 	var retVal int64 // value carried from an exit to its call-site exit
 
 	for {
 		if cur == nil {
-			return m.res, &RuntimeError{Node: ir.NoNode, Line: 0, Msg: "control reached a deleted node"}
+			return &RuntimeError{Node: ir.NoNode, Line: 0, Msg: "control reached a deleted node"}
 		}
 		m.res.Steps++
 		if m.res.Steps > maxSteps {
-			return m.res, &RuntimeError{Node: cur.ID, Line: cur.Line, Msg: "step limit exceeded", Err: ErrStepLimit}
+			return &RuntimeError{Node: cur.ID, Line: cur.Line, Msg: "step limit exceeded", Err: ErrStepLimit}
 		}
-		if m.res.ExecCount != nil {
-			m.res.ExecCount[cur.ID]++
+		if m.counts != nil {
+			m.count(cur.ID)
 		}
 		if cur.IsOperation() {
 			m.res.Operations++
@@ -137,7 +184,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 			// Asserts are compiler-established facts; a violation means the
 			// graph was miscompiled or incorrectly restructured.
 			if !cur.APred.Eval(m.read(cur.AVar)) {
-				return m.res, &RuntimeError{Node: cur.ID, Line: cur.Line,
+				return &RuntimeError{Node: cur.ID, Line: cur.Line,
 					Msg: fmt.Sprintf("internal: assertion %s %s violated (value %d)",
 						m.prog.VarName(cur.AVar), cur.APred, m.read(cur.AVar))}
 			}
@@ -146,7 +193,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		case ir.NAssign:
 			v, err := m.evalRHS(cur)
 			if err != nil {
-				return m.res, err
+				return err
 			}
 			m.write(cur.Dst, v)
 			cur = m.onlySucc(cur)
@@ -172,27 +219,33 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 			ptr := m.read(cur.Ptr)
 			idx := m.operand(cur.Idx)
 			if err := m.checkAddr(cur, ptr, idx); err != nil {
-				return m.res, err
+				return err
 			}
 			m.heap[ptr+idx] = m.operand(cur.Val)
 			cur = m.onlySucc(cur)
 
 		case ir.NCall:
 			callee := m.prog.Procs[cur.Callee]
-			nf := &frame{proc: cur.Callee, callNode: cur.ID, vars: make(map[ir.VarID]int64)}
+			m.push(cur.Callee, cur.ID)
+			caller := &m.frames[len(m.frames)-2]
 			for i, formal := range callee.Formals {
-				nf.vars[formal] = m.read(cur.Args[i])
+				x := m.readIn(caller, cur.Args[i])
+				// A global formal's frame entry would never be read: reads
+				// of a global go to globals.
+				if !m.vars[formal].global {
+					m.write(formal, x)
+				}
 			}
-			m.frames = append(m.frames, nf)
 			cur = m.prog.EntrySucc(cur)
 
 		case ir.NExit:
 			top := m.frames[len(m.frames)-1]
 			retVal = m.read(m.prog.Procs[top.proc].RetVar)
 			m.frames = m.frames[:len(m.frames)-1]
+			m.stack = m.stack[:top.base]
 			if top.callNode == ir.NoNode {
 				// main returned: program halts.
-				return m.res, nil
+				return nil
 			}
 			var ret *ir.Node
 			for _, s := range cur.Succs {
@@ -206,7 +259,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 				}
 			}
 			if ret == nil {
-				return m.res, &RuntimeError{Node: cur.ID, Line: cur.Line,
+				return &RuntimeError{Node: cur.ID, Line: cur.Line,
 					Msg: fmt.Sprintf("internal: exit of %s has no return point for call node %d",
 						m.prog.Procs[cur.Proc].Name, top.callNode)}
 			}
@@ -219,10 +272,31 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 			cur = m.onlySucc(cur)
 
 		default:
-			return m.res, &RuntimeError{Node: cur.ID, Line: cur.Line,
+			return &RuntimeError{Node: cur.ID, Line: cur.Line,
 				Msg: fmt.Sprintf("internal: unexecutable node kind %s", cur.Kind)}
 		}
 	}
+}
+
+// push opens a frame for proc with its slots zeroed.
+func (m *machine) push(proc int, callNode ir.NodeID) {
+	base, n := len(m.stack), int(m.size[proc])
+	m.stack = slices.Grow(m.stack, n)[:base+n]
+	clear(m.stack[base:])
+	m.frames = append(m.frames, frame{proc: int32(proc), base: base, callNode: callNode})
+}
+
+// count records one execution of node id. A node whose ID lies outside
+// the arena (only on a hand-corrupted graph) is counted in extra.
+func (m *machine) count(id ir.NodeID) {
+	if id >= 0 && int(id) < len(m.counts) {
+		m.counts[id]++
+		return
+	}
+	if m.extra == nil {
+		m.extra = make(map[ir.NodeID]int64)
+	}
+	m.extra[id]++
 }
 
 func (m *machine) onlySucc(n *ir.Node) *ir.Node {
@@ -232,19 +306,37 @@ func (m *machine) onlySucc(n *ir.Node) *ir.Node {
 	return m.prog.Node(n.Succs[0])
 }
 
+// read returns v's value in the innermost frame.
 func (m *machine) read(v ir.VarID) int64 {
-	if m.prog.Vars[v].IsGlobal() {
+	return m.readIn(&m.frames[len(m.frames)-1], v)
+}
+
+func (m *machine) readIn(f *frame, v ir.VarID) int64 {
+	loc := m.vars[v]
+	if loc.global {
 		return m.globals[v]
 	}
-	return m.frames[len(m.frames)-1].vars[v]
+	if loc.proc == f.proc {
+		return m.stack[f.base+int(loc.slot)]
+	}
+	return f.foreign[v]
 }
 
 func (m *machine) write(v ir.VarID, x int64) {
-	if m.prog.Vars[v].IsGlobal() {
+	loc := m.vars[v]
+	if loc.global {
 		m.globals[v] = x
 		return
 	}
-	m.frames[len(m.frames)-1].vars[v] = x
+	f := &m.frames[len(m.frames)-1]
+	if loc.proc == f.proc {
+		m.stack[f.base+int(loc.slot)] = x
+		return
+	}
+	if f.foreign == nil {
+		f.foreign = make(map[ir.VarID]int64)
+	}
+	f.foreign[v] = x
 }
 
 func (m *machine) operand(o ir.Operand) int64 {
