@@ -54,7 +54,7 @@ func main() {
 		workers     = flag.Int("workers", 2, "driver analysis workers per request")
 		drainTO     = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight work on SIGTERM before cooperative cancellation")
 		cacheSize   = flag.Int("cache-entries", 1024, "in-memory result cache entries; 0 disables the memory layer")
-		storeDir    = flag.String("store-dir", "", "durable result+summary store directory; empty disables the disk layer")
+		storeDir    = flag.String("store-dir", "", "durable result store directory; empty disables the disk layer")
 		batchItems  = flag.Int("max-batch-items", 16, "item cap per /optimize-batch request")
 	)
 	flag.Parse()

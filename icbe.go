@@ -199,8 +199,9 @@ type Options struct {
 	// Ctx cancels the optimization run early (nil = context.Background()).
 	Ctx context.Context
 	// SummaryMemo, when non-nil, replaces the run's internal summary memo:
-	// seed it with analysis.SummaryMemo.Inject to replay persisted
-	// procedure summaries, and harvest it with ExportPristine afterwards.
+	// keep it warm across runs, seed it with analysis.SummaryMemo.Inject
+	// to replay another run's procedure summaries, and harvest it with
+	// ExportPristine afterwards.
 	// A replayed summary is pair-for-pair identical to a fresh propagation,
 	// so the optimized program and report are unchanged (the memo hit
 	// counters aside). Only the interprocedural analysis has summaries. The

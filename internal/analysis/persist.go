@@ -14,9 +14,9 @@ import (
 // working on the same program. The types below are the wire form: they carry
 // exactly the fields replaySNE needs, with no pooled pointers. Node and var
 // IDs are in the coordinate system of the program the records were computed
-// against; the store translates them through ir.ProgramHash canonical
-// orderings when moving records between processes, and Inject validates
-// every reference against the receiving program before accepting anything
+// against, so they replay only into that program (or a copy with the same
+// numbering, such as a recompile of the same source). Inject validates every
+// reference against the receiving program before accepting anything
 // (verify-on-read: a corrupted or stale record is dropped, never replayed).
 
 // PortableKey identifies a summary node entry: the procedure exit and the

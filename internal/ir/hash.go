@@ -13,105 +13,14 @@ type Sum [32]byte
 // Hex returns the lowercase hex encoding of the sum.
 func (s Sum) Hex() string { return hex.EncodeToString(s[:]) }
 
-// ProcHash carries the content identity of one procedure: a Local hash over
-// its own nodes, edges, and operands (independent of names, source lines,
-// arena IDs, and callee identity) and a Closure hash that additionally folds
-// in the closure hashes of every callee, so two procedures share a Closure
-// only when their whole call trees are structurally identical. The canonical
-// node and variable orders used to compute the hash are retained so callers
-// can translate node/var references between any two procedures that share a
-// Closure (the summary store persists records in canonical coordinates).
-type ProcHash struct {
-	Index   int
-	Local   Sum
-	Closure Sum
-
-	nodes   []NodeID // canonical order
-	nodeIdx map[NodeID]int32
-	vars    []VarID // canonical order, proc-owned only
-	varIdx  map[VarID]int32
-	callees []int // callee proc indices in first-appearance (slot) order
-}
-
-// NodeCount returns the number of live nodes in the procedure.
-func (ph *ProcHash) NodeCount() int { return len(ph.nodes) }
-
-// NodeAt returns the NodeID at the given canonical index.
-func (ph *ProcHash) NodeAt(i int32) (NodeID, bool) {
-	if i < 0 || int(i) >= len(ph.nodes) {
-		return NoNode, false
-	}
-	return ph.nodes[i], true
-}
-
-// NodeIndex returns the canonical index of a node of this procedure.
-func (ph *ProcHash) NodeIndex(id NodeID) (int32, bool) {
-	i, ok := ph.nodeIdx[id]
-	return i, ok
-}
-
-// VarCount returns the number of procedure-owned variables.
-func (ph *ProcHash) VarCount() int { return len(ph.vars) }
-
-// VarAt returns the VarID at the given canonical index.
-func (ph *ProcHash) VarAt(i int32) (VarID, bool) {
-	if i < 0 || int(i) >= len(ph.vars) {
-		return NoVar, false
-	}
-	return ph.vars[i], true
-}
-
-// VarIndex returns the canonical index of a procedure-owned variable.
-func (ph *ProcHash) VarIndex(id VarID) (int32, bool) {
-	i, ok := ph.varIdx[id]
-	return i, ok
-}
-
 // ProgramHash is the canonical, order-independent content hash of a whole
-// program plus the per-procedure tables needed to remap references.
+// program.
 type ProgramHash struct {
 	// Sum identifies the program content: main procedure closure, the
 	// multiset of all procedure closures, and the global variable
 	// signatures. It is independent of procedure/local names, source lines,
 	// arena numbering, and declaration order.
 	Sum Sum
-
-	procs     []*ProcHash
-	globals   []VarID // sorted by name
-	globalIdx map[VarID]int32
-	byClosure map[Sum]*ProcHash
-}
-
-// NumProcs returns the number of procedures.
-func (h *ProgramHash) NumProcs() int { return len(h.procs) }
-
-// Proc returns the hash tables for the procedure with the given index.
-func (h *ProgramHash) Proc(i int) *ProcHash {
-	if i < 0 || i >= len(h.procs) {
-		return nil
-	}
-	return h.procs[i]
-}
-
-// ByClosure returns the first procedure (lowest index) whose Closure matches.
-func (h *ProgramHash) ByClosure(sum Sum) *ProcHash { return h.byClosure[sum] }
-
-// GlobalCount returns the number of global variables.
-func (h *ProgramHash) GlobalCount() int { return len(h.globals) }
-
-// GlobalAt returns the VarID of the global at the given canonical index
-// (globals are ordered by name).
-func (h *ProgramHash) GlobalAt(i int32) (VarID, bool) {
-	if i < 0 || int(i) >= len(h.globals) {
-		return NoVar, false
-	}
-	return h.globals[i], true
-}
-
-// GlobalIndex returns the canonical index of a global variable.
-func (h *ProgramHash) GlobalIndex(id VarID) (int32, bool) {
-	i, ok := h.globalIdx[id]
-	return i, ok
 }
 
 // hasher wraps a SHA-256 stream with primitive writers. Every write is
@@ -166,29 +75,22 @@ func (w *hasher) sum() Sum {
 // Closure hashes are the fixpoint of folding callee closures into the local
 // hash, which distinguishes procedures by their entire call tree while
 // remaining well-defined for recursion.
-func HashProgram(p *Program) *ProgramHash {
-	h := &ProgramHash{
-		globalIdx: make(map[VarID]int32),
-		byClosure: make(map[Sum]*ProcHash),
-	}
-
+func HashProgram(p *Program) ProgramHash {
 	// Global table: sorted by name (ties broken by ID for determinism in the
 	// face of duplicate names, which sema rejects anyway).
+	var globals []*Var
 	for _, v := range p.Vars {
 		if v != nil && v.IsGlobal() {
-			h.globals = append(h.globals, v.ID)
+			globals = append(globals, v)
 		}
 	}
-	sort.Slice(h.globals, func(i, j int) bool {
-		a, b := p.Var(h.globals[i]), p.Var(h.globals[j])
+	sort.Slice(globals, func(i, j int) bool {
+		a, b := globals[i], globals[j]
 		if a.Name != b.Name {
 			return a.Name < b.Name
 		}
 		return a.ID < b.ID
 	})
-	for i, id := range h.globals {
-		h.globalIdx[id] = int32(i)
-	}
 
 	// Bucket live nodes by owning procedure once (ProcNodes per proc is
 	// quadratic in arena size).
@@ -199,30 +101,28 @@ func HashProgram(p *Program) *ProgramHash {
 		}
 	}
 
-	h.procs = make([]*ProcHash, len(p.Procs))
+	n := len(p.Procs)
+	local := make([]Sum, n)
+	callees := make([][]int, n)
 	for i, pr := range p.Procs {
-		h.procs[i] = hashProc(p, pr, procNodes[i], h)
+		local[i], callees[i] = hashProc(p, pr, procNodes[i])
 	}
+	cl := local
 
 	// Closure fixpoint: iterate until the equality partition over closure
 	// sums stabilizes (color refinement converges in ≤ numProcs rounds; the
 	// cap is a safety net).
-	n := len(h.procs)
-	cl := make([]Sum, n)
-	for i, ph := range h.procs {
-		cl[i] = ph.Local
-	}
 	maxIter := n + 2
 	if maxIter > 64 {
 		maxIter = 64
 	}
 	for it := 0; it < maxIter; it++ {
 		next := make([]Sum, n)
-		for i, ph := range h.procs {
+		for i := range next {
 			w := newHasher()
 			w.str("icbe-closure-v1")
-			w.h.Write(ph.Local[:])
-			for _, callee := range ph.callees {
+			w.h.Write(local[i][:])
+			for _, callee := range callees[i] {
 				if callee >= 0 && callee < n {
 					w.h.Write(cl[callee][:])
 				} else {
@@ -238,19 +138,13 @@ func HashProgram(p *Program) *ProgramHash {
 		}
 		cl = next
 	}
-	for i, ph := range h.procs {
-		ph.Closure = cl[i]
-		if _, dup := h.byClosure[ph.Closure]; !dup {
-			h.byClosure[ph.Closure] = ph
-		}
-	}
 
 	// Program sum: main closure, sorted closure multiset, global signatures.
 	w := newHasher()
 	w.str("icbe-program-v1")
-	w.i32(int32(len(h.procs)))
-	if p.MainProc >= 0 && p.MainProc < len(h.procs) {
-		w.h.Write(h.procs[p.MainProc].Closure[:])
+	w.i32(int32(n))
+	if p.MainProc >= 0 && p.MainProc < n {
+		w.h.Write(cl[p.MainProc][:])
 	}
 	sorted := make([]Sum, len(cl))
 	copy(sorted, cl)
@@ -265,14 +159,12 @@ func HashProgram(p *Program) *ProgramHash {
 	for _, s := range sorted {
 		w.h.Write(s[:])
 	}
-	w.i32(int32(len(h.globals)))
-	for _, id := range h.globals {
-		v := p.Var(id)
+	w.i32(int32(len(globals)))
+	for _, v := range globals {
 		w.str(v.Name)
 		w.i64(v.Init)
 	}
-	h.Sum = w.sum()
-	return h
+	return ProgramHash{Sum: w.sum()}
 }
 
 // samePartition reports whether two sum slices induce the same equality
@@ -296,17 +188,38 @@ func samePartition(a, b []Sum) bool {
 	return true
 }
 
-func hashProc(p *Program, pr *Proc, nodes []*Node, prog *ProgramHash) *ProcHash {
-	ph := &ProcHash{
-		Index:   pr.Index,
+// procWalk holds one procedure's canonical coordinates while its local hash
+// is written: node and variable indices, and the call-appearance slot of
+// each callee.
+type procWalk struct {
+	p       *Program
+	pr      *Proc
+	nodeIdx map[NodeID]int32
+	varIdx  map[VarID]int32
+	slot    map[int]int
+}
+
+// hashProc returns a procedure's Local hash — over its own nodes, edges, and
+// operands, independent of names, source lines, arena IDs, and callee
+// identity — and its callee proc indices in slot order, which the closure
+// fixpoint folds in.
+func hashProc(p *Program, pr *Proc, nodes []*Node) (Sum, []int) {
+	c := &procWalk{
+		p:       p,
+		pr:      pr,
 		nodeIdx: make(map[NodeID]int32, len(nodes)),
 		varIdx:  make(map[VarID]int32),
+		slot:    make(map[int]int),
 	}
 
 	// Canonical node order: DFS from entries in declared order, successor
 	// order preserved, then any remaining proc nodes in ID order so every
 	// live node gets a coordinate.
-	seen := make(map[NodeID]bool, len(nodes))
+	order := make([]NodeID, 0, len(nodes))
+	addNode := func(id NodeID) {
+		c.nodeIdx[id] = int32(len(order))
+		order = append(order, id)
+	}
 	var stack []NodeID
 	for i := len(pr.Entries) - 1; i >= 0; i-- {
 		stack = append(stack, pr.Entries[i])
@@ -314,37 +227,37 @@ func hashProc(p *Program, pr *Proc, nodes []*Node, prog *ProgramHash) *ProcHash 
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] {
+		if _, seen := c.nodeIdx[id]; seen {
 			continue
 		}
 		n := p.Node(id)
 		if n == nil || n.Proc != pr.Index {
 			continue
 		}
-		seen[id] = true
-		ph.nodeIdx[id] = int32(len(ph.nodes))
-		ph.nodes = append(ph.nodes, id)
+		addNode(id)
 		for i := len(n.Succs) - 1; i >= 0; i-- {
 			s := n.Succs[i]
-			if sn := p.Node(s); sn != nil && sn.Proc == pr.Index && !seen[s] {
-				stack = append(stack, s)
+			if _, seen := c.nodeIdx[s]; !seen {
+				if sn := p.Node(s); sn != nil && sn.Proc == pr.Index {
+					stack = append(stack, s)
+				}
 			}
 		}
 	}
-	rest := make([]NodeID, 0)
+	var rest []NodeID
 	for _, n := range nodes {
-		if !seen[n.ID] {
+		if _, seen := c.nodeIdx[n.ID]; !seen {
 			rest = append(rest, n.ID)
 		}
 	}
 	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
 	for _, id := range rest {
-		ph.nodeIdx[id] = int32(len(ph.nodes))
-		ph.nodes = append(ph.nodes, id)
+		addNode(id)
 	}
 
 	// Canonical var order: formals, return variable, then first reference in
-	// canonical node order, then any remaining proc-owned vars by ID.
+	// canonical node order. Only referenced variables are ever hashed, so
+	// unreferenced proc-owned ones need no index.
 	addVar := func(id VarID) {
 		if id == NoVar {
 			return
@@ -353,52 +266,31 @@ func hashProc(p *Program, pr *Proc, nodes []*Node, prog *ProgramHash) *ProcHash 
 		if v.IsGlobal() || v.Proc != pr.Index {
 			return
 		}
-		if _, ok := ph.varIdx[id]; ok {
-			return
+		if _, ok := c.varIdx[id]; !ok {
+			c.varIdx[id] = int32(len(c.varIdx))
 		}
-		ph.varIdx[id] = int32(len(ph.vars))
-		ph.vars = append(ph.vars, id)
 	}
 	for _, f := range pr.Formals {
 		addVar(f)
 	}
 	addVar(pr.RetVar)
 	var refs []VarID
-	for _, id := range ph.nodes {
+	for _, id := range order {
 		refs = appendNodeVarRefs(p.Node(id), refs[:0])
 		for _, v := range refs {
 			addVar(v)
 		}
 	}
-	var ownedRest []VarID
-	for _, v := range p.Vars {
-		if v != nil && !v.IsGlobal() && v.Proc == pr.Index {
-			if _, ok := ph.varIdx[v.ID]; !ok {
-				ownedRest = append(ownedRest, v.ID)
-			}
-		}
-	}
-	sort.Slice(ownedRest, func(i, j int) bool { return ownedRest[i] < ownedRest[j] })
-	for _, id := range ownedRest {
-		ph.varIdx[id] = int32(len(ph.vars))
-		ph.vars = append(ph.vars, id)
-	}
 
 	// Callee slots: first call appearance in canonical node order.
-	slot := make(map[int]int)
-	calleeSlot := func(c int) int {
-		if s, ok := slot[c]; ok {
-			return s
-		}
-		s := len(ph.callees)
-		slot[c] = s
-		ph.callees = append(ph.callees, c)
-		return s
-	}
-	for _, id := range ph.nodes {
+	var callees []int
+	for _, id := range order {
 		n := p.Node(id)
 		if n.Kind == NCall || n.Kind == NCallExit {
-			calleeSlot(n.Callee)
+			if _, ok := c.slot[n.Callee]; !ok {
+				c.slot[n.Callee] = len(callees)
+				callees = append(callees, n.Callee)
+			}
 		}
 	}
 
@@ -406,21 +298,20 @@ func hashProc(p *Program, pr *Proc, nodes []*Node, prog *ProgramHash) *ProcHash 
 	w := newHasher()
 	w.str("icbe-proc-v1")
 	w.i32(int32(len(pr.Formals)))
-	writeVarRef(w, p, ph, prog, pr.RetVar)
+	c.varRef(w, pr.RetVar)
 	w.i32(int32(len(pr.Entries)))
 	for _, e := range pr.Entries {
-		w.i32(ph.nodeIdx[e])
+		w.i32(c.nodeIdx[e])
 	}
 	w.i32(int32(len(pr.Exits)))
 	for _, e := range pr.Exits {
-		w.i32(ph.nodeIdx[e])
+		w.i32(c.nodeIdx[e])
 	}
-	w.i32(int32(len(ph.nodes)))
-	for _, id := range ph.nodes {
-		hashNode(w, p, ph, prog, pr, slot, p.Node(id))
+	w.i32(int32(len(order)))
+	for _, id := range order {
+		c.node(w, p.Node(id))
 	}
-	ph.Local = w.sum()
-	return ph
+	return w.sum(), callees
 }
 
 // appendNodeVarRefs appends the variables a node references, in a fixed
@@ -473,22 +364,22 @@ func appendNodeVarRefs(n *Node, dst []VarID) []VarID {
 	return dst
 }
 
-// writeVarRef hashes a variable reference in canonical coordinates: locals
+// varRef hashes a variable reference in canonical coordinates: locals
 // by canonical index, globals by (name, init) signature — global identity is
 // part of program meaning, local names are not.
-func writeVarRef(w *hasher, p *Program, ph *ProcHash, prog *ProgramHash, id VarID) {
+func (c *procWalk) varRef(w *hasher, id VarID) {
 	if id == NoVar {
 		w.u8(0xFF)
 		return
 	}
-	v := p.Var(id)
+	v := c.p.Var(id)
 	if v.IsGlobal() {
 		w.u8('g')
 		w.str(v.Name)
 		w.i64(v.Init)
 		return
 	}
-	if i, ok := ph.varIdx[id]; ok {
+	if i, ok := c.varIdx[id]; ok {
 		w.u8('l')
 		w.i32(i)
 		return
@@ -499,16 +390,17 @@ func writeVarRef(w *hasher, p *Program, ph *ProcHash, prog *ProgramHash, id VarI
 	w.i32(int32(id))
 }
 
-func writeOperand(w *hasher, p *Program, ph *ProcHash, prog *ProgramHash, o Operand) {
+func (c *procWalk) operand(w *hasher, o Operand) {
 	if o.IsConst {
 		w.u8('c')
 		w.i64(o.Const)
 		return
 	}
-	writeVarRef(w, p, ph, prog, o.Var)
+	c.varRef(w, o.Var)
 }
 
-func hashNode(w *hasher, p *Program, ph *ProcHash, prog *ProgramHash, pr *Proc, slot map[int]int, n *Node) {
+func (c *procWalk) node(w *hasher, n *Node) {
+	p, pr := c.p, c.pr
 	w.u8(uint8(n.Kind))
 	if n.Synthetic {
 		w.u8(1)
@@ -517,26 +409,26 @@ func hashNode(w *hasher, p *Program, ph *ProcHash, prog *ProgramHash, pr *Proc, 
 	}
 	switch n.Kind {
 	case NAssign:
-		writeVarRef(w, p, ph, prog, n.Dst)
+		c.varRef(w, n.Dst)
 		w.u8(uint8(n.RHS.Kind))
 		switch n.RHS.Kind {
 		case RConst:
 			w.i64(n.RHS.Const)
 		case RCopy, RNeg, RByte:
-			writeVarRef(w, p, ph, prog, n.RHS.Src)
+			c.varRef(w, n.RHS.Src)
 		case RBinop:
 			w.u8(uint8(n.RHS.Op))
-			writeOperand(w, p, ph, prog, n.RHS.A)
-			writeOperand(w, p, ph, prog, n.RHS.B)
+			c.operand(w, n.RHS.A)
+			c.operand(w, n.RHS.B)
 		case RLoad:
-			writeVarRef(w, p, ph, prog, n.RHS.Src)
-			writeOperand(w, p, ph, prog, n.RHS.A)
+			c.varRef(w, n.RHS.Src)
+			c.operand(w, n.RHS.A)
 		case RAlloc:
-			writeOperand(w, p, ph, prog, n.RHS.A)
+			c.operand(w, n.RHS.A)
 		}
 	case NCallExit:
-		writeVarRef(w, p, ph, prog, n.Dst)
-		w.i32(int32(slot[n.Callee]))
+		c.varRef(w, n.Dst)
+		w.i32(int32(c.slot[n.Callee]))
 		// Which exits of the callee feed this call-site exit (significant
 		// after exit splitting). Positions are sorted: pred order is not.
 		var exits []int32
@@ -559,25 +451,25 @@ func hashNode(w *hasher, p *Program, ph *ProcHash, prog *ProgramHash, pr *Proc, 
 			w.i32(e)
 		}
 	case NCall:
-		w.i32(int32(slot[n.Callee]))
+		w.i32(int32(c.slot[n.Callee]))
 		w.i32(int32(len(n.Args)))
 		for _, a := range n.Args {
-			writeVarRef(w, p, ph, prog, a)
+			c.varRef(w, a)
 		}
 	case NBranch:
-		writeVarRef(w, p, ph, prog, n.CondVar)
+		c.varRef(w, n.CondVar)
 		w.u8(uint8(n.CondOp))
-		writeOperand(w, p, ph, prog, n.CondRHS)
+		c.operand(w, n.CondRHS)
 	case NAssert:
-		writeVarRef(w, p, ph, prog, n.AVar)
+		c.varRef(w, n.AVar)
 		w.u8(uint8(n.APred.Op))
 		w.i64(n.APred.C)
 	case NStore:
-		writeVarRef(w, p, ph, prog, n.Ptr)
-		writeOperand(w, p, ph, prog, n.Idx)
-		writeOperand(w, p, ph, prog, n.Val)
+		c.varRef(w, n.Ptr)
+		c.operand(w, n.Idx)
+		c.operand(w, n.Val)
 	case NPrint:
-		writeOperand(w, p, ph, prog, n.Val)
+		c.operand(w, n.Val)
 	}
 	// Successors: same-proc edges by canonical index in order (branch arm
 	// order is significant); the edge into a callee entry by callee slot and
@@ -592,10 +484,10 @@ func hashNode(w *hasher, p *Program, ph *ProcHash, prog *ProgramHash, pr *Proc, 
 		}
 		if sn.Proc == pr.Index {
 			w.u8('s')
-			w.i32(ph.nodeIdx[s])
+			w.i32(c.nodeIdx[s])
 		} else if sn.Kind == NEntry && sn.Proc >= 0 && sn.Proc < len(p.Procs) {
 			w.u8('e')
-			w.i32(int32(slot[sn.Proc]))
+			w.i32(int32(c.slot[sn.Proc]))
 			pos := int32(-1)
 			for i, e := range p.Procs[sn.Proc].Entries {
 				if e == s {

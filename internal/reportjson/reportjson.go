@@ -24,7 +24,6 @@ type Report struct {
 	OperationsBefore int              `json:"operations_before"`
 	OperationsAfter  int              `json:"operations_after"`
 	Truncated        bool             `json:"truncated"`
-	Failures         map[string]int   `json:"failures,omitempty"`
 	Stats            icbe.DriverStats `json:"stats"`
 	Conditionals     []CondReport     `json:"conditionals,omitempty"`
 }
@@ -56,7 +55,6 @@ func FromReport(r *icbe.Report) *Report {
 		OperationsBefore: r.OperationsBefore,
 		OperationsAfter:  r.OperationsAfter,
 		Truncated:        r.Truncated,
-		Failures:         r.Stats.Failures,
 		Stats:            r.Stats,
 	}
 	for _, c := range r.Conditionals {

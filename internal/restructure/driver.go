@@ -78,9 +78,10 @@ type DriverOptions struct {
 	// failure and left unoptimized; the driver moves on.
 	BranchTimeout time.Duration
 	// Memo, when non-nil, is used as the run's summary memo instead of a
-	// fresh one, letting a caller seed the run with records replayed from a
-	// persisted store (analysis.SummaryMemo.Inject) and harvest the run's
-	// own pristine records afterwards (ExportPristine). The driver still
+	// fresh one, letting a caller keep one memo warm across runs (for
+	// example a re-analysis after an edit, as icbe-bench -stress does), seed
+	// it through analysis.SummaryMemo.Inject, or harvest the run's pristine
+	// records afterwards (ExportPristine). The driver still
 	// owns the commit points. Ignored unless the analysis options enable
 	// summary memoization. The memo must not be shared between concurrent
 	// driver runs.

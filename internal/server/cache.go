@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"icbe"
-	"icbe/internal/analysis"
 	"icbe/internal/ir"
 	"icbe/internal/reportjson"
 	"icbe/internal/store"
@@ -99,9 +98,7 @@ func buildBody(r *attemptResult, req *OptimizeRequest) []byte {
 
 // cacheable reports whether a result may enter the store and be published to
 // singleflight waiters: full tier only (a passthrough may be an artifact of
-// this request's deadline) and untruncated. A run whose memo was seeded —
-// through Inject from the store, or equivalently through SeedRecords — is
-// still a full result with byte-identical bytes, so it caches.
+// this request's deadline) and untruncated.
 func cacheable(r *attemptResult) bool {
 	return r.tier == TierFull && r.report != nil && !r.report.Truncated
 }
@@ -117,38 +114,16 @@ func writeRaw(w http.ResponseWriter, status int, body []byte, cacheStatus string
 	_, _ = w.Write(body)
 }
 
-// cacheKeys computes the L2 result key for a compiled program.
-func cacheKeys(prog *icbe.Program, fp store.Fingerprint) (store.ResultKey, *ir.ProgramHash) {
+// cacheKey computes the L2 result key for a compiled program.
+func cacheKey(prog *icbe.Program, fp store.Fingerprint) store.ResultKey {
 	g := prog.Graph()
-	ph := ir.HashProgram(g)
-	return store.KeyForProgram(ph.Sum, sha256.Sum256(ir.EncodeProgram(g)), fp), ph
+	return store.KeyForProgram(ir.HashProgram(g).Sum, sha256.Sum256(ir.EncodeProgram(g)), fp)
 }
 
-// summaryMemo builds one request's summary memo, seeded from the durable
-// store when one is attached (nil without a store).
-func (s *Server) summaryMemo(prog *icbe.Program, ph *ir.ProgramHash, base icbe.Options) *analysis.SummaryMemo {
-	if s.store == nil {
-		return nil
-	}
-	m := analysis.NewSummaryMemo()
-	if s.store.DiskEnabled() {
-		sfp := store.NewSummaryFingerprint(base.ArithSubst, base.ModSummaries)
-		s.store.LoadSummaries(prog.Graph(), ph, sfp, m)
-	}
-	return m
-}
-
-// persistResult records a cacheable result in the store: the body, the
-// optimized program for verify-on-read, the L1 mapping, and the pristine
-// summary records of the memo the request ran with (base.SummaryMemo).
-func (s *Server) persistResult(prog *icbe.Program, ph *ir.ProgramHash, key store.ResultKey, base icbe.Options, r *attemptResult, body []byte) *store.Entry {
+// persistResult records a cacheable result in the store: the body and the
+// optimized program for verify-on-read.
+func (s *Server) persistResult(key store.ResultKey, r *attemptResult, body []byte) *store.Entry {
 	ent := &store.Entry{Body: body, Prog: ir.EncodeProgram(r.prog.Graph())}
 	s.store.PutResult(key, ent)
-	if base.SummaryMemo != nil {
-		sfp := store.NewSummaryFingerprint(base.ArithSubst, base.ModSummaries)
-		if recs := base.SummaryMemo.ExportPristine(); len(recs) > 0 {
-			s.store.SaveSummaries(prog.Graph(), ph, sfp, recs)
-		}
-	}
 	return ent
 }

@@ -2,10 +2,15 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,11 +143,11 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestCacheSummaryWarmPath exercises the second-level warmth: a different
-// request shape for the same program misses the result cache but replays the
-// persisted procedure summaries, and still produces the exact body a fresh
-// server would.
-func TestCacheSummaryWarmPath(t *testing.T) {
+// TestCacheNewShapeMisses checks the fingerprint half of the result key: a
+// different request shape for an already cached program misses the cache,
+// and the compute it falls through to produces the exact body a fresh server
+// would.
+func TestCacheNewShapeMisses(t *testing.T) {
 	dir := t.TempDir()
 	_, cts := newTestService(t, Config{
 		CacheEntries: 64, StoreDir: dir,
@@ -155,21 +160,83 @@ func TestCacheSummaryWarmPath(t *testing.T) {
 	if status, body, _ := postHdr(t, cts.URL, OptimizeRequest{Program: w.Source}); status != http.StatusOK {
 		t.Fatalf("populate: %d %s", status, body)
 	}
-	// Different shape (adds a run): result-cache miss, summary-store warm.
+	// Different shape (adds a run): result-cache miss.
 	req := OptimizeRequest{Program: w.Source, Input: w.Train}
-	status, warm, hdr := postHdr(t, cts.URL, req)
+	status, got, hdr := postHdr(t, cts.URL, req)
 	if status != http.StatusOK {
-		t.Fatalf("warm: %d", status)
+		t.Fatalf("new shape: %d", status)
 	}
 	if got := hdr.Get("X-Icbe-Cache"); got != "miss" {
-		t.Fatalf("warm run cache status %q, want miss (different fingerprint)", got)
+		t.Fatalf("new shape cache status %q, want miss (different fingerprint)", got)
 	}
 	status, fresh, _ := postHdr(t, fts.URL, req)
 	if status != http.StatusOK {
 		t.Fatalf("fresh: %d", status)
 	}
-	if !bytes.Equal(warm, fresh) {
-		t.Error("summary-seeded compute produced different bytes than a cold compute")
+	if !bytes.Equal(got, fresh) {
+		t.Error("new-shape compute produced different bytes than a cache-less server")
+	}
+}
+
+// TestStoreIgnoresSummaryEntries opens the service on a store directory
+// written by a version that also persisted procedure summaries
+// (sum-<closure>-<options>.json entries under an "icbestore1 summaries"
+// header). Those files are neither read nor quarantined: results compute,
+// persist and serve from disk exactly as in an empty directory, with bodies
+// byte-identical to a cache-less server's.
+func TestStoreIgnoresSummaryEntries(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte(`{"version":1,"options":"11","records":[]}`)
+	sum := sha256.Sum256(payload)
+	old := map[string][]byte{
+		// A well-formed old summary entry.
+		"sum-" + strings.Repeat("ab", sha256.Size) + "-11.json": append([]byte(fmt.Sprintf("icbestore1 summaries %x %d\n", sum, len(payload))), payload...),
+		// A torn one: its checksum no longer matches.
+		"sum-" + strings.Repeat("cd", sha256.Size) + "-10.json": append([]byte(fmt.Sprintf("icbestore1 summaries %x %d\n", sum, len(payload))), payload[:8]...),
+	}
+	for name, raw := range old {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, fts := newTestService(t, Config{DefaultDeadline: maxTestDeadline, MaxDeadline: maxTestDeadline})
+
+	// Two processes on the same directory: the first computes and persists,
+	// the second (memory layer off) must serve from disk.
+	for _, pass := range []struct{ name, cache string }{{"first", "miss"}, {"restart", "hit-disk"}} {
+		s, ts := newTestService(t, Config{
+			StoreDir:        dir,
+			DefaultDeadline: maxTestDeadline, MaxDeadline: maxTestDeadline,
+		})
+		for _, name := range []string{"stdio", "lisp"} {
+			w := progs.ByName(name)
+			req := OptimizeRequest{Program: w.Source, Input: w.Train}
+			status, body, hdr := postHdr(t, ts.URL, req)
+			if status != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", pass.name, name, status, body)
+			}
+			if got := hdr.Get("X-Icbe-Cache"); got != pass.cache {
+				t.Fatalf("%s %s: cache status %q, want %q", pass.name, name, got, pass.cache)
+			}
+			if _, fresh, _ := postHdr(t, fts.URL, req); !bytes.Equal(body, fresh) {
+				t.Errorf("%s %s: body differs from a cache-less server", pass.name, name)
+			}
+		}
+		st := s.Stats().Store
+		if st == nil || !st.DiskEnabled {
+			t.Fatalf("%s: store block %+v, want the disk layer enabled", pass.name, st)
+		}
+		if st.Quarantined != 0 || st.IOErrors != 0 || st.SummariesLoaded != 0 || st.SummariesSaved != 0 {
+			t.Fatalf("%s: store counters %+v, want no quarantine, I/O error or summary traffic", pass.name, st)
+		}
+	}
+	for name, raw := range old {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, raw) {
+			t.Errorf("old summary entry %s was moved or rewritten (err %v)", name, err)
+		}
+	}
+	if q, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(q) != 0 {
+		t.Errorf("quarantine holds %d files (err %v), want none", len(q), err)
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"icbe"
-	"icbe/internal/ir"
 	"icbe/internal/reportjson"
 	"icbe/internal/store"
 )
@@ -386,11 +385,10 @@ func (s *Server) serveOne(parent context.Context, req *OptimizeRequest) serveOut
 	// as different source layouts coalesce here. On a miss, join the
 	// singleflight so a stampede on one key computes once.
 	var l2 store.ResultKey
-	var ph *ir.ProgramHash
 	var flight *store.Flight
 	leader := false
 	if s.store != nil {
-		l2, ph = cacheKeys(prog, fp)
+		l2 = cacheKey(prog, fp)
 		s.store.MapSource(l1, l2)
 		if ent, src := s.store.GetResult(l2); ent != nil {
 			s.met.cacheServe(time.Since(t0))
@@ -414,14 +412,12 @@ func (s *Server) serveOne(parent context.Context, req *OptimizeRequest) serveOut
 		defer func() { s.store.FinishFlight(l2, flight, published) }()
 	}
 
-	base := s.baseOptions(req.Options)
-	base.SummaryMemo = s.summaryMemo(prog, ph, base)
-	res := optimize(ctx, prog, base)
+	res := optimize(ctx, prog, s.baseOptions(req.Options))
 
 	body := buildBody(res, req)
 	cacheStatus := "bypass"
 	if s.store != nil && cacheable(res) {
-		published = s.persistResult(prog, ph, l2, base, res, body)
+		published = s.persistResult(l2, res, body)
 		cacheStatus = "miss"
 	}
 	elapsed := time.Since(t0)

@@ -71,16 +71,6 @@ func (f *chaosFS) Remove(name string) error { return os.Remove(name) }
 
 func (f *chaosFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 
-func (f *chaosFS) Stat(name string) (os.FileInfo, error) {
-	f.mu.Lock()
-	fail := f.failReads
-	f.mu.Unlock()
-	if fail {
-		return nil, os.ErrPermission
-	}
-	return os.Stat(name)
-}
-
 func resultFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)

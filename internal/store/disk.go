@@ -15,15 +15,16 @@ import (
 //	icbestore1 <kind> <sha256-hex> <len>\n
 //	<payload bytes>
 //
-// The header names the format version, the entry kind ("result" or
-// "summaries"), the payload's sha256 and its exact byte length. A reader
-// accepts an entry only when all four agree with the payload that follows —
-// anything else (torn write, bit flip, truncation, version skew) is
-// corruption, quarantined on sight.
+// The header names the format version, the entry kind (always "result"),
+// the payload's sha256 and its exact byte length. A reader accepts an entry
+// only when all four agree with the payload that follows — anything else
+// (torn write, bit flip, truncation, version skew) is corruption,
+// quarantined on sight. Only res-<key>.json files are ever opened, so other
+// files in the directory (such as the sum-*.json summary entries older
+// versions wrote) are never read, counted or quarantined.
 const (
 	diskMagic     = "icbestore1"
 	kindResult    = "result"
-	kindSummaries = "summaries"
 	quarantineDir = "quarantine"
 	tmpSuffix     = ".tmp"
 )
@@ -74,9 +75,9 @@ func (d *disk) sweepTemps() {
 // write persists payload under name atomically: temp file in the same
 // directory, sync, close, rename. Any error leaves the previous entry (if
 // any) intact.
-func (d *disk) write(name, kind string, payload []byte) error {
+func (d *disk) write(name string, payload []byte) error {
 	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("%s %s %s %d\n", diskMagic, kind, hex.EncodeToString(sum[:]), len(payload))
+	header := fmt.Sprintf("%s %s %s %d\n", diskMagic, kindResult, hex.EncodeToString(sum[:]), len(payload))
 	f, err := d.fs.CreateTemp(d.dir, name+tmpSuffix)
 	if err != nil {
 		return err
@@ -111,7 +112,7 @@ func (d *disk) write(name, kind string, payload []byte) error {
 // read loads and verifies the named entry. A missing file returns (nil,
 // false, nil). A verification failure quarantines the file and returns
 // errCorrupt; other errors are I/O failures for the health breaker.
-func (d *disk) read(name, kind string) (payload []byte, ok bool, err error) {
+func (d *disk) read(name string) (payload []byte, ok bool, err error) {
 	data, err := d.fs.ReadFile(join(d.dir, name))
 	if err != nil {
 		if isNotExist(err) {
@@ -119,7 +120,7 @@ func (d *disk) read(name, kind string) (payload []byte, ok bool, err error) {
 		}
 		return nil, false, err
 	}
-	payload, verr := verifyEntry(data, kind)
+	payload, verr := verifyEntry(data)
 	if verr != nil {
 		d.quarantine(name)
 		return nil, false, errCorrupt
@@ -128,7 +129,7 @@ func (d *disk) read(name, kind string) (payload []byte, ok bool, err error) {
 }
 
 // verifyEntry checks the header and checksum of a raw entry file.
-func verifyEntry(data []byte, kind string) ([]byte, error) {
+func verifyEntry(data []byte) ([]byte, error) {
 	nl := -1
 	// The header is short; cap the scan so a corrupt file cannot make us
 	// search megabytes for a newline.
@@ -142,7 +143,7 @@ func verifyEntry(data []byte, kind string) ([]byte, error) {
 		return nil, fmt.Errorf("no header")
 	}
 	fields := strings.Fields(string(data[:nl]))
-	if len(fields) != 4 || fields[0] != diskMagic || fields[1] != kind {
+	if len(fields) != 4 || fields[0] != diskMagic || fields[1] != kindResult {
 		return nil, fmt.Errorf("bad header")
 	}
 	wantSum, err := hex.DecodeString(fields[2])
@@ -172,12 +173,6 @@ func (d *disk) quarantine(name string) {
 	if err := d.fs.Rename(join(d.dir, name), join(d.dir, quarantineDir, name)); err != nil {
 		_ = d.fs.Remove(join(d.dir, name))
 	}
-}
-
-// exists reports whether an entry file is present (no verification).
-func (d *disk) exists(name string) bool {
-	_, err := d.fs.Stat(join(d.dir, name))
-	return err == nil
 }
 
 // isNotExist treats fs.ErrNotExist (which os wraps, and which fault

@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"os"
 	"sync"
 )
 
@@ -62,14 +61,4 @@ func (f *faultFS) Rename(oldpath, newpath string) error {
 		return nil
 	}
 	return f.osFS.Rename(oldpath, newpath)
-}
-
-func (f *faultFS) Stat(name string) (os.FileInfo, error) {
-	f.mu.Lock()
-	fail := f.failReads
-	f.mu.Unlock()
-	if fail {
-		return nil, errInject
-	}
-	return f.osFS.Stat(name)
 }

@@ -19,7 +19,6 @@ type FS interface {
 	ReadFile(name string) ([]byte, error)
 	Remove(name string) error
 	ReadDir(name string) ([]os.DirEntry, error)
-	Stat(name string) (os.FileInfo, error)
 }
 
 // File is the writable handle CreateTemp returns: enough surface for the
@@ -48,7 +47,6 @@ func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpa
 func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
 func (osFS) Remove(name string) error                   { return os.Remove(name) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
-func (osFS) Stat(name string) (os.FileInfo, error)      { return os.Stat(name) }
 
 // join builds store paths with the platform separator; a tiny wrapper so the
 // disk layer never imports path/filepath directly in more than one place.

@@ -6,11 +6,15 @@ import (
 )
 
 // healthState is the store circuit breaker's state. The breaker guards every
-// disk operation: a run of consecutive I/O failures trips it to degraded,
-// pinning the service to compute-only serving (reads and writes are skipped
-// wholesale, never attempted and never block a request). After a cooldown
+// disk operation: a run of consecutive failed I/O attempts trips it to
+// degraded, pinning the service to compute-only serving (reads and writes
+// are skipped wholesale, never attempted and never block a request). After a cooldown
 // the breaker goes half-open and admits a single trial operation; success
 // closes it, failure re-trips it with a doubled (capped) cooldown.
+//
+// Reads and writes keep separate runs: a disk that still writes may have
+// lost read access, and one that still reads may be full, so a success of
+// one kind does not clear a run of failures of the other.
 //
 // Corruption is NOT a health signal: a quarantined entry means the bytes
 // were bad, not that the disk is failing, so verify failures do not count
@@ -35,6 +39,14 @@ func (s healthState) String() string {
 	return "unknown"
 }
 
+// opKind tells the breaker which run a disk operation belongs to.
+type opKind int
+
+const (
+	opRead opKind = iota
+	opWrite
+)
+
 type health struct {
 	mu          sync.Mutex
 	threshold   int           // consecutive failures to trip
@@ -42,7 +54,7 @@ type health struct {
 	cap         time.Duration // cooldown ceiling
 	now         func() time.Time
 	state       healthState
-	consecutive int
+	consecutive [2]int        // failed attempts in a row, by opKind
 	cooldown    time.Duration // next cooldown to apply on a trip
 	until       time.Time     // when degraded may go half-open
 	trialOut    bool          // a half-open trial operation is in flight
@@ -79,12 +91,12 @@ func (h *health) allow() bool {
 	return false
 }
 
-// success records a completed disk operation: failures reset, a half-open
-// trial closes the breaker and restores the base cooldown.
-func (h *health) success() {
+// success records a completed disk operation: that kind's failures reset,
+// a half-open trial closes the breaker and restores the base cooldown.
+func (h *health) success(kind opKind) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.consecutive = 0
+	h.consecutive[kind] = 0
 	if h.state == healthHalfOpen {
 		h.state = healthOK
 		h.trialOut = false
@@ -92,10 +104,10 @@ func (h *health) success() {
 	}
 }
 
-// failure records a failed disk operation. A half-open trial failure re-trips
+// failure records a failed disk attempt. A half-open trial failure re-trips
 // immediately with a doubled cooldown; in the ok state the breaker trips
-// after threshold consecutive failures.
-func (h *health) failure() {
+// after threshold consecutive failures of one kind.
+func (h *health) failure(kind opKind) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	switch h.state {
@@ -106,8 +118,8 @@ func (h *health) failure() {
 		}
 		h.trip()
 	case healthOK:
-		h.consecutive++
-		if h.consecutive >= h.threshold {
+		h.consecutive[kind]++
+		if h.consecutive[kind] >= h.threshold {
 			h.trip()
 		}
 	}
@@ -117,7 +129,7 @@ func (h *health) failure() {
 func (h *health) trip() {
 	h.state = healthDegraded
 	h.trialOut = false
-	h.consecutive = 0
+	h.consecutive = [2]int{}
 	h.until = h.now().Add(h.cooldown)
 	h.transitions++
 }

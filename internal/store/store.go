@@ -1,8 +1,8 @@
-// Package store is the crash-safe content-addressed result and summary
-// store behind the optimization service: a bounded in-memory LRU of full
-// optimization results in front of an optional on-disk store, addressed by a
-// canonical content hash of the normalized ICFG rather than by source text
-// (two layouts of the same program share one entry; see ir.HashProgram).
+// Package store is the crash-safe content-addressed result store behind
+// the optimization service: a bounded in-memory LRU of full optimization
+// results in front of an optional on-disk store, addressed by a canonical
+// content hash of the normalized ICFG rather than by source text (two
+// layouts of the same program share one entry; see ir.HashProgram).
 //
 // Nothing read from the store is ever trusted: every entry carries a
 // checksum, and a disk read additionally decodes the embedded optimized
@@ -97,13 +97,13 @@ type Config struct {
 	// FS overrides the filesystem (nil = the real one); the seam for fault
 	// injection in tests.
 	FS FS
-	// Retries is how many attempts a failing disk operation gets before the
-	// failure counts against the health breaker.
+	// Retries is how many attempts a failing disk operation gets; every
+	// failed attempt counts against the health breaker.
 	Retries int
 	// RetryBase/RetryCap shape the capped-doubling backoff between retries.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// FailThreshold consecutive failed operations trip the breaker;
+	// FailThreshold consecutive failed attempts trip the breaker;
 	// Cooldown/CooldownCap shape its doubling recovery timer.
 	FailThreshold int
 	Cooldown      time.Duration
@@ -150,7 +150,7 @@ func (c *Config) SetClock(now func() time.Time, sleep func(d time.Duration)) {
 	c.now, c.sleep = now, sleep
 }
 
-// Store is one result + summary store instance. Safe for concurrent use.
+// Store is one result store instance. Safe for concurrent use.
 type Store struct {
 	cfg    Config
 	disk   *disk // nil when the disk layer is disabled
@@ -168,9 +168,6 @@ type Store struct {
 	quarantined int64
 	coalesced   int64
 	ioErrors    int64
-	sumSaved    int64
-	sumLoaded   int64
-	sumDropped  int64
 }
 
 // Open builds a Store. When the disk root cannot be initialized the store
@@ -194,9 +191,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	return s, err
 }
-
-// DiskEnabled reports whether the durable layer is active.
-func (s *Store) DiskEnabled() bool { return s.disk != nil }
 
 // SourceKey returns the cached L2 key for an L1 (source-level) key.
 func (s *Store) SourceKey(l1 ResultKey) (ResultKey, bool) {
@@ -271,7 +265,7 @@ func (s *Store) PutResult(key ResultKey, e *Entry) {
 	if err != nil {
 		return
 	}
-	s.diskOp(func() error { return s.disk.write(resultName(key), kindResult, payload) })
+	s.diskOp(opWrite, func() error { return s.disk.write(resultName(key), payload) })
 }
 
 // readDiskResult loads and fully verifies one result entry from disk.
@@ -282,9 +276,9 @@ func (s *Store) readDiskResult(key ResultKey) *Entry {
 	var payload []byte
 	var ok bool
 	var readErr error
-	ioOK := s.diskOp(func() error {
+	ioOK := s.diskOp(opRead, func() error {
 		var err error
-		payload, ok, err = s.disk.read(resultName(key), kindResult)
+		payload, ok, err = s.disk.read(resultName(key))
 		readErr = err
 		return err
 	})
@@ -304,9 +298,7 @@ func (s *Store) readDiskResult(key ResultKey) *Entry {
 		// (version skew, an encoder bug, a deliberate tamper that rewrote
 		// the checksum too): quarantine, same as a torn write.
 		s.disk.quarantine(resultName(key))
-		s.mu.Lock()
-		s.quarantined++
-		s.mu.Unlock()
+		s.countQuarantined()
 		return nil
 	}
 	return ent
@@ -343,31 +335,40 @@ func (s *Store) WaitFlight(ctx context.Context, f *Flight) *Entry {
 }
 
 // diskOp runs one disk operation through the health breaker and the retry
-// schedule. Returns false when the operation was skipped (store degraded)
-// or exhausted its retries; corruption (errCorrupt) passes through as a
-// successful I/O with a failed verification — the caller has already
-// quarantined, and the breaker must not trip over bad bytes.
-func (s *Store) diskOp(op func() error) bool {
+// schedule. Every failed attempt counts against the breaker's run for its
+// kind, and the retries stop as soon as it trips: a transient error still
+// gets its retry (a success clears the run), while a disk that keeps
+// failing trips the breaker within the first request or two that find it.
+// Returns false when the operation was skipped (store degraded) or failed;
+// corruption (errCorrupt) passes through as a successful I/O with a failed
+// verification — the caller has already quarantined, and the breaker must
+// not trip over bad bytes.
+func (s *Store) diskOp(kind opKind, op func() error) bool {
 	if !s.health.allow() {
 		return false
 	}
-	var err error
-	for _, d := range retryDelays(s.cfg.Retries, s.cfg.RetryBase, s.cfg.RetryCap) {
-		if err = op(); err == nil || err == errCorrupt {
-			s.health.success()
+	delays := retryDelays(s.cfg.Retries, s.cfg.RetryBase, s.cfg.RetryCap)
+	for i, d := range delays {
+		if err := op(); err == nil || err == errCorrupt {
+			s.health.success(kind)
 			return err == nil
 		}
+		s.health.failure(kind)
+		if i == len(delays)-1 {
+			break
+		}
 		s.cfg.sleep(d)
+		if !s.health.allow() {
+			break
+		}
 	}
 	s.mu.Lock()
 	s.ioErrors++
 	s.mu.Unlock()
-	s.health.failure()
 	return false
 }
 
-// Quarantined counts one external verification failure (used by the summary
-// loader, whose validation lives in the analysis package).
+// countQuarantined counts one quarantined disk entry.
 func (s *Store) countQuarantined() {
 	s.mu.Lock()
 	s.quarantined++
@@ -387,10 +388,12 @@ type Snapshot struct {
 	IOErrors            int64  `json:"io_errors"`
 	State               string `json:"state"`
 	DegradedTransitions int64  `json:"degraded_transitions"`
-	SummariesSaved      int64  `json:"summaries_saved"`
-	SummariesLoaded     int64  `json:"summaries_loaded"`
-	SummariesDropped    int64  `json:"summaries_dropped"`
-	DiskEnabled         bool   `json:"disk_enabled"`
+	// SummariesSaved and SummariesLoaded always read 0: the store no longer
+	// persists procedure summaries. They remain on the wire because the
+	// benchmark harness still reads them.
+	SummariesSaved  int64 `json:"summaries_saved"`
+	SummariesLoaded int64 `json:"summaries_loaded"`
+	DiskEnabled     bool  `json:"disk_enabled"`
 }
 
 // Stats returns the current counters.
@@ -408,9 +411,6 @@ func (s *Store) Stats() Snapshot {
 		IOErrors:            s.ioErrors,
 		State:               state,
 		DegradedTransitions: trips,
-		SummariesSaved:      s.sumSaved,
-		SummariesLoaded:     s.sumLoaded,
-		SummariesDropped:    s.sumDropped,
 		DiskEnabled:         s.disk != nil,
 	}
 }

@@ -315,7 +315,7 @@ func TestBreakerTripsAndRecoversHalfOpen(t *testing.T) {
 func TestBreakerHalfOpenFailureDoublesCooldown(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	h := newHealth(1, time.Second, 8*time.Second, clk.now)
-	h.failure() // trip
+	h.failure(opRead) // trip
 	if st, _ := h.snapshot(); st != "degraded" {
 		t.Fatalf("state %s", st)
 	}
@@ -326,7 +326,7 @@ func TestBreakerHalfOpenFailureDoublesCooldown(t *testing.T) {
 	if h.allow() {
 		t.Fatal("second concurrent trial admitted")
 	}
-	h.failure() // trial failed: cooldown doubles to 2s
+	h.failure(opRead) // trial failed: cooldown doubles to 2s
 	clk.advance(1100 * time.Millisecond)
 	if h.allow() {
 		t.Fatal("reopened before doubled cooldown")
@@ -335,12 +335,41 @@ func TestBreakerHalfOpenFailureDoublesCooldown(t *testing.T) {
 	if !h.allow() {
 		t.Fatal("trial refused after doubled cooldown")
 	}
-	h.success()
+	h.success(opRead)
 	if st, _ := h.snapshot(); st != "ok" {
 		t.Fatalf("state %s after recovery", st)
 	}
 	if _, trips := h.snapshot(); trips != 2 {
 		t.Fatalf("transitions = %d, want 2", trips)
+	}
+}
+
+// TestBreakerRunsSurviveTheOtherKind drives the default retry and threshold
+// settings through the server's per-request pattern (a disk read, then a
+// write of the computed result). A read outage must trip the breaker even
+// though every write succeeds, and a full disk must trip it even though
+// every read succeeds.
+func TestBreakerRunsSurviveTheOtherKind(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(*faultFS)
+	}{
+		{"read outage", func(f *faultFS) { f.failReads = true }},
+		{"write outage", func(f *faultFS) { f.failWrites = true }},
+	} {
+		fs := &faultFS{}
+		fs.set(tc.fault)
+		cfg := Config{CacheEntries: 4, Dir: t.TempDir(), FS: fs}
+		clk := &fakeClock{t: time.Unix(0, 0)}
+		cfg.SetClock(clk.now, clk.sleep)
+		s := openTest(t, cfg)
+		for i := byte(0); i < 2; i++ {
+			s.GetResult(testKey(i))
+			s.PutResult(testKey(i), &Entry{Body: []byte("x")})
+		}
+		if st := s.Stats(); st.State != "degraded" || st.DegradedTransitions != 1 {
+			t.Errorf("%s: breaker did not trip after two requests: %+v", tc.name, st)
+		}
 	}
 }
 
