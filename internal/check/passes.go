@@ -103,12 +103,13 @@ func (unreachablePass) Kind() Kind   { return Invariant }
 func (unreachablePass) Run(cx *Context) []Finding {
 	var out []Finding
 	seen := newReach(cx.Prog)
-	for _, pr := range cx.Prog.Procs {
+	byProc := cx.Prog.NodesByProc()
+	for i, pr := range cx.Prog.Procs {
 		if pr == nil {
 			continue
 		}
 		seen.from(cx.Prog, pr)
-		for _, n := range cx.Prog.ProcNodes(pr.Index) {
+		for _, n := range byProc[i] {
 			if !seen.has(n.ID) {
 				out = append(out, Finding{Pass: "unreachable-node", Node: n.ID, Line: n.Line,
 					Msg: fmt.Sprintf("node (%s) unreachable from proc %q entries", n.Kind, pr.Name)})

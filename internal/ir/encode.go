@@ -2,11 +2,20 @@ package ir
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 
 	"icbe/internal/pred"
 )
+
+// Sum is a 32-byte SHA-256 content hash.
+type Sum [sha256.Size]byte
+
+// HashProgram returns the SHA-256 of the program's exact encoding. No
+// production code calls it: the service keys results by source text. It
+// stays only for the benchmark harness's ir.hash_ms probe.
+func HashProgram(p *Program) Sum { return sha256.Sum256(EncodeProgram(p)) }
 
 // The codec's wire format version. Bump whenever the wire structs change
 // incompatibly; DecodeProgram rejects other versions so a store can never

@@ -574,14 +574,15 @@ func (p *Program) LiveNodes(f func(*Node)) {
 	}
 }
 
-// ProcNodes returns all live nodes belonging to the given procedure.
-func (p *Program) ProcNodes(proc int) []*Node {
-	var out []*Node
-	p.LiveNodes(func(n *Node) {
-		if n.Proc == proc {
-			out = append(out, n)
+// NodesByProc buckets the live nodes by owning procedure in one pass over
+// the arena: element i lists procedure i's nodes in ID order.
+func (p *Program) NodesByProc() [][]*Node {
+	out := make([][]*Node, len(p.Procs))
+	for _, n := range p.Nodes {
+		if n != nil && n.Proc >= 0 && n.Proc < len(out) {
+			out[n.Proc] = append(out[n.Proc], n)
 		}
-	})
+	}
 	return out
 }
 

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -81,11 +80,10 @@ func (p *Program) rhsString(r RHS) string {
 // order with their successor lists.
 func (p *Program) Dump() string {
 	var sb strings.Builder
-	for _, pr := range p.Procs {
+	byProc := p.NodesByProc()
+	for i, pr := range p.Procs {
 		fmt.Fprintf(&sb, "proc %s (entries %v, exits %v)\n", pr.Name, pr.Entries, pr.Exits)
-		nodes := p.ProcNodes(pr.Index)
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-		for _, n := range nodes {
+		for _, n := range byProc[i] {
 			succs := make([]string, len(n.Succs))
 			for i, s := range n.Succs {
 				succs[i] = fmt.Sprintf("%d", s)
@@ -100,9 +98,10 @@ func (p *Program) Dump() string {
 func (p *Program) Dot() string {
 	var sb strings.Builder
 	sb.WriteString("digraph icfg {\n  node [shape=box fontname=monospace];\n")
-	for _, pr := range p.Procs {
+	byProc := p.NodesByProc()
+	for i, pr := range p.Procs {
 		fmt.Fprintf(&sb, "  subgraph cluster_%d { label=%q;\n", pr.Index, pr.Name)
-		for _, n := range p.ProcNodes(pr.Index) {
+		for _, n := range byProc[i] {
 			shape := ""
 			if n.Kind == NBranch {
 				shape = " shape=diamond"

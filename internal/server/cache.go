@@ -2,13 +2,12 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"time"
 
-	"icbe"
 	"icbe/internal/ir"
 	"icbe/internal/reportjson"
 	"icbe/internal/store"
@@ -16,25 +15,22 @@ import (
 
 // Result caching.
 //
-// The server fronts the optimizer with the content-addressed store: a result
-// is keyed by the canonical hash of the normalized input ICFG (so layout and
-// naming changes share an entry's computation), the exact encoded input (so
-// cached bodies — which embed names and line numbers — are only reused when
-// they would be byte-identical to a fresh compute), and a fingerprint of
-// everything else about the request that shapes the body. A source-text
-// level key in front of that (L1) lets an exact repeat skip compilation and
-// hashing entirely, which is what makes a warm hit an order of magnitude
-// cheaper than the cheapest compute.
+// The server fronts the optimizer with the store under one key per result:
+// the source text and a fingerprint of everything else that shapes the body,
+// the build included. The source fixes the compiled program, so a hit skips
+// compilation, and an exact repeat is what makes a warm hit an order of
+// magnitude cheaper than the cheapest compute.
 //
 // Only full-tier, untruncated results enter the cache: a passthrough or
 // truncated body is shaped by the request's deadline, which is deliberately
 // excluded from the key. For the same reason the singleflight leader
 // publishes only cacheable bodies to its waiters.
 
-// requestShape is the canonical encoding hashed into the request
-// fingerprint: every request field besides the program that can change the
-// response body. The deadline is deliberately absent.
+// requestShape is the encoding hashed into the request fingerprint: every
+// request field besides the program that can change the response body, and
+// the build that renders it. The deadline is deliberately absent.
 type requestShape struct {
+	Build    string  `json:"build"`
 	Term     int     `json:"term"`
 	Limit    int     `json:"limit"`
 	Workers  int     `json:"workers"` // effective, post-clamp
@@ -46,11 +42,31 @@ type requestShape struct {
 	NoDump   bool    `json:"no_dump"`
 }
 
+// buildIdentity names the build that renders a body: the main module's
+// version and the VCS revision and dirty flag the go command stamps into the
+// binary. A body's bytes may change with the code, so a store written by one
+// build never serves another. Builds without VCS stamping (go test, go run,
+// -buildvcs=false) share one identity, as do edits on top of one revision.
+var buildIdentity = func() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	id := bi.Main.Version
+	for _, kv := range bi.Settings {
+		if kv.Key == "vcs.revision" || kv.Key == "vcs.modified" {
+			id += " " + kv.Key + "=" + kv.Value
+		}
+	}
+	return id
+}()
+
 // fingerprintRequest condenses the request shape under the server's
 // effective option defaults.
 func (s *Server) fingerprintRequest(req *OptimizeRequest) store.Fingerprint {
 	o := s.baseOptions(req.Options)
 	shape := requestShape{
+		Build:    s.cfg.build,
 		Term:     o.TerminationLimit,
 		Limit:    o.MaxDuplication,
 		Workers:  o.Workers,
@@ -112,12 +128,6 @@ func writeRaw(w http.ResponseWriter, status int, body []byte, cacheStatus string
 	w.Header().Set("X-Icbe-Elapsed-Ms", fmt.Sprintf("%.3f", float64(elapsed)/float64(time.Millisecond)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
-}
-
-// cacheKey computes the L2 result key for a compiled program.
-func cacheKey(prog *icbe.Program, fp store.Fingerprint) store.ResultKey {
-	g := prog.Graph()
-	return store.KeyForProgram(ir.HashProgram(g).Sum, sha256.Sum256(ir.EncodeProgram(g)), fp)
 }
 
 // persistResult records a cacheable result in the store: the body and the

@@ -178,21 +178,79 @@ func TestCacheNewShapeMisses(t *testing.T) {
 	}
 }
 
+// TestCacheKeyCarriesBuild checks that the build is part of the result key:
+// a server of another build over the same store directory misses and
+// computes the same bytes itself, while a server of the writing build serves
+// the stored entry. A body may change with the code, so a store must never
+// hand one build's bytes to another.
+func TestCacheKeyCarriesBuild(t *testing.T) {
+	dir := t.TempDir()
+	w := progs.ByName("stdio")
+	req := OptimizeRequest{Program: w.Source, Input: w.Train}
+	var first []byte
+	for _, pass := range []struct{ build, cache string }{
+		{"build-a", "miss"}, {"build-b", "miss"}, {"build-a", "hit-disk"},
+	} {
+		// Memory layer off: every pass reads the directory.
+		_, ts := newTestService(t, Config{
+			StoreDir: dir, build: pass.build,
+			DefaultDeadline: maxTestDeadline, MaxDeadline: maxTestDeadline,
+		})
+		status, body, hdr := postHdr(t, ts.URL, req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", pass.build, status, body)
+		}
+		if got := hdr.Get("X-Icbe-Cache"); got != pass.cache {
+			t.Fatalf("%s: cache status %q, want %q", pass.build, got, pass.cache)
+		}
+		if first == nil {
+			first = body
+		} else if !bytes.Equal(body, first) {
+			t.Errorf("%s (%s): body differs from the first compute", pass.build, pass.cache)
+		}
+	}
+}
+
+// TestOneStoreLookupPerRequest repeats a request whose result the store
+// never keeps (a deadline too short to start the full tier answers
+// passthrough): every repeat misses again, and each one reads the store once.
+func TestOneStoreLookupPerRequest(t *testing.T) {
+	s, ts := newTestService(t, Config{CacheEntries: 8, StoreDir: t.TempDir()})
+	req := OptimizeRequest{Program: okSrc, DeadlineMS: 1}
+	for i := 1; i <= 3; i++ {
+		status, body, hdr := postHdr(t, ts.URL, req)
+		if status != http.StatusOK || hdr.Get("X-Icbe-Cache") != "bypass" {
+			t.Fatalf("request %d: status %d cache %q: %s", i, status, hdr.Get("X-Icbe-Cache"), body)
+		}
+		if st := s.Stats().Store; st.Misses != int64(i) {
+			t.Fatalf("after request %d: store misses = %d, want %d", i, st.Misses, i)
+		}
+	}
+}
+
 // TestStoreIgnoresSummaryEntries opens the service on a store directory
-// written by a version that also persisted procedure summaries
-// (sum-<closure>-<options>.json entries under an "icbestore1 summaries"
-// header). Those files are neither read nor quarantined: results compute,
-// persist and serve from disk exactly as in an empty directory, with bodies
-// byte-identical to a cache-less server's.
+// written by older versions: sum-<closure>-<options>.json entries under an
+// "icbestore1 summaries" header, from a version that also persisted
+// procedure summaries, and a result entry filed under the canonical-hash key
+// an older version gave stdio's request. Those files are neither read nor
+// quarantined: results compute, persist and serve from disk exactly as in an
+// empty directory, with bodies byte-identical to a cache-less server's.
 func TestStoreIgnoresSummaryEntries(t *testing.T) {
 	dir := t.TempDir()
 	payload := []byte(`{"version":1,"options":"11","records":[]}`)
 	sum := sha256.Sum256(payload)
+	result, err := json.Marshal(map[string][]byte{"body": []byte(`{"tier":"full","stale":true}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultSum := sha256.Sum256(result)
 	old := map[string][]byte{
 		// A well-formed old summary entry.
 		"sum-" + strings.Repeat("ab", sha256.Size) + "-11.json": append([]byte(fmt.Sprintf("icbestore1 summaries %x %d\n", sum, len(payload))), payload...),
 		// A torn one: its checksum no longer matches.
 		"sum-" + strings.Repeat("cd", sha256.Size) + "-10.json": append([]byte(fmt.Sprintf("icbestore1 summaries %x %d\n", sum, len(payload))), payload[:8]...),
+		// A well-formed old result entry with a body no fresh compute gives.
+		"res-9f0cf768939051b60c9191a24ec8511797352f25debfe8663708de7d8979ed4a.json": append([]byte(fmt.Sprintf("icbestore1 result %x %d\n", resultSum, len(result))), result...),
 	}
 	for name, raw := range old {
 		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
@@ -232,7 +290,7 @@ func TestStoreIgnoresSummaryEntries(t *testing.T) {
 	}
 	for name, raw := range old {
 		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, raw) {
-			t.Errorf("old summary entry %s was moved or rewritten (err %v)", name, err)
+			t.Errorf("old entry %s was moved or rewritten (err %v)", name, err)
 		}
 	}
 	if q, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(q) != 0 {

@@ -75,6 +75,9 @@ type Config struct {
 
 	// storeCfg fully overrides the derived store configuration (test seam).
 	storeCfg *store.Config
+	// build overrides the build identity in the cache key (test seam; "" =
+	// this binary's, see buildIdentity).
+	build string
 }
 
 func (c Config) withDefaults() Config {
@@ -101,6 +104,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 16
+	}
+	if c.build == "" {
+		c.build = buildIdentity
 	}
 	return c
 }
@@ -361,40 +367,19 @@ func (s *Server) serveOne(parent context.Context, req *OptimizeRequest) serveOut
 
 	t0 := time.Now()
 
-	// L1: an exact repeat (same source text, same request shape) serves
-	// straight from the store — no compile, no hash, no optimizer.
-	var fp store.Fingerprint
-	var l1 store.ResultKey
-	if s.store != nil {
-		fp = s.fingerprintRequest(req)
-		l1 = store.KeyForSource(req.Program, fp)
-		if l2, ok := s.store.SourceKey(l1); ok {
-			if ent, src := s.store.GetResult(l2); ent != nil {
-				s.met.cacheServe(time.Since(t0))
-				return serveOutcome{status: http.StatusOK, body: ent.Body, cacheStatus: "hit-" + src, elapsed: time.Since(t0)}
-			}
-		}
-	}
-
-	prog, err := icbe.Compile(req.Program)
-	if err != nil {
-		return errOutcome(http.StatusUnprocessableEntity, errorResponse{Error: err.Error(), Reason: "compile"})
-	}
-
-	// L2: the content-addressed key — canonically equal programs submitted
-	// as different source layouts coalesce here. On a miss, join the
+	// One key addresses the result: the source text and the request shape.
+	// A hit serves the stored body without compiling; a miss joins the
 	// singleflight so a stampede on one key computes once.
-	var l2 store.ResultKey
+	var key store.ResultKey
 	var flight *store.Flight
 	leader := false
 	if s.store != nil {
-		l2 = cacheKey(prog, fp)
-		s.store.MapSource(l1, l2)
-		if ent, src := s.store.GetResult(l2); ent != nil {
+		key = store.KeyForSource(req.Program, s.fingerprintRequest(req))
+		if ent, src := s.store.GetResult(key); ent != nil {
 			s.met.cacheServe(time.Since(t0))
 			return serveOutcome{status: http.StatusOK, body: ent.Body, cacheStatus: "hit-" + src, elapsed: time.Since(t0)}
 		}
-		flight, leader = s.store.BeginFlight(l2)
+		flight, leader = s.store.BeginFlight(key)
 		if !leader {
 			if ent := s.store.WaitFlight(ctx, flight); ent != nil {
 				s.met.cacheServe(time.Since(t0))
@@ -409,15 +394,19 @@ func (s *Server) serveOne(parent context.Context, req *OptimizeRequest) serveOut
 	if leader {
 		// Whatever happens below — including a contained panic — the
 		// flight must resolve, or waiters would idle out their deadlines.
-		defer func() { s.store.FinishFlight(l2, flight, published) }()
+		defer func() { s.store.FinishFlight(key, flight, published) }()
 	}
 
+	prog, err := icbe.Compile(req.Program)
+	if err != nil {
+		return errOutcome(http.StatusUnprocessableEntity, errorResponse{Error: err.Error(), Reason: "compile"})
+	}
 	res := optimize(ctx, prog, s.baseOptions(req.Options))
 
 	body := buildBody(res, req)
 	cacheStatus := "bypass"
 	if s.store != nil && cacheable(res) {
-		published = s.persistResult(l2, res, body)
+		published = s.persistResult(key, res, body)
 		cacheStatus = "miss"
 	}
 	elapsed := time.Since(t0)

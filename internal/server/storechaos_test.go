@@ -227,21 +227,31 @@ func TestServerStoreChaos(t *testing.T) {
 		t.Fatalf("corruption moved the breaker: io_errors=%d state=%q", snap.Store.IOErrors, snap.Store.State)
 	}
 
-	// I/O outage: reads fail outright (EACCES-style, not corruption). The
-	// breaker trips to store-degraded and the service keeps answering with
-	// byte-identical computes.
+	// I/O outage: reads fail outright (EACCES-style, not corruption). Each
+	// request reads its key once and every failed attempt counts, so the
+	// first request's two attempts leave the breaker one short of its
+	// threshold and the second request's first attempt trips it. The
+	// service keeps answering with byte-identical computes throughout.
 	ffs.set(func(f *chaosFS) { f.failReads = true })
-	status, body, hdr := postHdr(t, ts.URL, req(0))
-	if status != http.StatusOK || hdr.Get("X-Icbe-Cache") != "miss" {
-		t.Fatalf("outage: status %d cache %q, want 200 miss", status, hdr.Get("X-Icbe-Cache"))
+	for i, want := range []struct {
+		state    string
+		ioErrors int64
+	}{{"ok", 1}, {"degraded", 2}} {
+		status, body, hdr := postHdr(t, ts.URL, req(0))
+		if status != http.StatusOK || hdr.Get("X-Icbe-Cache") != "miss" {
+			t.Fatalf("outage request %d: status %d cache %q, want 200 miss", i+1, status, hdr.Get("X-Icbe-Cache"))
+		}
+		if !bytes.Equal(body, cold[0]) {
+			t.Errorf("outage request %d: response differs from the original compute", i+1)
+		}
+		snap = serverStats(t, ts.URL)
+		if snap.Store.State != want.state || snap.Store.IOErrors != want.ioErrors {
+			t.Fatalf("outage request %d: state=%q io_errors=%d, want %q and %d",
+				i+1, snap.Store.State, snap.Store.IOErrors, want.state, want.ioErrors)
+		}
 	}
-	if !bytes.Equal(body, cold[0]) {
-		t.Error("outage: response differs from the original compute")
-	}
-	snap = serverStats(t, ts.URL)
-	if snap.Store.State != "degraded" || snap.Store.DegradedTransitions == 0 {
-		t.Fatalf("outage did not trip the breaker: state=%q transitions=%d",
-			snap.Store.State, snap.Store.DegradedTransitions)
+	if snap.Store.DegradedTransitions != 1 {
+		t.Fatalf("outage tripped the breaker %d times, want 1", snap.Store.DegradedTransitions)
 	}
 	// While degraded the store is not consulted at all: compute-only, no new
 	// I/O attempts, still byte-identical.
@@ -258,7 +268,7 @@ func TestServerStoreChaos(t *testing.T) {
 	// the store returns to full service on its intact entry.
 	ffs.set(func(f *chaosFS) { f.failReads = false })
 	clk.Advance(2 * time.Second)
-	status, body, hdr = postHdr(t, ts.URL, req(0))
+	status, body, hdr := postHdr(t, ts.URL, req(0))
 	if status != http.StatusOK || hdr.Get("X-Icbe-Cache") != "hit-disk" {
 		t.Fatalf("recovery: status %d cache %q, want 200 hit-disk", status, hdr.Get("X-Icbe-Cache"))
 	}

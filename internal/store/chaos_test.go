@@ -42,9 +42,7 @@ func TestChaosCorruptionStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := p.Graph()
-		enc := ir.EncodeProgram(g)
-		key := store.KeyForProgram(ir.HashProgram(g).Sum, sha256Of(enc), fp)
+		key := store.KeyForSource(w.Source, fp)
 		body := []byte(fmt.Sprintf(`{"workload":%q,"optimized":%d,"dump_sha":%q}`,
 			w.Name, rep.Optimized, opt.Dump()[:32]))
 		s1.PutResult(key, &store.Entry{Body: body, Prog: ir.EncodeProgram(opt.Graph())})
@@ -135,8 +133,4 @@ func TestChaosCorruptionStorm(t *testing.T) {
 	if st2 := s2.Stats(); st2.Quarantined != int64(damaged) {
 		t.Errorf("re-read quarantined more: %d", st2.Quarantined)
 	}
-}
-
-func sha256Of(b []byte) [32]byte {
-	return store.NewFingerprint(b)
 }

@@ -1,8 +1,8 @@
 // Package store is the crash-safe content-addressed result store behind
 // the optimization service: a bounded in-memory LRU of full optimization
-// results in front of an optional on-disk store, addressed by a canonical
-// content hash of the normalized ICFG rather than by source text (two
-// layouts of the same program share one entry; see ir.HashProgram).
+// results in front of an optional on-disk store. A result is addressed by
+// one key: the request's source text and a fingerprint of everything else
+// that shapes its body, the build included (see KeyForSource).
 //
 // Nothing read from the store is ever trusted: every entry carries a
 // checksum, and a disk read additionally decodes the embedded optimized
@@ -43,10 +43,8 @@ func decodeEntry(payload []byte) (*Entry, error) {
 	return &e, nil
 }
 
-// ResultKey addresses one cached optimization result: the canonical content
-// hash of the input ICFG, the exact encoded input (so programs that are
-// canonically equal but not byte-identical — e.g. different names — still
-// produce byte-identical dumps from the cache), and the request fingerprint.
+// ResultKey addresses one cached optimization result. It is the memory
+// key, the singleflight key and the disk file name alike.
 type ResultKey [sha256.Size]byte
 
 // Hex renders the key for filenames and headers.
@@ -54,28 +52,17 @@ func (k ResultKey) Hex() string { return hex.EncodeToString(k[:]) }
 
 // Fingerprint condenses everything about a request that shapes the response
 // body besides the program itself (options, run inputs, dump suppression,
-// effective worker count — but never the deadline, which shapes only how far
-// a degraded attempt got, and degraded results are not cached).
+// effective worker count, the build that computes it — but never the
+// deadline, which shapes only how far a degraded attempt got, and degraded
+// results are not cached).
 type Fingerprint [sha256.Size]byte
 
-// NewFingerprint hashes an opaque canonical encoding of the request shape.
+// NewFingerprint hashes an opaque encoding of the request shape.
 func NewFingerprint(encoded []byte) Fingerprint { return sha256.Sum256(encoded) }
 
-// KeyForProgram builds the L2 result key from the program's canonical hash,
-// the sha of its exact encoding, and the request fingerprint.
-func KeyForProgram(sum ir.Sum, encSHA [sha256.Size]byte, fp Fingerprint) ResultKey {
-	h := sha256.New()
-	h.Write([]byte("icbe-result-v1\x00"))
-	h.Write(sum[:])
-	h.Write(encSHA[:])
-	h.Write(fp[:])
-	var k ResultKey
-	h.Sum(k[:0])
-	return k
-}
-
-// KeyForSource builds the L1 key: source text + fingerprint. The L1 map
-// lets a repeated request skip compilation and hashing entirely.
+// KeyForSource builds the result key from the source text and the request
+// fingerprint. The source fixes the compiled program and the fingerprint
+// everything else the body depends on, so a hit needs no compile.
 func KeyForSource(source string, fp Fingerprint) ResultKey {
 	h := sha256.New()
 	h.Write([]byte("icbe-source-v1\x00"))
@@ -158,8 +145,6 @@ type Store struct {
 
 	mu      sync.Mutex
 	lru     *lru
-	l1      map[ResultKey]ResultKey // source-key -> program-key
-	l1order []ResultKey             // FIFO eviction for the l1 map
 	flights map[ResultKey]*Flight
 
 	hitsMemory  int64
@@ -178,7 +163,6 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:     cfg,
 		lru:     newLRU(cfg.CacheEntries),
-		l1:      make(map[ResultKey]ResultKey),
 		flights: make(map[ResultKey]*Flight),
 		health:  newHealth(cfg.FailThreshold, cfg.Cooldown, cfg.CooldownCap, cfg.now),
 	}
@@ -190,36 +174,6 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	return s, err
-}
-
-// SourceKey returns the cached L2 key for an L1 (source-level) key.
-func (s *Store) SourceKey(l1 ResultKey) (ResultKey, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k, ok := s.l1[l1]
-	return k, ok
-}
-
-// MapSource records the L1 -> L2 association. The map is bounded to four
-// entries per LRU slot (several sources can map to one program) with FIFO
-// eviction; with the memory cache disabled it is bounded to a small constant.
-func (s *Store) MapSource(l1, l2 ResultKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.l1[l1]; ok {
-		s.l1[l1] = l2
-		return
-	}
-	max := 4 * s.cfg.CacheEntries
-	if max <= 0 {
-		max = 64
-	}
-	s.l1[l1] = l2
-	s.l1order = append(s.l1order, l1)
-	for len(s.l1order) > max {
-		delete(s.l1, s.l1order[0])
-		s.l1order = s.l1order[1:]
-	}
 }
 
 // GetResult looks a result up, memory first, then disk. source is "memory"

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,19 +99,6 @@ func TestDiskRoundTripAcrossStores(t *testing.T) {
 	// The disk hit populated memory.
 	if _, src := s2.GetResult(k); src != "memory" {
 		t.Fatalf("second get src=%q, want memory", src)
-	}
-}
-
-func TestSourceMap(t *testing.T) {
-	s := openTest(t, Config{CacheEntries: 2})
-	l1, l2 := KeyForSource("func main() {}", Fingerprint{}), testKey(9)
-	if _, ok := s.SourceKey(l1); ok {
-		t.Fatal("unexpected L1 hit")
-	}
-	s.MapSource(l1, l2)
-	got, ok := s.SourceKey(l1)
-	if !ok || got != l2 {
-		t.Fatalf("L1 lookup = %v %v", got, ok)
 	}
 }
 
@@ -394,17 +380,10 @@ func TestWriteFailureDoesNotPoisonStore(t *testing.T) {
 func TestKeyDerivations(t *testing.T) {
 	fpA := NewFingerprint([]byte("opts-a"))
 	fpB := NewFingerprint([]byte("opts-b"))
-	var sum [sha256.Size]byte
 	if KeyForSource("src", fpA) == KeyForSource("src", fpB) {
-		t.Fatal("fingerprint ignored in L1 key")
+		t.Fatal("fingerprint ignored in result key")
 	}
 	if KeyForSource("src", fpA) != KeyForSource("src", fpA) {
-		t.Fatal("L1 key not deterministic")
-	}
-	k1 := KeyForProgram([32]byte{1}, sum, fpA)
-	k2 := KeyForProgram([32]byte{2}, sum, fpA)
-	k3 := KeyForProgram([32]byte{1}, sum, fpB)
-	if k1 == k2 || k1 == k3 {
-		t.Fatal("L2 key collisions")
+		t.Fatal("result key not deterministic")
 	}
 }

@@ -69,7 +69,7 @@ EOF
 
 # Cache soak: a fresh program twice — the repeat must be served from the
 # store with a byte-identical body — then a one-character mutation, which is
-# a different content hash and must miss.
+# a different source text, so a different result key, and must miss.
 SOAK='func main() { var b = 1; if (b == 1) { print(7); } print(8); }'
 python3 - "$WORK" "$SOAK" <<'EOF'
 import json, sys
