@@ -194,22 +194,11 @@ func (r *Result) QueriesAt(n ir.NodeID) []*Query {
 	return r.st.nodeQ[n]
 }
 
-// Visited reports whether the analysis raised any query at the node.
-func (r *Result) Visited(n ir.NodeID) bool {
-	return n >= 0 && int(n) < len(r.st.nodeQ) && len(r.st.nodeQ[n]) > 0
-}
-
-// VisitedNodes lists the visited nodes in first-raise order.
-func (r *Result) VisitedNodes() []ir.NodeID { return r.st.visited }
-
 // VisitedBits returns the visited-node bitset (bit n set when node n hosts
 // at least one pair). The slice aliases pooled storage: it is valid until
 // Release and must not be mutated. The driver intersects it word-wise with
 // its dirty bitset instead of scanning node lists.
 func (r *Result) VisitedBits() []uint64 { return r.st.visitedBits }
-
-// NumVisited counts the visited nodes.
-func (r *Result) NumVisited() int { return len(r.st.visited) }
 
 func (r *Result) pairID(n ir.NodeID, q *Query) int32 {
 	if q == nil || n < 0 || int(n) >= len(r.st.nodeQ) {
@@ -291,9 +280,6 @@ func (r *Result) FullCorrelation() bool {
 	root := r.RootAnswers()
 	return root != 0 && root&(AnsUndef|AnsTrans) == 0
 }
-
-// QueryByID returns the query with the given ID.
-func (r *Result) QueryByID(id int) *Query { return r.st.queries[id] }
 
 // SNEs returns the summary node entries created during the analysis.
 func (r *Result) SNEs() []*SNE { return r.st.snes }
@@ -673,13 +659,13 @@ func (r *run) transfer(n *ir.Node, q *Query) transferResult {
 		case ir.RByte:
 			// The unsigned-conversion correlation source: byte() yields a
 			// value in [0,255].
-			if o := pred.Decide(pred.Range(0, 255), q.P); o != pred.Unknown {
+			if o := (pred.Range{Lo: 0, Hi: 255}).Decide(q.P); o != pred.Unknown {
 				return transferResult{resolved: true, ans: outcomeToAnswer(o)}
 			}
 			return transferResult{resolved: true, ans: AnsUndef}
 		case ir.RAlloc:
 			// alloc never returns nil in MiniC: the result is >= 1.
-			if o := pred.Decide(pred.RangeBounds(pred.Fin(1), pred.PosInf()), q.P); o != pred.Unknown {
+			if o := (pred.Range{Lo: 1, Hi: math.MaxInt64}).Decide(q.P); o != pred.Unknown {
 				return transferResult{resolved: true, ans: outcomeToAnswer(o)}
 			}
 			return transferResult{resolved: true, ans: AnsUndef}

@@ -131,13 +131,6 @@ func (s *SNE) EntriesAt(entry ir.NodeID) []*Query {
 	return nil
 }
 
-// ForEachEntry iterates the entry arrivals in arrival-group order.
-func (s *SNE) ForEachEntry(f func(entry ir.NodeID, qs []*Query)) {
-	for i := range s.entries {
-		f(s.entries[i].entry, s.entries[i].qs)
-	}
-}
-
 // addEntry records the arrival of summary query q at a procedure entry.
 func (s *SNE) addEntry(entry ir.NodeID, q *Query) {
 	for i := range s.entries {

@@ -11,12 +11,9 @@
 // that held before a restructuring and fails after it, indicates a compiler
 // bug; the optimization driver uses both as apply gates.
 //
-// Passes come in two kinds. Invariant passes must report zero findings on
-// every well-formed program — compiled seed programs and correctly
-// restructured ones alike — so any finding is a defect. Diagnostic passes
-// report interesting-but-legal facts (a temp that is never read, a branch
-// whose condition SCCP proves constant); they feed metrics such as the ICBE
-// recall counter and never gate an apply.
+// Every pass is an invariant pass: it must report zero findings on every
+// well-formed program — compiled seed programs and correctly restructured
+// ones alike — so any finding is a defect.
 package check
 
 import (
@@ -26,26 +23,12 @@ import (
 	"icbe/internal/ir"
 )
 
-// Kind classifies a lint pass.
+// Kind classifies a lint pass. Invariant is the only kind.
 type Kind int
 
-const (
-	// Invariant passes must be finding-free on well-formed programs; the
-	// driver's check gate treats a new finding as a contained failure.
-	Invariant Kind = iota
-	// Diagnostic passes report legal-but-notable facts and never gate.
-	Diagnostic
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Invariant:
-		return "invariant"
-	case Diagnostic:
-		return "diagnostic"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
+// Invariant passes must be finding-free on well-formed programs; the
+// driver's check gate treats a new finding as a contained failure.
+const Invariant Kind = 0
 
 // Finding is one lint result.
 type Finding struct {
@@ -102,9 +85,8 @@ type Report struct {
 	// PerPass maps each executed pass to its finding count (zero entries
 	// included, so gate comparisons see every pass).
 	PerPass map[string]int
-	// Invariants and Diagnostics total the findings by pass kind.
-	Invariants  int
-	Diagnostics int
+	// Invariants totals the findings.
+	Invariants int
 	// SCCP is the shared oracle result the passes ran against.
 	SCCP *SCCP
 }
@@ -112,39 +94,14 @@ type Report struct {
 // Count returns the finding count of the named pass.
 func (r *Report) Count(pass string) int { return r.PerPass[pass] }
 
-// FindingsOf returns the findings of the named pass.
-func (r *Report) FindingsOf(pass string) []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Pass == pass {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Analyze runs every registered pass over the program.
-func Analyze(p *ir.Program) *Report { return run(p, nil, false) }
-
-// AnalyzeInvariants runs only the invariant passes — the gate set the
+// AnalyzeInvariants runs every registered pass — the gate set the
 // optimization driver compares before and after each restructuring.
-func AnalyzeInvariants(p *ir.Program) *Report { return run(p, nil, true) }
+func AnalyzeInvariants(p *ir.Program) *Report { return runPasses(p, nil, registry) }
 
 // AnalyzeWith runs the given passes against a caller-supplied SCCP result
 // (computed with RunSCCP), avoiding a recomputation when the caller already
 // holds one for this exact program.
 func AnalyzeWith(p *ir.Program, s *SCCP, passes []Pass) *Report {
-	return runPasses(p, s, passes)
-}
-
-func run(p *ir.Program, s *SCCP, invariantOnly bool) *Report {
-	var passes []Pass
-	for _, ps := range registry {
-		if invariantOnly && ps.Kind() != Invariant {
-			continue
-		}
-		passes = append(passes, ps)
-	}
 	return runPasses(p, s, passes)
 }
 
@@ -159,11 +116,7 @@ func runPasses(p *ir.Program, s *SCCP, passes []Pass) *Report {
 		sort.SliceStable(fs, func(i, j int) bool { return fs[i].Node < fs[j].Node })
 		rep.PerPass[ps.Name()] = len(fs)
 		rep.Findings = append(rep.Findings, fs...)
-		if ps.Kind() == Invariant {
-			rep.Invariants += len(fs)
-		} else {
-			rep.Diagnostics += len(fs)
-		}
+		rep.Invariants += len(fs)
 	}
 	return rep
 }

@@ -11,8 +11,7 @@ import (
 
 // Compiled programs — the paper workloads and the equivalence-suite random
 // seeds — must carry zero invariant findings: lowering is structurally sound,
-// reachable, and definite-assignment clean by construction. Diagnostics
-// (dead stores, constant branches) are legal on seeds and not asserted.
+// reachable, and definite-assignment clean by construction.
 func TestWorkloadsHaveNoInvariantFindings(t *testing.T) {
 	for _, w := range progs.All() {
 		t.Run(w.Name, func(t *testing.T) {
@@ -20,9 +19,9 @@ func TestWorkloadsHaveNoInvariantFindings(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			rep := Analyze(p)
+			rep := AnalyzeInvariants(p)
 			if rep.Invariants != 0 {
-				t.Errorf("invariant findings = %d:\n%v", rep.Invariants, rep.FindingsOf("structure"))
+				t.Errorf("invariant findings = %d", rep.Invariants)
 				for _, f := range rep.Findings {
 					t.Logf("  %s", f)
 				}
@@ -42,7 +41,7 @@ func TestRandomProgramsHaveNoInvariantFindings(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			rep := Analyze(p)
+			rep := AnalyzeInvariants(p)
 			if rep.Invariants != 0 {
 				t.Errorf("invariant findings = %d on seed %d", rep.Invariants, seed)
 				for _, f := range rep.Findings {

@@ -68,37 +68,50 @@ type assignFlow struct {
 	mayIn []uint64 // maybe-assigned at node entry, words per node
 }
 
-// flowIndex maps IDs to positions in one procedure's assignFlow lists. One
-// index serves every procedure of a pass run: analyzeAssignments rewrites
-// the entries of its own nodes and variables, and a lookup confirms the
-// position against the list, so an entry another procedure left never
-// matches.
+// flowIndex holds what one pass run shares across procedures: the live
+// nodes and the local variables bucketed by owning procedure, each in arena
+// order, and the maps from IDs to positions in one procedure's lists.
+// analyzeAssignments rewrites the position entries of its own nodes and
+// variables, and a lookup confirms the position against the list, so an
+// entry another procedure left never matches.
 type flowIndex struct {
-	node []int32 // by NodeID
-	vr   []int32 // by VarID
+	nodes [][]*ir.Node // by procedure
+	vars  [][]ir.VarID // by procedure
+	node  []int32      // by NodeID
+	vr    []int32      // by VarID
 }
 
 func newFlowIndex(p *ir.Program) *flowIndex {
-	return &flowIndex{node: make([]int32, len(p.Nodes)), vr: make([]int32, len(p.Vars))}
-}
-
-// analyzeAssignments runs the assignment dataflow for one procedure.
-func analyzeAssignments(p *ir.Program, proc int, ix *flowIndex) *assignFlow {
-	af := &assignFlow{p: p, proc: proc, ix: ix}
+	ix := &flowIndex{
+		nodes: p.NodesByProc(),
+		vars:  make([][]ir.VarID, len(p.Procs)),
+		node:  make([]int32, len(p.Nodes)),
+		vr:    make([]int32, len(p.Vars)),
+	}
 	for _, v := range p.Vars {
-		if v != nil && !v.IsGlobal() && v.Proc == proc {
-			if v.ID >= 0 && int(v.ID) < len(ix.vr) {
-				ix.vr[v.ID] = int32(len(af.vars))
-			}
-			af.vars = append(af.vars, v.ID)
+		if v != nil && !v.IsGlobal() && v.Proc >= 0 && v.Proc < len(ix.vars) {
+			ix.vars[v.Proc] = append(ix.vars[v.Proc], v.ID)
 		}
 	}
-	for _, n := range p.Nodes {
-		if n != nil && n.Proc == proc {
-			if n.ID >= 0 && int(n.ID) < len(ix.node) {
-				ix.node[n.ID] = int32(len(af.nodes))
-			}
-			af.nodes = append(af.nodes, n)
+	return ix
+}
+
+// analyzeAssignments runs the assignment dataflow for one procedure. A
+// procedure index outside the procedure table (only on graphs ir.Validate
+// rejects) has no nodes or variables.
+func analyzeAssignments(p *ir.Program, proc int, ix *flowIndex) *assignFlow {
+	af := &assignFlow{p: p, proc: proc, ix: ix}
+	if proc >= 0 && proc < len(ix.nodes) {
+		af.nodes, af.vars = ix.nodes[proc], ix.vars[proc]
+	}
+	for i, v := range af.vars {
+		if v >= 0 && int(v) < len(ix.vr) {
+			ix.vr[v] = int32(i)
+		}
+	}
+	for i, n := range af.nodes {
+		if n.ID >= 0 && int(n.ID) < len(ix.node) {
+			ix.node[n.ID] = int32(i)
 		}
 	}
 	af.words = (len(af.vars) + 63) / 64

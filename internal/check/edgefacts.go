@@ -93,10 +93,10 @@ func (s *SCCP) EdgeFacts(b ir.NodeID) []EdgeFact {
 					}
 				}
 				ef.Live = true
-				ef.Outcome = decideValues(bn.CondOp, valueOf(st, bsp, bn.CondVar), operandValue(st, bsp, bn.CondRHS))
+				ef.Outcome = condOutcome(bn, st, bsp)
 				refinedOnly := false
 				if ef.Outcome != pred.Unknown && base != nil {
-					bo := decideValues(bn.CondOp, valueOf(base, bsp, bn.CondVar), operandValue(base, bsp, bn.CondRHS))
+					bo := condOutcome(bn, base, bsp)
 					refinedOnly = bo != ef.Outcome
 				}
 				ef.Prov = s.provenance(bn, bsp, st, ef.Outcome, refinedOnly)
@@ -145,7 +145,7 @@ func (s *SCCP) edgeState(pn *ir.Node, slot int) (st, base []cell) {
 	case ir.NAssert:
 		out := cloneCells(in)
 		if validOp(pn.APred.Op) {
-			if !refineGroup(out, sp, pn.AVar, pn.APred.Op, pn.APred.C) {
+			if !refineGroup(out, sp, pn.AVar, pn.APred) {
 				return nil, nil
 			}
 			return out, cloneCells(in)
@@ -176,7 +176,7 @@ func (s *SCCP) branchEdgeState(pn *ir.Node, sp *space, in []cell, slot int) (st,
 		// Malformed extra out-edges (fuzz graphs): plain unrefined flow.
 		return cloneCells(in), nil
 	}
-	o := decideValues(pn.CondOp, valueOf(in, sp, pn.CondVar), operandValue(in, sp, pn.CondRHS))
+	o := condOutcome(pn, in, sp)
 	if (slot == 0 && o == pred.False) || (slot == 1 && o == pred.True) {
 		return nil, nil
 	}
@@ -188,7 +188,7 @@ func (s *SCCP) branchEdgeState(pn *ir.Node, sp *space, in []cell, slot int) (st,
 	if slot == 1 {
 		p = p.Negate()
 	}
-	if !refineGroup(out, sp, pn.CondVar, p.Op, p.C) {
+	if !refineGroup(out, sp, pn.CondVar, p) {
 		return nil, nil
 	}
 	return out, cloneCells(in)

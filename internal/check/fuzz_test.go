@@ -120,7 +120,7 @@ func FuzzCheck(f *testing.F) {
 		}
 
 		verr := ir.Validate(p)
-		Analyze(p)
+		rep := AnalyzeInvariants(p)
 		s := RunSCCP(p)
 		s.MustFailAsserts()
 		s.DecidedBranches()
@@ -140,8 +140,8 @@ func FuzzCheck(f *testing.F) {
 			if verr != nil {
 				t.Fatalf("intact program failed validation: %v\n%s", verr, src)
 			}
-			if inv := AnalyzeInvariants(p); len(inv.Findings) != 0 {
-				t.Fatalf("intact program has invariant findings: %v\n%s", inv.Findings, src)
+			if len(rep.Findings) != 0 {
+				t.Fatalf("intact program has invariant findings: %v\n%s", rep.Findings, src)
 			}
 			if mf := s.MustFailAsserts(); len(mf) != 0 {
 				t.Fatalf("intact program has must-fail asserts %v\n%s", mf, src)

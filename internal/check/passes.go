@@ -15,8 +15,6 @@ func init() {
 	Register(unreachablePass{})
 	Register(useBeforeDefPass{})
 	Register(sccpConsistencyPass{})
-	Register(deadStorePass{})
-	Register(constantBranchPass{})
 }
 
 // structurePass surfaces ir.Validate's structural and linkage violations
@@ -181,87 +179,6 @@ func (sccpConsistencyPass) Run(cx *Context) []Finding {
 			Msg: fmt.Sprintf("reachable assertion (v%d %s) can never hold: variable is %s on entry",
 				int(n.AVar), n.APred, cx.SCCP.ValueAt(id, n.AVar))})
 	}
-	return out
-}
-
-// deadStorePass reports compiler temporaries that are assigned somewhere
-// but never read anywhere. Restructuring can legitimately orphan a temp
-// (eliminating a branch removes the read of its condition temp), so this is
-// diagnostic, not gating.
-type deadStorePass struct{}
-
-func (deadStorePass) Name() string { return "dead-store" }
-func (deadStorePass) Kind() Kind   { return Diagnostic }
-func (deadStorePass) Run(cx *Context) []Finding {
-	p := cx.Prog
-	read := make([]bool, len(p.Vars))
-	firstStore := make([]ir.NodeID, len(p.Vars))
-	for i := range firstStore {
-		firstStore[i] = ir.NoNode
-	}
-	mark := func(v ir.VarID) {
-		if v >= 0 && int(v) < len(read) {
-			read[v] = true
-		}
-	}
-	p.LiveNodes(func(n *ir.Node) {
-		forEachRead(n, mark)
-		switch n.Kind {
-		case ir.NAssign, ir.NCallExit:
-			d := n.Dst
-			if d >= 0 && int(d) < len(firstStore) &&
-				(firstStore[d] == ir.NoNode || n.ID < firstStore[d]) {
-				firstStore[d] = n.ID
-			}
-		case ir.NExit:
-			// The exit's implicit read of the return variable.
-			if n.Proc >= 0 && n.Proc < len(p.Procs) && p.Procs[n.Proc] != nil {
-				mark(p.Procs[n.Proc].RetVar)
-			}
-		}
-	})
-	var out []Finding
-	for i, v := range p.Vars {
-		if v == nil || v.Kind != ir.VarTemp || read[i] || firstStore[i] == ir.NoNode {
-			continue
-		}
-		n := p.Node(firstStore[i])
-		line := 0
-		if n != nil {
-			line = n.Line
-		}
-		out = append(out, Finding{Pass: "dead-store", Node: firstStore[i], Line: line,
-			Msg: fmt.Sprintf("temporary %q assigned but never read", v.Name)})
-	}
-	return out
-}
-
-// constantBranchPass reports executable branches whose outcome SCCP
-// decides. On the input program these are legal (and common in generated
-// code); after optimization, the analyzable ones are exactly the recall gap
-// between the forward oracle and ICBE — constant branches the
-// restructuring left in place.
-type constantBranchPass struct{}
-
-func (constantBranchPass) Name() string { return "constant-branch" }
-func (constantBranchPass) Kind() Kind   { return Diagnostic }
-func (constantBranchPass) Run(cx *Context) []Finding {
-	var out []Finding
-	cx.Prog.LiveNodes(func(n *ir.Node) {
-		if n.Kind != ir.NBranch {
-			return
-		}
-		o := cx.SCCP.BranchOutcome(n.ID)
-		if o == pred.Unknown {
-			return
-		}
-		kind := "non-analyzable"
-		if n.Analyzable() {
-			kind = "analyzable"
-		}
-		out = append(out, Finding{Pass: "constant-branch", Node: n.ID, Line: n.Line,
-			Msg: fmt.Sprintf("%s branch condition is constant: always %s", kind, o)})
-	})
 	return out
 }
 

@@ -17,7 +17,7 @@ func TestPassesCleanProgram(t *testing.T) {
 			print(s);
 		}
 	`)
-	rep := Analyze(p)
+	rep := AnalyzeInvariants(p)
 	if rep.Invariants != 0 {
 		t.Errorf("invariant findings on a compiled program = %d, want 0:\n%v", rep.Invariants, rep.Findings)
 	}
@@ -35,7 +35,7 @@ func TestUnreachableNodeFinding(t *testing.T) {
 	if err := ir.Validate(p); err != nil {
 		t.Fatalf("orphan nop should pass structural validation: %v", err)
 	}
-	rep := Analyze(p)
+	rep := AnalyzeInvariants(p)
 	if got := rep.Count("unreachable-node"); got != 1 {
 		t.Errorf("unreachable-node findings = %d, want 1:\n%v", got, rep.Findings)
 	}
@@ -65,56 +65,9 @@ func TestUseBeforeDefFinding(t *testing.T) {
 	if !erased {
 		t.Fatalf("no zero-init assignment found\n%s", p.Dump())
 	}
-	rep := Analyze(p)
+	rep := AnalyzeInvariants(p)
 	if got := rep.Count("use-before-def"); got == 0 {
 		t.Errorf("use-before-def findings = 0, want >0:\n%v", rep.Findings)
-	}
-}
-
-func TestDeadStoreFinding(t *testing.T) {
-	p := build(t, `
-		func main() { print(1); }
-	`)
-	pr := p.Procs[p.MainProc]
-	entry := p.Node(pr.Entries[0])
-	// Splice an assignment to a fresh temporary after the entry; nothing
-	// reads it.
-	tmp := p.NewVar("main.$dead", ir.VarTemp, pr.Index)
-	st := p.NewNode(ir.NAssign, pr.Index)
-	st.Dst = tmp
-	st.RHS = ir.RHS{Kind: ir.RConst, Const: 3}
-	succ := entry.Succs[0]
-	p.RedirectSucc(entry.ID, succ, st.ID)
-	p.AddEdge(st.ID, succ)
-	if err := ir.Validate(p); err != nil {
-		t.Fatalf("spliced program invalid: %v", err)
-	}
-	rep := Analyze(p)
-	if got := rep.Count("dead-store"); got != 1 {
-		t.Errorf("dead-store findings = %d, want 1:\n%v", got, rep.Findings)
-	}
-	if rep.Invariants != 0 {
-		t.Errorf("dead store must be diagnostic, got %d invariant findings:\n%v", rep.Invariants, rep.Findings)
-	}
-}
-
-func TestConstantBranchFinding(t *testing.T) {
-	p := build(t, `
-		func main() {
-			var x = 5;
-			if (x == 5) { print(1); } else { print(2); }
-		}
-	`)
-	rep := Analyze(p)
-	if got := rep.Count("constant-branch"); got != 1 {
-		t.Errorf("constant-branch findings = %d, want 1:\n%v", got, rep.Findings)
-	}
-	if rep.Invariants != 0 {
-		t.Errorf("constant branch on a seed program must not be an invariant violation, got %d:\n%v",
-			rep.Invariants, rep.Findings)
-	}
-	if got := RecallCount(p, rep.SCCP); got != 1 {
-		t.Errorf("RecallCount = %d, want 1", got)
 	}
 }
 
@@ -127,31 +80,12 @@ func TestStructureFinding(t *testing.T) {
 	pr := p.Procs[p.MainProc]
 	entry := p.Node(pr.Entries[0])
 	entry.Succs = append(entry.Succs, pr.Exits[0])
-	rep := Analyze(p)
+	rep := AnalyzeInvariants(p)
 	if got := rep.Count("structure"); got == 0 {
 		t.Errorf("structure findings = 0, want >0:\n%v", rep.Findings)
 	}
 	if rep.Invariants == 0 {
 		t.Errorf("structure violations must count as invariants")
-	}
-}
-
-func TestAnalyzeInvariantsSkipsDiagnostics(t *testing.T) {
-	p := build(t, `
-		func main() {
-			var x = 5;
-			if (x == 5) { print(1); } else { print(2); }
-		}
-	`)
-	rep := AnalyzeInvariants(p)
-	if len(rep.Findings) != 0 {
-		t.Errorf("AnalyzeInvariants reported %v", rep.Findings)
-	}
-	if _, ok := rep.PerPass["constant-branch"]; ok {
-		t.Errorf("diagnostic pass present in invariant-only report: %v", rep.PerPass)
-	}
-	if _, ok := rep.PerPass["unreachable-node"]; !ok {
-		t.Errorf("invariant pass missing from report: %v", rep.PerPass)
 	}
 }
 
@@ -164,8 +98,6 @@ func TestRegistryOrderAndKinds(t *testing.T) {
 		{"unreachable-node", Invariant},
 		{"use-before-def", Invariant},
 		{"sccp-consistency", Invariant},
-		{"dead-store", Diagnostic},
-		{"constant-branch", Diagnostic},
 	}
 	ps := Passes()
 	if len(ps) != len(want) {
@@ -173,7 +105,7 @@ func TestRegistryOrderAndKinds(t *testing.T) {
 	}
 	for i, w := range want {
 		if ps[i].Name() != w.name || ps[i].Kind() != w.kind {
-			t.Errorf("pass %d = %s/%s, want %s/%s", i, ps[i].Name(), ps[i].Kind(), w.name, w.kind)
+			t.Errorf("pass %d = %s/%d, want %s/%d", i, ps[i].Name(), ps[i].Kind(), w.name, w.kind)
 		}
 	}
 }

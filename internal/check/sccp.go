@@ -57,6 +57,10 @@ func (v Value) Const() (int64, bool) { return v.lo, v.kind == vConst }
 // Range returns the inclusive bounds of a proper interval element.
 func (v Value) Range() (lo, hi int64, ok bool) { return v.lo, v.hi, v.kind == vRange }
 
+// rng returns the element's bounds as a pred range. ⊤ has no bounds; the
+// callers guard it.
+func (v Value) rng() pred.Range { return pred.Range{Lo: v.lo, Hi: v.hi} }
+
 func (v Value) String() string {
 	switch v.kind {
 	case vTop:
@@ -270,8 +274,7 @@ func (s *SCCP) BranchOutcome(b ir.NodeID) pred.Outcome {
 	if n == nil || n.Kind != ir.NBranch || st == nil {
 		return pred.Unknown
 	}
-	sp := s.spaceOf(n.Proc)
-	return decideValues(n.CondOp, valueOf(st, sp, n.CondVar), operandValue(st, sp, n.CondRHS))
+	return condOutcome(n, st, s.spaceOf(n.Proc))
 }
 
 // MustFailAsserts returns the executable assert nodes whose predicate can
@@ -578,12 +581,13 @@ func assign(st []cell, sp *space, dst ir.VarID, v Value, root ir.VarID) {
 }
 
 // refineGroup narrows the asserted variable's cell — and every cell in its
-// copy-propagation group — by the predicate (v op c). It reports false only
-// when the asserted variable itself cannot satisfy the predicate: the path
-// is infeasible (a branch arm) or the assertion must fail. A contradiction
+// copy-propagation group — by the predicate p with pred's range
+// refinement. It reports false only when the asserted variable itself
+// cannot satisfy the predicate: the path is infeasible (a branch arm) or
+// the assertion must fail. A contradiction
 // on another group member leaves that member unchanged instead; the group
 // bookkeeping is conservative and must never manufacture a proof.
-func refineGroup(st []cell, sp *space, v ir.VarID, op pred.Op, c int64) bool {
+func refineGroup(st []cell, sp *space, v ir.VarID, p pred.Pred) bool {
 	okOwn := true
 	root := rootOf(st, sp, v)
 	for i := range st {
@@ -598,136 +602,31 @@ func refineGroup(st []cell, sp *space, v ir.VarID, op pred.Op, c int64) bool {
 		if ri != root && vi != root {
 			continue
 		}
-		nv, ok := refine(st[i].v, op, c)
+		if st[i].v.kind == vTop {
+			continue // no executable value yet: nothing to narrow
+		}
+		nr, ok := st[i].v.rng().Refine(p)
 		if !ok {
 			if vi == v {
 				okOwn = false
 			}
 			continue
 		}
-		st[i].v = nv
+		st[i].v = rangeValue(nr.Lo, nr.Hi)
 	}
 	return okOwn
 }
 
-// refine intersects a lattice element with the predicate (· op c),
-// reporting ok=false when the intersection is empty. ⊤ carries no
-// executable value and passes through untouched.
-func refine(v Value, op pred.Op, c int64) (Value, bool) {
-	if v.kind == vTop {
-		return v, true
-	}
-	lo, hi := v.lo, v.hi
-	switch op {
-	case pred.Eq:
-		if c < lo || c > hi {
-			return v, false
-		}
-		return constant(c), true
-	case pred.Ne:
-		switch {
-		case lo == hi:
-			if lo == c {
-				return v, false
-			}
-		case c == lo:
-			return rangeValue(lo+1, hi), true
-		case c == hi:
-			return rangeValue(lo, hi-1), true
-		}
-		return v, true
-	case pred.Lt:
-		if c == math.MinInt64 {
-			return v, false
-		}
-		return clampHi(v, lo, hi, c-1)
-	case pred.Le:
-		return clampHi(v, lo, hi, c)
-	case pred.Gt:
-		if c == math.MaxInt64 {
-			return v, false
-		}
-		return clampLo(v, lo, hi, c+1)
-	case pred.Ge:
-		return clampLo(v, lo, hi, c)
-	}
-	return v, true
-}
-
-func clampHi(v Value, lo, hi, bound int64) (Value, bool) {
-	switch {
-	case bound < lo:
-		return v, false
-	case bound >= hi:
-		return v, true
-	}
-	return rangeValue(lo, bound), true
-}
-
-func clampLo(v Value, lo, hi, bound int64) (Value, bool) {
-	switch {
-	case bound > hi:
-		return v, false
-	case bound <= lo:
-		return v, true
-	}
-	return rangeValue(bound, hi), true
-}
-
-// decideValues folds a comparison over two lattice elements: True/False when
-// the operand bounds decide it, Unknown otherwise (including ⊤ operands and
-// malformed operators).
-func decideValues(op pred.Op, l, r Value) pred.Outcome {
-	if !validOp(op) || l.kind == vTop || r.kind == vTop {
+// condOutcome folds a branch's condition over its operand elements in the
+// given state with pred's range comparison. ⊤ operands carry no executable
+// value and malformed operators (fuzz graphs) decide nothing: both stay
+// Unknown.
+func condOutcome(n *ir.Node, st []cell, sp *space) pred.Outcome {
+	l, r := valueOf(st, sp, n.CondVar), operandValue(st, sp, n.CondRHS)
+	if !validOp(n.CondOp) || l.kind == vTop || r.kind == vTop {
 		return pred.Unknown
 	}
-	llo, lhi := l.lo, l.hi
-	rlo, rhi := r.lo, r.hi
-	switch op {
-	case pred.Eq:
-		if llo == lhi && rlo == rhi && llo == rlo {
-			return pred.True
-		}
-		if lhi < rlo || llo > rhi {
-			return pred.False
-		}
-	case pred.Ne:
-		if lhi < rlo || llo > rhi {
-			return pred.True
-		}
-		if llo == lhi && rlo == rhi && llo == rlo {
-			return pred.False
-		}
-	case pred.Lt:
-		if lhi < rlo {
-			return pred.True
-		}
-		if llo >= rhi {
-			return pred.False
-		}
-	case pred.Le:
-		if lhi <= rlo {
-			return pred.True
-		}
-		if llo > rhi {
-			return pred.False
-		}
-	case pred.Gt:
-		if llo > rhi {
-			return pred.True
-		}
-		if lhi <= rlo {
-			return pred.False
-		}
-	case pred.Ge:
-		if llo >= rhi {
-			return pred.True
-		}
-		if lhi < rlo {
-			return pred.False
-		}
-	}
-	return pred.Unknown
+	return l.rng().Compare(n.CondOp, r.rng())
 }
 
 func (r *sccpRun) process(id ir.NodeID) {
@@ -752,7 +651,7 @@ func (r *sccpRun) process(id ir.NodeID) {
 		out := r.scratchCopy(st)
 		ok := true
 		if validOp(n.APred.Op) {
-			ok = refineGroup(out, sp, n.AVar, n.APred.Op, n.APred.C)
+			ok = refineGroup(out, sp, n.AVar, n.APred)
 		}
 		if int(id) < len(r.mustFail) {
 			r.mustFail[id] = !ok
@@ -791,15 +690,14 @@ func (r *sccpRun) pushAll(n *ir.Node, st []cell, sp *space) {
 // variable's group by the implied predicate on each taken edge — the
 // branch-edge assertion that makes the oracle conditional.
 func (r *sccpRun) processBranch(n *ir.Node, st []cell, sp *space) {
-	l := valueOf(st, sp, n.CondVar)
-	rv := operandValue(st, sp, n.CondRHS)
-	o := decideValues(n.CondOp, l, rv)
+	o := condOutcome(n, st, sp)
 	refinable := n.CondRHS.IsConst && validOp(n.CondOp)
+	p := pred.Pred{Op: n.CondOp, C: n.CondRHS.Const}
 	if o != pred.False && len(n.Succs) > 0 {
 		out := r.scratchCopy(st)
 		ok := true
 		if refinable {
-			ok = refineGroup(out, sp, n.CondVar, n.CondOp, n.CondRHS.Const)
+			ok = refineGroup(out, sp, n.CondVar, p)
 		}
 		if ok {
 			r.pushState(n.Succs[0], out, sp)
@@ -809,8 +707,7 @@ func (r *sccpRun) processBranch(n *ir.Node, st []cell, sp *space) {
 		out := r.scratchCopy(st)
 		ok := true
 		if refinable {
-			np := pred.Pred{Op: n.CondOp, C: n.CondRHS.Const}.Negate()
-			ok = refineGroup(out, sp, n.CondVar, np.Op, np.C)
+			ok = refineGroup(out, sp, n.CondVar, p.Negate())
 		}
 		if ok {
 			r.pushState(n.Succs[1], out, sp)
@@ -1126,6 +1023,6 @@ func foldBinop(op ir.BinOp, a, b int64) (int64, bool) {
 	return 0, false
 }
 
-// validOp guards pred.Op.Eval, which panics on out-of-range operators
-// (possible only on fuzz-mutated graphs).
+// validOp guards pred's operator switches, which panic on out-of-range
+// operators (possible only on fuzz-mutated graphs).
 func validOp(op pred.Op) bool { return op >= pred.Eq && op <= pred.Ge }

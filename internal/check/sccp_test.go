@@ -68,6 +68,9 @@ func TestSCCPDecidesConstantBranch(t *testing.T) {
 	if c, ok := s.ConstOf(b.CondVar); !ok || c != 5 {
 		t.Errorf("ConstOf(x) = %d,%v, want 5,true", c, ok)
 	}
+	if got := RecallCount(p, s); got != 1 {
+		t.Errorf("RecallCount = %d, want 1", got)
+	}
 	// The false arm must be unreachable: exactly one print executes.
 	reachPrints := 0
 	p.LiveNodes(func(n *ir.Node) {
@@ -284,7 +287,7 @@ func TestSCCPMustFailAssert(t *testing.T) {
 	}
 	// Propagation stops at the failing assertion: its successor must not be
 	// reachable through it alone.
-	rep := Analyze(p)
+	rep := AnalyzeInvariants(p)
 	if rep.Count("sccp-consistency") != 1 {
 		t.Errorf("sccp-consistency findings = %d, want 1", rep.Count("sccp-consistency"))
 	}

@@ -88,15 +88,6 @@ type Facts struct {
 	Residual int
 }
 
-// ByClass counts the table's rows per class.
-func (f *Facts) ByClass() map[Class]int {
-	out := make(map[Class]int)
-	for i := range f.Branches {
-		out[f.Branches[i].Class]++
-	}
-	return out
-}
-
 // Analyze runs the oracle on the program and computes its fact table.
 func Analyze(p *ir.Program) *Facts { return Compute(p, check.RunSCCP(p)) }
 

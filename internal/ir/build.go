@@ -114,9 +114,26 @@ func (b *builder) lowerProgram() {
 		}
 	})
 
-	// Prune intraprocedurally unreachable nodes.
+	// Prune intraprocedurally unreachable nodes. A walk follows only its own
+	// procedure's nodes, so one mark array serves every procedure, and a
+	// deletion never changes another procedure's walk.
+	reached := make([]bool, len(p.Nodes))
 	for i := range p.Procs {
-		b.pruneProc(i)
+		b.markReachable(i, reached)
+	}
+	for _, n := range p.Nodes {
+		if n != nil && !reached[n.ID] {
+			p.DeleteNode(n.ID)
+		}
+	}
+	for _, pr := range p.Procs {
+		var exits []NodeID
+		for _, e := range pr.Exits {
+			if reached[e] {
+				exits = append(exits, e)
+			}
+		}
+		pr.Exits = exits
 	}
 }
 
@@ -144,16 +161,15 @@ func (b *builder) lowerProc(idx int, fn *minic.Proc) {
 	}
 }
 
-// pruneProc removes nodes of the procedure not reachable from any of its
-// entries (via intraprocedural edges, treating call → call-site-exit as the
+// markReachable marks the procedure's nodes reachable from any of its
+// entries via intraprocedural edges (treating call → call-site-exit as the
 // local fallthrough).
-func (b *builder) pruneProc(idx int) {
+func (b *builder) markReachable(idx int, reached []bool) {
 	p := b.prog
 	pr := p.Procs[idx]
-	seen := make([]bool, len(p.Nodes))
 	stack := make([]NodeID, 0, len(pr.Entries))
 	for _, e := range pr.Entries {
-		seen[e] = true
+		reached[e] = true
 		stack = append(stack, e)
 	}
 	for len(stack) > 0 {
@@ -161,25 +177,13 @@ func (b *builder) pruneProc(idx int) {
 		stack = stack[:len(stack)-1]
 		for _, s := range p.Nodes[id].Succs {
 			sn := p.Nodes[s]
-			if sn == nil || sn.Proc != idx || seen[s] {
+			if sn == nil || sn.Proc != idx || reached[s] {
 				continue
 			}
-			seen[s] = true
+			reached[s] = true
 			stack = append(stack, s)
 		}
 	}
-	for _, n := range p.Nodes {
-		if n != nil && n.Proc == idx && !seen[n.ID] {
-			p.DeleteNode(n.ID)
-		}
-	}
-	var exits []NodeID
-	for _, e := range pr.Exits {
-		if seen[e] {
-			exits = append(exits, e)
-		}
-	}
-	pr.Exits = exits
 }
 
 // emit appends node n to the current flow position.

@@ -1,14 +1,14 @@
-// Package pred implements the small predicate algebra used by the ICBE
-// correlation analysis. Queries and branch assertions in the paper are
-// restricted to the form (var relop const); this package decides, given a
-// fact about a variable's value (an exact constant, a value range, or a
-// previously established relational assertion), whether a query predicate is
-// implied true, implied false, or left undetermined.
+// Package pred implements the small predicate algebra shared by the ICBE
+// correlation analysis and the SCCP oracle. Queries and branch assertions in
+// the paper are restricted to the form (var relop const); this package
+// decides, given a fact about a variable's value (an exact constant, a value
+// range, or a previously established relational assertion), whether a query
+// predicate is implied true, implied false, or left undetermined, and
+// narrows a range by a predicate.
 //
-// Facts and predicates are both represented through their satisfying sets
-// over the integers, modeled as normalized unions of closed intervals with
-// optional infinite endpoints. All arithmetic is exact over int64 with
-// explicit handling of the representation limits.
+// Facts are closed int64 ranges. Every representable value lies in
+// [MinInt64, MaxInt64], so no bound needs to be infinite, and a predicate's
+// satisfying set is at most two ranges.
 package pred
 
 import (
@@ -36,25 +36,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
 	return opNames[o]
-}
-
-// ParseOp converts a source-level operator token to an Op.
-func ParseOp(s string) (Op, bool) {
-	switch s {
-	case "==":
-		return Eq, true
-	case "!=":
-		return Ne, true
-	case "<":
-		return Lt, true
-	case "<=":
-		return Le, true
-	case ">":
-		return Gt, true
-	case ">=":
-		return Ge, true
-	}
-	return 0, false
 }
 
 // Negate returns the operator computing the logical negation: !(v Op c) ==
@@ -110,46 +91,11 @@ func (p Pred) Negate() Pred { return Pred{Op: p.Op.Negate(), C: p.C} }
 // Eval evaluates the predicate for the concrete value v.
 func (p Pred) Eval(v int64) bool { return p.Op.Eval(v, p.C) }
 
-// Sat returns the set of integer values satisfying p.
-func (p Pred) Sat() Set { return Set(p.satInto(nil)) }
-
-// satInto appends the satisfying intervals of p (at most two) to ivs. With
-// a caller-provided stack buffer it builds the set without heap allocation.
-func (p Pred) satInto(ivs []Interval) []Interval {
-	switch p.Op {
-	case Eq:
-		return append(ivs, Interval{Fin(p.C), Fin(p.C)})
-	case Ne:
-		if p.C != math.MinInt64 {
-			ivs = append(ivs, Interval{NegInf(), Fin(p.C - 1)})
-		}
-		if p.C != math.MaxInt64 {
-			ivs = append(ivs, Interval{Fin(p.C + 1), PosInf()})
-		}
-		return ivs
-	case Lt:
-		if p.C == math.MinInt64 {
-			return ivs
-		}
-		return append(ivs, Interval{NegInf(), Fin(p.C - 1)})
-	case Le:
-		return append(ivs, Interval{NegInf(), Fin(p.C)})
-	case Gt:
-		if p.C == math.MaxInt64 {
-			return ivs
-		}
-		return append(ivs, Interval{Fin(p.C + 1), PosInf()})
-	case Ge:
-		return append(ivs, Interval{Fin(p.C), PosInf()})
-	}
-	panic(fmt.Sprintf("pred: invalid operator %d", int(p.Op)))
-}
-
 // Outcome is the three-valued result of deciding a predicate under a fact.
 type Outcome int
 
-// Outcomes of Decide: the predicate always holds, never holds, or is not
-// determined by the fact.
+// Outcomes of a decision: the predicate always holds, never holds, or is
+// not determined by the fact.
 const (
 	Unknown Outcome = iota
 	True
@@ -167,327 +113,129 @@ func (o Outcome) String() string {
 	}
 }
 
-// Decide reports whether every value in fact satisfies p (True), no value in
-// fact satisfies p (False), or neither (Unknown). An empty fact set denotes
-// unreachable state; Decide returns True for it (any answer is sound; True
-// keeps the common x != x style degenerate cases deterministic).
-func Decide(fact Set, p Pred) Outcome { return decideIntervals(fact, p) }
-
-// DecidePred is Decide with the fact given as a predicate's satisfying set:
-// Decide(fact.Sat(), p) without materializing the Set. The analysis' assert
-// transfer sits on this call, so the savings are per node-query pair.
-func DecidePred(fact, p Pred) Outcome {
-	var buf [2]Interval
-	return decideIntervals(fact.satInto(buf[:0]), p)
-}
-
-// decideIntervals decides p against a union of disjoint non-empty closed
-// intervals by comparing effective integer endpoints, with infinite bounds
-// clamped to the int64 range (every representable value lies within it).
-func decideIntervals(fact []Interval, p Pred) Outcome {
-	all, some := true, false
-	for _, iv := range fact {
-		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		if iv.Lo.Finite() {
-			lo = iv.Lo.v
-		}
-		if iv.Hi.Finite() {
-			hi = iv.Hi.v
-		}
-		var a, s bool
-		switch p.Op {
-		case Eq:
-			a = lo == p.C && hi == p.C
-			s = lo <= p.C && p.C <= hi
-		case Ne:
-			a = p.C < lo || hi < p.C
-			s = !(lo == p.C && hi == p.C)
-		case Lt:
-			a = hi < p.C
-			s = lo < p.C
-		case Le:
-			a = hi <= p.C
-			s = lo <= p.C
-		case Gt:
-			a = lo > p.C
-			s = hi > p.C
-		case Ge:
-			a = lo >= p.C
-			s = hi >= p.C
-		default:
-			panic(fmt.Sprintf("pred: invalid operator %d", int(p.Op)))
-		}
-		all = all && a
-		some = some || s
-	}
-	if all {
+// outcome folds two one-sided verdicts into an Outcome.
+func outcome(always, never bool) Outcome {
+	switch {
+	case always:
 		return True
-	}
-	if !some {
+	case never:
 		return False
 	}
 	return Unknown
 }
 
-// Bound is an interval endpoint: a finite int64 or one of the infinities.
-type Bound struct {
-	inf int8 // -1 = -inf, 0 = finite, +1 = +inf
-	v   int64
+// Range is the closed integer range [Lo, Hi]; Lo > Hi is the empty range.
+type Range struct {
+	Lo, Hi int64
 }
 
-// NegInf returns the -infinity bound.
-func NegInf() Bound { return Bound{inf: -1} }
+// Empty reports whether the range holds no value.
+func (r Range) Empty() bool { return r.Lo > r.Hi }
 
-// PosInf returns the +infinity bound.
-func PosInf() Bound { return Bound{inf: 1} }
+// Decide reports whether every value in r satisfies p (True), no value does
+// (False), or neither (Unknown). An empty range denotes unreachable state
+// and decides True (any answer is sound; True keeps the common x != x style
+// degenerate cases deterministic). It panics on an operator outside Eq..Ge
+// unless r is empty.
+func (r Range) Decide(p Pred) Outcome { return r.Compare(p.Op, Range{p.C, p.C}) }
 
-// Fin returns a finite bound with value v.
-func Fin(v int64) Bound { return Bound{v: v} }
-
-// IsNegInf reports whether b is -infinity.
-func (b Bound) IsNegInf() bool { return b.inf < 0 }
-
-// IsPosInf reports whether b is +infinity.
-func (b Bound) IsPosInf() bool { return b.inf > 0 }
-
-// Finite reports whether b is a finite value.
-func (b Bound) Finite() bool { return b.inf == 0 }
-
-// Value returns the finite value of b; it panics on an infinite bound.
-func (b Bound) Value() int64 {
-	if b.inf != 0 {
-		panic("pred: Value on infinite bound")
+// Compare decides (x op y) over every x in r and y in s: True when it holds
+// for every pair, False when it holds for none, Unknown otherwise. An empty
+// operand decides True, as in Decide. It panics on an operator outside
+// Eq..Ge unless an operand is empty.
+func (r Range) Compare(op Op, s Range) Outcome {
+	if r.Empty() || s.Empty() {
+		return True
 	}
-	return b.v
-}
-
-// Cmp compares two bounds: -1 if b < c, 0 if equal, +1 if b > c.
-func (b Bound) Cmp(c Bound) int {
-	if b.inf != c.inf {
-		if b.inf < c.inf {
-			return -1
-		}
-		return 1
+	same := r.Lo == r.Hi && r == s
+	disjoint := r.Hi < s.Lo || r.Lo > s.Hi
+	switch op {
+	case Eq:
+		return outcome(same, disjoint)
+	case Ne:
+		return outcome(disjoint, same)
+	case Lt:
+		return outcome(r.Hi < s.Lo, r.Lo >= s.Hi)
+	case Le:
+		return outcome(r.Hi <= s.Lo, r.Lo > s.Hi)
+	case Gt:
+		return outcome(r.Lo > s.Hi, r.Hi <= s.Lo)
+	case Ge:
+		return outcome(r.Lo >= s.Hi, r.Hi < s.Lo)
 	}
-	if b.inf != 0 {
-		return 0
-	}
-	switch {
-	case b.v < c.v:
-		return -1
-	case b.v > c.v:
-		return 1
-	}
-	return 0
+	panic(fmt.Sprintf("pred: invalid operator %d", int(op)))
 }
 
-func (b Bound) String() string {
-	switch {
-	case b.inf < 0:
-		return "-inf"
-	case b.inf > 0:
-		return "+inf"
-	}
-	return fmt.Sprintf("%d", b.v)
-}
-
-// succ returns the bound one greater than b (finite bounds only; saturates
-// at +inf when b is MaxInt64).
-func (b Bound) succ() Bound {
-	if !b.Finite() {
-		return b
-	}
-	if b.v == math.MaxInt64 {
-		return PosInf()
-	}
-	return Fin(b.v + 1)
-}
-
-// Interval is a closed integer interval [Lo, Hi]; Lo/Hi may be infinite.
-type Interval struct {
-	Lo, Hi Bound
-}
-
-// Empty reports whether the interval contains no integers.
-func (iv Interval) Empty() bool { return iv.Lo.Cmp(iv.Hi) > 0 }
-
-// Contains reports whether v lies in the interval.
-func (iv Interval) Contains(v int64) bool {
-	return iv.Lo.Cmp(Fin(v)) <= 0 && Fin(v).Cmp(iv.Hi) <= 0
-}
-
-func (iv Interval) String() string {
-	return fmt.Sprintf("[%s,%s]", iv.Lo, iv.Hi)
-}
-
-// Set is a normalized union of disjoint, sorted, non-adjacent intervals.
-type Set []Interval
-
-// All returns the set of all integers.
-func All() Set { return Set{{NegInf(), PosInf()}} }
-
-// Single returns the singleton set {v}.
-func Single(v int64) Set { return Set{{Fin(v), Fin(v)}} }
-
-// Range returns the set [lo, hi] with finite endpoints. An inverted range is
-// empty.
-func Range(lo, hi int64) Set {
-	if lo > hi {
-		return Set{}
-	}
-	return Set{{Fin(lo), Fin(hi)}}
-}
-
-// RangeBounds returns the set [lo, hi] for arbitrary bounds.
-func RangeBounds(lo, hi Bound) Set {
-	iv := Interval{lo, hi}
-	if iv.Empty() {
-		return Set{}
-	}
-	return Set{iv}
-}
-
-// Normalize sorts and merges overlapping or adjacent intervals, dropping
-// empty ones. It returns a fresh normalized set.
-func Normalize(ivs []Interval) Set {
-	var nonEmpty []Interval
-	for _, iv := range ivs {
-		if !iv.Empty() {
-			nonEmpty = append(nonEmpty, iv)
+// Refine narrows r by p: the smallest range holding every value of r that
+// satisfies p, with ok=false when no value does. The result is a hull, so
+// (v != c) with c strictly inside r leaves r unchanged. It panics on an
+// operator outside Eq..Ge.
+func (r Range) Refine(p Pred) (Range, bool) {
+	sat, n := p.sat()
+	out := Range{math.MaxInt64, math.MinInt64}
+	for _, s := range sat[:n] {
+		lo, hi := max(r.Lo, s.Lo), min(r.Hi, s.Hi)
+		if lo <= hi {
+			out = Range{min(out.Lo, lo), max(out.Hi, hi)}
 		}
 	}
-	if len(nonEmpty) == 0 {
-		return Set{}
-	}
-	// Insertion sort by Lo: sets here are tiny (≤ 3 intervals in practice).
-	for i := 1; i < len(nonEmpty); i++ {
-		for j := i; j > 0 && nonEmpty[j].Lo.Cmp(nonEmpty[j-1].Lo) < 0; j-- {
-			nonEmpty[j], nonEmpty[j-1] = nonEmpty[j-1], nonEmpty[j]
-		}
-	}
-	out := Set{nonEmpty[0]}
-	for _, iv := range nonEmpty[1:] {
-		last := &out[len(out)-1]
-		// Merge if iv.Lo <= last.Hi+1 (overlapping or adjacent).
-		if iv.Lo.Cmp(last.Hi.succ()) <= 0 {
-			if iv.Hi.Cmp(last.Hi) > 0 {
-				last.Hi = iv.Hi
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
+	return out, !out.Empty()
 }
 
-// Empty reports whether the set contains no integers.
-func (s Set) Empty() bool { return len(s) == 0 }
-
-// Contains reports whether v is a member of the set.
-func (s Set) Contains(v int64) bool {
-	for _, iv := range s {
-		if iv.Contains(v) {
-			return true
+// sat returns the values satisfying p as n disjoint non-empty ranges in
+// ascending order; n is at most two (for !=) and zero for (v < MinInt64)
+// and (v > MaxInt64).
+func (p Pred) sat() (rs [2]Range, n int) {
+	switch p.Op {
+	case Eq:
+		rs[n] = Range{p.C, p.C}
+		n++
+	case Ne:
+		if p.C != math.MinInt64 {
+			rs[n] = Range{math.MinInt64, p.C - 1}
+			n++
 		}
+		if p.C != math.MaxInt64 {
+			rs[n] = Range{p.C + 1, math.MaxInt64}
+			n++
+		}
+	case Lt:
+		if p.C != math.MinInt64 {
+			rs[n] = Range{math.MinInt64, p.C - 1}
+			n++
+		}
+	case Le:
+		rs[n] = Range{math.MinInt64, p.C}
+		n++
+	case Gt:
+		if p.C != math.MaxInt64 {
+			rs[n] = Range{p.C + 1, math.MaxInt64}
+			n++
+		}
+	case Ge:
+		rs[n] = Range{p.C, math.MaxInt64}
+		n++
+	default:
+		panic(fmt.Sprintf("pred: invalid operator %d", int(p.Op)))
 	}
-	return false
+	return rs, n
 }
 
-// Intersect returns the normalized intersection of s and t.
-func (s Set) Intersect(t Set) Set {
-	var out []Interval
-	for _, a := range s {
-		for _, b := range t {
-			lo := a.Lo
-			if b.Lo.Cmp(lo) > 0 {
-				lo = b.Lo
-			}
-			hi := a.Hi
-			if b.Hi.Cmp(hi) < 0 {
-				hi = b.Hi
-			}
-			iv := Interval{lo, hi}
-			if !iv.Empty() {
-				out = append(out, iv)
-			}
+// DecidePred decides p over the values satisfying the fact predicate: True
+// when all of them satisfy p, False when none does, Unknown otherwise. An
+// unsatisfiable fact decides True, as an empty range does. The analysis'
+// assert transfer sits on this call, once per node-query pair.
+func DecidePred(fact, p Pred) Outcome {
+	sat, n := fact.sat()
+	o := True
+	for i, r := range sat[:n] {
+		d := r.Decide(p)
+		if i > 0 && d != o {
+			return Unknown
 		}
+		o = d
 	}
-	return Normalize(out)
-}
-
-// Union returns the normalized union of s and t.
-func (s Set) Union(t Set) Set {
-	all := make([]Interval, 0, len(s)+len(t))
-	all = append(all, s...)
-	all = append(all, t...)
-	return Normalize(all)
-}
-
-// Intersects reports whether s and t share at least one integer.
-func (s Set) Intersects(t Set) bool {
-	for _, a := range s {
-		for _, b := range t {
-			lo := a.Lo
-			if b.Lo.Cmp(lo) > 0 {
-				lo = b.Lo
-			}
-			hi := a.Hi
-			if b.Hi.Cmp(hi) < 0 {
-				hi = b.Hi
-			}
-			if !(Interval{lo, hi}).Empty() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// SubsetOf reports whether every integer in s is also in t.
-func (s Set) SubsetOf(t Set) bool {
-	for _, a := range s {
-		if !t.covers(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// covers reports whether interval a is fully contained in the set.
-func (s Set) covers(a Interval) bool {
-	for _, b := range s {
-		if b.Lo.Cmp(a.Lo) <= 0 && a.Hi.Cmp(b.Hi) <= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Equal reports set equality (both sets must be normalized).
-func (s Set) Equal(t Set) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i].Lo.Cmp(t[i].Lo) != 0 || s[i].Hi.Cmp(t[i].Hi) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s Set) String() string {
-	if len(s) == 0 {
-		return "{}"
-	}
-	out := ""
-	for i, iv := range s {
-		if i > 0 {
-			out += " ∪ "
-		}
-		out += iv.String()
-	}
-	return out
+	return o
 }
 
 // ShiftSat returns the satisfying set of (w Op C') where the original query

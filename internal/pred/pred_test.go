@@ -18,18 +18,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestParseOp(t *testing.T) {
-	for _, op := range []Op{Eq, Ne, Lt, Le, Gt, Ge} {
-		got, ok := ParseOp(op.String())
-		if !ok || got != op {
-			t.Errorf("ParseOp(%q) = %v,%v", op.String(), got, ok)
-		}
-	}
-	if _, ok := ParseOp("<>"); ok {
-		t.Error("ParseOp accepted invalid operator")
-	}
-}
-
 func TestOpNegate(t *testing.T) {
 	vals := []int64{-3, -1, 0, 1, 2, 7}
 	for _, op := range []Op{Eq, Ne, Lt, Le, Gt, Ge} {
@@ -51,11 +39,22 @@ func TestOpNegateInvolution(t *testing.T) {
 	}
 }
 
+// satContains reports whether v lies in one of p's satisfying ranges.
+func satContains(p Pred, v int64) bool {
+	rs, n := p.sat()
+	for _, r := range rs[:n] {
+		if r.Lo <= v && v <= r.Hi {
+			return true
+		}
+	}
+	return false
+}
+
 func TestPredSatMembership(t *testing.T) {
-	// Property: v ∈ Sat(p) iff p.Eval(v).
+	// Property: v ∈ sat(p) iff p.Eval(v).
 	f := func(opRaw uint8, c, v int64) bool {
 		p := Pred{Op: Op(opRaw % 6), C: c}
-		return p.Sat().Contains(v) == p.Eval(v)
+		return satContains(p, v) == p.Eval(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -63,193 +62,96 @@ func TestPredSatMembership(t *testing.T) {
 }
 
 func TestPredSatExtremes(t *testing.T) {
-	if !(Pred{Op: Lt, C: math.MinInt64}).Sat().Empty() {
+	if _, n := (Pred{Op: Lt, C: math.MinInt64}).sat(); n != 0 {
 		t.Error("v < MinInt64 should be unsatisfiable")
 	}
-	if !(Pred{Op: Gt, C: math.MaxInt64}).Sat().Empty() {
+	if _, n := (Pred{Op: Gt, C: math.MaxInt64}).sat(); n != 0 {
 		t.Error("v > MaxInt64 should be unsatisfiable")
 	}
-	ne := (Pred{Op: Ne, C: math.MinInt64}).Sat()
-	if ne.Contains(math.MinInt64) || !ne.Contains(math.MinInt64+1) {
-		t.Errorf("Ne MinInt64 wrong: %v", ne)
+	ne := Pred{Op: Ne, C: math.MinInt64}
+	if satContains(ne, math.MinInt64) || !satContains(ne, math.MinInt64+1) {
+		t.Errorf("Ne MinInt64 wrong")
 	}
-	ne = (Pred{Op: Ne, C: math.MaxInt64}).Sat()
-	if ne.Contains(math.MaxInt64) || !ne.Contains(math.MaxInt64-1) {
-		t.Errorf("Ne MaxInt64 wrong: %v", ne)
+	ne = Pred{Op: Ne, C: math.MaxInt64}
+	if satContains(ne, math.MaxInt64) || !satContains(ne, math.MaxInt64-1) {
+		t.Errorf("Ne MaxInt64 wrong")
 	}
 }
 
 func TestPredNegateSatComplement(t *testing.T) {
 	f := func(opRaw uint8, c, v int64) bool {
 		p := Pred{Op: Op(opRaw % 6), C: c}
-		return p.Sat().Contains(v) != p.Negate().Sat().Contains(v)
+		return satContains(p, v) != satContains(p.Negate(), v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestBoundCmp(t *testing.T) {
-	order := []Bound{NegInf(), Fin(math.MinInt64), Fin(-1), Fin(0), Fin(1), Fin(math.MaxInt64), PosInf()}
-	for i, a := range order {
-		for j, b := range order {
-			want := 0
-			if i < j {
-				want = -1
-			} else if i > j {
-				want = 1
-			}
-			if got := a.Cmp(b); got != want {
-				t.Errorf("Cmp(%s,%s) = %d, want %d", a, b, got, want)
-			}
-		}
-	}
-}
-
-func TestBoundValuePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Value on +inf did not panic")
-		}
-	}()
-	PosInf().Value()
-}
-
-func TestBoundSuccSaturates(t *testing.T) {
-	if !Fin(math.MaxInt64).succ().IsPosInf() {
-		t.Error("succ(MaxInt64) should be +inf")
-	}
-	if got := Fin(5).succ(); got.Cmp(Fin(6)) != 0 {
-		t.Errorf("succ(5) = %s", got)
-	}
-	if !PosInf().succ().IsPosInf() {
-		t.Error("succ(+inf) should be +inf")
-	}
-}
-
-func TestNormalizeMerges(t *testing.T) {
-	s := Normalize([]Interval{
-		{Fin(5), Fin(9)},
-		{Fin(0), Fin(3)},
-		{Fin(4), Fin(4)},   // adjacent to both: everything merges to [0,9]
-		{Fin(20), Fin(10)}, // empty, dropped
-	})
-	want := Set{{Fin(0), Fin(9)}}
-	if !s.Equal(want) {
-		t.Errorf("Normalize = %v, want %v", s, want)
-	}
-}
-
-func TestNormalizeKeepsGaps(t *testing.T) {
-	s := Normalize([]Interval{{Fin(0), Fin(1)}, {Fin(3), Fin(4)}})
-	if len(s) != 2 {
-		t.Errorf("Normalize merged across a gap: %v", s)
-	}
-	if s.Contains(2) {
-		t.Error("gap value contained")
-	}
-}
-
-func TestSetOperationsSemantics(t *testing.T) {
-	// Property: membership distributes over Union/Intersect for sets built
-	// from two predicates.
-	f := func(op1, op2 uint8, c1, c2 int64, v int64) bool {
-		a := Pred{Op: Op(op1 % 6), C: c1}.Sat()
-		b := Pred{Op: Op(op2 % 6), C: c2}.Sat()
-		u := a.Union(b)
-		i := a.Intersect(b)
-		inA, inB := a.Contains(v), b.Contains(v)
-		return u.Contains(v) == (inA || inB) && i.Contains(v) == (inA && inB)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSubsetAndIntersects(t *testing.T) {
-	a := Range(0, 10)
-	b := Range(3, 5)
-	if !b.SubsetOf(a) || a.SubsetOf(b) {
-		t.Error("subset relation wrong")
-	}
-	if !a.Intersects(b) {
-		t.Error("intersects wrong")
-	}
-	c := Range(11, 20)
-	if a.Intersects(c) {
-		t.Error("disjoint ranges reported intersecting")
-	}
-	if !(Set{}).SubsetOf(a) {
-		t.Error("empty set must be subset of everything")
-	}
-	if (Set{}).Intersects(a) {
-		t.Error("empty set intersects nothing")
-	}
-}
-
-func TestSubsetConsistentWithIntersect(t *testing.T) {
-	f := func(op1, op2 uint8, c1, c2 int64) bool {
-		a := Pred{Op: Op(op1 % 6), C: c1}.Sat()
-		b := Pred{Op: Op(op2 % 6), C: c2}.Sat()
-		// a ⊆ b iff a ∩ b == a
-		return a.SubsetOf(b) == a.Intersect(b).Equal(a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDecide(t *testing.T) {
+	full := Range{math.MinInt64, math.MaxInt64}
 	tests := []struct {
-		fact Set
+		fact Range
 		p    Pred
 		want Outcome
 	}{
-		{Single(0), Pred{Eq, 0}, True},
-		{Single(0), Pred{Ne, 0}, False},
-		{Single(5), Pred{Lt, 10}, True},
-		{Single(5), Pred{Gt, 10}, False},
-		{Range(0, 255), Pred{Ge, 0}, True},        // unsigned load
-		{Range(0, 255), Pred{Eq, -1}, False},      // EOF test on unsigned char
-		{Range(0, 255), Pred{Eq, 10}, Unknown},    // could be newline or not
-		{Pred{Ne, 0}.Sat(), Pred{Eq, 0}, False},   // after deref, p == 0 is false
-		{Pred{Ne, 0}.Sat(), Pred{Ne, 0}, True},    //
-		{Pred{Gt, 3}.Sat(), Pred{Ge, 3}, True},    // v>3 implies v>=3
-		{Pred{Ge, 3}.Sat(), Pred{Gt, 3}, Unknown}, // v>=3 does not imply v>3
-		{Pred{Le, -1}.Sat(), Pred{Lt, 0}, True},   // v<=-1 implies v<0
-		{Pred{Eq, 7}.Sat(), Pred{Ne, 8}, True},    //
-		{Set{}, Pred{Eq, 0}, True},                // unreachable fact
-		{All(), Pred{Eq, 0}, Unknown},             //
-		{Range(0, 255), Pred{Le, 255}, True},      //
-		{Range(0, 255), Pred{Lt, 255}, Unknown},   //
-		{Range(0, 255), Pred{Gt, 255}, False},     //
-		{All(), Pred{Lt, math.MinInt64}, False},   // unsatisfiable predicate
-		{All(), Pred{Gt, math.MaxInt64}, False},   //
-		{All(), Pred{Le, math.MaxInt64}, True},    // tautological predicate
-		{Single(math.MinInt64), Pred{Le, math.MinInt64}, True},
+		{Range{0, 0}, Pred{Eq, 0}, True},
+		{Range{0, 0}, Pred{Ne, 0}, False},
+		{Range{5, 5}, Pred{Lt, 10}, True},
+		{Range{5, 5}, Pred{Gt, 10}, False},
+		{Range{0, 255}, Pred{Ge, 0}, True},            // unsigned load
+		{Range{0, 255}, Pred{Eq, -1}, False},          // EOF test on unsigned char
+		{Range{0, 255}, Pred{Eq, 10}, Unknown},        // could be newline or not
+		{Range{1, math.MaxInt64}, Pred{Eq, 0}, False}, // alloc never returns nil
+		{Range{1, 0}, Pred{Eq, 0}, True},              // unreachable fact
+		{full, Pred{Eq, 0}, Unknown},
+		{Range{0, 255}, Pred{Le, 255}, True},
+		{Range{0, 255}, Pred{Lt, 255}, Unknown},
+		{Range{0, 255}, Pred{Gt, 255}, False},
+		{full, Pred{Lt, math.MinInt64}, False}, // unsatisfiable predicate
+		{full, Pred{Gt, math.MaxInt64}, False},
+		{full, Pred{Le, math.MaxInt64}, True}, // tautological predicate
+		{Range{math.MinInt64, math.MinInt64}, Pred{Le, math.MinInt64}, True},
 	}
 	for _, tc := range tests {
-		if got := Decide(tc.fact, tc.p); got != tc.want {
-			t.Errorf("Decide(%v, %v) = %v, want %v", tc.fact, tc.p, got, tc.want)
+		if got := tc.fact.Decide(tc.p); got != tc.want {
+			t.Errorf("%v.Decide(%v) = %v, want %v", tc.fact, tc.p, got, tc.want)
+		}
+	}
+	preds := []struct {
+		fact, p Pred
+		want    Outcome
+	}{
+		{Pred{Ne, 0}, Pred{Eq, 0}, False}, // after deref, p == 0 is false
+		{Pred{Ne, 0}, Pred{Ne, 0}, True},
+		{Pred{Gt, 3}, Pred{Ge, 3}, True},    // v>3 implies v>=3
+		{Pred{Ge, 3}, Pred{Gt, 3}, Unknown}, // v>=3 does not imply v>3
+		{Pred{Le, -1}, Pred{Lt, 0}, True},   // v<=-1 implies v<0
+		{Pred{Eq, 7}, Pred{Ne, 8}, True},
+		{Pred{Lt, math.MinInt64}, Pred{Eq, 0}, True}, // unsatisfiable fact
+	}
+	for _, tc := range preds {
+		if got := DecidePred(tc.fact, tc.p); got != tc.want {
+			t.Errorf("DecidePred(%v, %v) = %v, want %v", tc.fact, tc.p, got, tc.want)
 		}
 	}
 }
 
 func TestDecideAgreesWithBruteForce(t *testing.T) {
 	// Exhaustive check on a small universe: build facts and preds from
-	// constants in [-3,3] and verify Decide against direct evaluation over
-	// a wide sample window.
+	// constants in [-3,3] and verify DecidePred against direct evaluation
+	// over a sample window.
 	consts := []int64{-3, -2, -1, 0, 1, 2, 3}
 	ops := []Op{Eq, Ne, Lt, Le, Gt, Ge}
 	for _, fop := range ops {
 		for _, fc := range consts {
-			fact := Pred{Op: fop, C: fc}.Sat()
+			fact := Pred{Op: fop, C: fc}
 			for _, qop := range ops {
 				for _, qc := range consts {
 					q := Pred{Op: qop, C: qc}
 					allTrue, allFalse := true, true
 					for v := int64(-10); v <= 10; v++ {
-						if !fact.Contains(v) {
+						if !fact.Eval(v) {
 							continue
 						}
 						if q.Eval(v) {
@@ -258,12 +160,11 @@ func TestDecideAgreesWithBruteForce(t *testing.T) {
 							allTrue = false
 						}
 					}
-					// The window [-10,10] is wide enough to be
-					// representative only when the fact set extends beyond
-					// it symmetrically; infinite tails share the truth value
-					// of the window edge for our operator constants, so the
-					// window verdict matches the full verdict.
-					got := Decide(fact, q)
+					// The window [-10,10] is wide enough: infinite tails
+					// share the truth value of the window edge for these
+					// operator constants, so the window verdict matches the
+					// full verdict.
+					got := DecidePred(fact, q)
 					if allTrue && !allFalse && got != True {
 						t.Errorf("fact (v %s %d), q (v %s %d): want True, got %v", fop, fc, qop, qc, got)
 					}
@@ -272,10 +173,6 @@ func TestDecideAgreesWithBruteForce(t *testing.T) {
 					}
 					if !allTrue && !allFalse && got != Unknown {
 						t.Errorf("fact (v %s %d), q (v %s %d): want Unknown, got %v", fop, fc, qop, qc, got)
-					}
-					if dp := DecidePred(Pred{Op: fop, C: fc}, q); dp != got {
-						t.Errorf("DecidePred(v %s %d, v %s %d) = %v, Decide = %v",
-							fop, fc, qop, qc, dp, got)
 					}
 				}
 			}
@@ -312,38 +209,5 @@ func TestShiftSatSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSetString(t *testing.T) {
-	if got := (Set{}).String(); got != "{}" {
-		t.Errorf("empty set string = %q", got)
-	}
-	s := Pred{Ne, 0}.Sat()
-	if got := s.String(); got != "[-inf,-1] ∪ [1,+inf]" {
-		t.Errorf("Ne 0 set string = %q", got)
-	}
-}
-
-func TestIntervalHelpers(t *testing.T) {
-	iv := Interval{Fin(2), Fin(5)}
-	if iv.Empty() || !iv.Contains(2) || !iv.Contains(5) || iv.Contains(6) || iv.Contains(1) {
-		t.Errorf("interval membership wrong for %v", iv)
-	}
-	if got := iv.String(); got != "[2,5]" {
-		t.Errorf("interval string = %q", got)
-	}
-	if !(Interval{Fin(5), Fin(2)}).Empty() {
-		t.Error("inverted interval not empty")
-	}
-}
-
-func TestRangeBounds(t *testing.T) {
-	if !RangeBounds(Fin(3), Fin(2)).Empty() {
-		t.Error("inverted RangeBounds not empty")
-	}
-	s := RangeBounds(NegInf(), Fin(-1))
-	if !s.Contains(math.MinInt64) || s.Contains(0) {
-		t.Errorf("RangeBounds(-inf,-1) = %v", s)
 	}
 }
