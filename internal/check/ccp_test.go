@@ -115,10 +115,11 @@ func TestCCPByteRange(t *testing.T) {
 		}
 	`)
 	s := RunSCCP(p)
-	if v := s.VarValue(findVar(t, p, "c")); v.IsBottom() || v.IsTop() {
-		t.Errorf("VarValue(c) = %s, want the byte interval", v)
+	sentinel := findBranch(t, p, "c", pred.Eq, -1)
+	if v := s.ValueAt(sentinel.ID, sentinel.CondVar); v != rangeValue(0, 255) {
+		t.Errorf("ValueAt(c) = %s, want the byte interval [0,255]", v)
 	}
-	if o := s.BranchOutcome(findBranch(t, p, "c", pred.Eq, -1).ID); o != pred.False {
+	if o := s.BranchOutcome(sentinel.ID); o != pred.False {
 		t.Errorf("(c == -1) outcome = %v, want false (c in [0,255])", o)
 	}
 	if o := s.BranchOutcome(findBranch(t, p, "c", pred.Lt, 256).ID); o != pred.True {
@@ -163,8 +164,8 @@ func TestCCPRangeMeetContainment(t *testing.T) {
 	if got := meet(r, rangeValue(-5, 5)); !got.IsBottom() {
 		t.Errorf("meet([0,255], [-5,5]) = %s, want bottom (no hulling)", got)
 	}
-	if lo, hi, ok := r.Range(); !ok || lo != 0 || hi != 255 {
-		t.Errorf("Range() = %d,%d,%v, want 0,255,true", lo, hi, ok)
+	if want := (Value{kind: vRange, lo: 0, hi: 255}); r != want {
+		t.Errorf("rangeValue(0, 255) = %#v, want the proper interval %#v", r, want)
 	}
 }
 
@@ -193,11 +194,11 @@ func TestCCPUnreachableBranchNoDecision(t *testing.T) {
 	if o := s.BranchOutcome(inner.ID); o != pred.Unknown {
 		t.Errorf("unreachable branch outcome = %v, want unknown", o)
 	}
-	for _, id := range s.DecidedBranches() {
-		if id == inner.ID {
-			t.Errorf("DecidedBranches includes the unreachable branch %d", id)
+	p.LiveNodes(func(n *ir.Node) {
+		if n.Kind == ir.NBranch && !s.Reachable(n.ID) && s.BranchOutcome(n.ID) != pred.Unknown {
+			t.Errorf("unreachable branch %d decided %v", n.ID, s.BranchOutcome(n.ID))
 		}
-	}
+	})
 }
 
 // TestCCPValueAtUnreachable: per-point facts for unreachable nodes are ⊥.

@@ -1,6 +1,6 @@
 // Package check is the static verification layer of the ICBE pipeline: a
 // whole-program forward oracle in the Wegman–Zadeck sparse conditional
-// constant propagation (SCCP) style, plus a registry of lint passes over
+// constant propagation (SCCP) style, plus a fixed set of lint passes over
 // the ICFG.
 //
 // The package is the static counterpart of the dynamic shadow-execution
@@ -57,7 +57,7 @@ type Context struct {
 	SCCP *SCCP
 }
 
-// Pass is one registered lint pass. Run must be read-only on the program,
+// Pass is one built-in lint pass. Run must be read-only on the program,
 // deterministic, and must not panic on malformed graphs (the fuzz harness
 // feeds it mutated ones).
 type Pass interface {
@@ -66,27 +66,21 @@ type Pass interface {
 	Run(cx *Context) []Finding
 }
 
-// registry holds the built-in passes in registration order; the order is
-// fixed so reports and gate comparisons are deterministic.
-var registry []Pass
+// builtinPasses holds the built-in passes; the order is fixed so reports and
+// gate comparisons are deterministic.
+var builtinPasses = []Pass{structurePass{}, unreachablePass{}, useBeforeDefPass{}, sccpConsistencyPass{}}
 
-// Register appends a pass to the registry. The built-in passes register
-// from init; tests may add their own.
-func Register(p Pass) { registry = append(registry, p) }
-
-// Passes returns the registered passes in registration order.
-func Passes() []Pass { return append([]Pass(nil), registry...) }
+// Passes returns the built-in passes in their fixed order.
+func Passes() []Pass { return append([]Pass(nil), builtinPasses...) }
 
 // Report is the outcome of running a pass suite over one program.
 type Report struct {
-	// Findings holds every finding, grouped by pass in registry order and
+	// Findings holds every finding, grouped by pass in pass order and
 	// sorted by node within a pass.
 	Findings []Finding
 	// PerPass maps each executed pass to its finding count (zero entries
 	// included, so gate comparisons see every pass).
 	PerPass map[string]int
-	// Invariants totals the findings.
-	Invariants int
 	// SCCP is the shared oracle result the passes ran against.
 	SCCP *SCCP
 }
@@ -94,9 +88,9 @@ type Report struct {
 // Count returns the finding count of the named pass.
 func (r *Report) Count(pass string) int { return r.PerPass[pass] }
 
-// AnalyzeInvariants runs every registered pass — the gate set the
+// AnalyzeInvariants runs every built-in pass — the gate set the
 // optimization driver compares before and after each restructuring.
-func AnalyzeInvariants(p *ir.Program) *Report { return runPasses(p, nil, registry) }
+func AnalyzeInvariants(p *ir.Program) *Report { return runPasses(p, nil, builtinPasses) }
 
 // AnalyzeWith runs the given passes against a caller-supplied SCCP result
 // (computed with RunSCCP), avoiding a recomputation when the caller already
@@ -116,7 +110,6 @@ func runPasses(p *ir.Program, s *SCCP, passes []Pass) *Report {
 		sort.SliceStable(fs, func(i, j int) bool { return fs[i].Node < fs[j].Node })
 		rep.PerPass[ps.Name()] = len(fs)
 		rep.Findings = append(rep.Findings, fs...)
-		rep.Invariants += len(fs)
 	}
 	return rep
 }

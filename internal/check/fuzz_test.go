@@ -96,11 +96,12 @@ func mutate(p *ir.Program, r *fuzzRNG) {
 
 // FuzzCheck feeds randomly generated programs — intact and with random graph
 // corruptions — through the whole static check layer and requires it to stay
-// panic-free: ir.Validate, the lint passes, the SCCP oracle, and the
-// cross-check must diagnose arbitrary damage, never crash on it (the driver
-// runs them on every candidate restructuring). On intact programs it also
-// requires a clean bill of health: no validation error, no invariant
-// findings, no must-fail asserts.
+// panic-free: ir.Validate, the lint passes, the SCCP oracle, its edge
+// replay (EdgeFacts on every branch), and the cross-check must diagnose
+// arbitrary damage, never crash on it (the driver runs them on every
+// candidate restructuring). On intact programs it also requires a clean
+// bill of health: no validation error, no invariant findings, no must-fail
+// asserts, and every live edge state within its branch's entry state.
 func FuzzCheck(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 2, 3, 7, 11, 42, 99, 1234, 0xdeadbeef} {
 		f.Add(seed, seed*3)
@@ -123,12 +124,12 @@ func FuzzCheck(f *testing.F) {
 		rep := AnalyzeInvariants(p)
 		s := RunSCCP(p)
 		s.MustFailAsserts()
-		s.DecidedBranches()
 		RecallCount(p, s)
 		for _, id := range liveNodeIDs(p) {
 			if p.Node(id).Kind != ir.NBranch {
 				continue
 			}
+			s.EdgeFacts(id)
 			for _, ans := range []analysis.AnswerSet{analysis.AnsTrue, analysis.AnsFalse} {
 				if _, cf := CrossCheck(p, s, id, ans); cf != nil {
 					_ = cf.Error()
@@ -145,6 +146,9 @@ func FuzzCheck(f *testing.F) {
 			}
 			if mf := s.MustFailAsserts(); len(mf) != 0 {
 				t.Fatalf("intact program has must-fail asserts %v\n%s", mf, src)
+			}
+			if _, err := edgeContainment(p, s); err != nil {
+				t.Fatalf("intact program: %v\n%s", err, src)
 			}
 		}
 	})

@@ -9,14 +9,6 @@ import (
 	"icbe/internal/pred"
 )
 
-// The built-in passes, in the fixed registry order reports use.
-func init() {
-	Register(structurePass{})
-	Register(unreachablePass{})
-	Register(useBeforeDefPass{})
-	Register(sccpConsistencyPass{})
-}
-
 // structurePass surfaces ir.Validate's structural and linkage violations
 // (arena consistency, edge symmetry, call-site normal form, call↔entry↔exit
 // linkage, variable references) as findings, one per violation.

@@ -45,17 +45,11 @@ func rangeValue(lo, hi int64) Value {
 	return Value{kind: vRange, lo: lo, hi: hi}
 }
 
-// IsTop reports the ⊤ element.
-func (v Value) IsTop() bool { return v.kind == vTop }
-
 // IsBottom reports the ⊥ element.
 func (v Value) IsBottom() bool { return v.kind == vBottom }
 
 // Const returns the constant and true for a const element.
 func (v Value) Const() (int64, bool) { return v.lo, v.kind == vConst }
-
-// Range returns the inclusive bounds of a proper interval element.
-func (v Value) Range() (lo, hi int64, ok bool) { return v.lo, v.hi, v.kind == vRange }
 
 // rng returns the element's bounds as a pred range. ⊤ has no bounds; the
 // callers guard it.
@@ -121,6 +115,89 @@ func (sp *space) slot(v ir.VarID) int {
 	return int(sp.slots[v])
 }
 
+// layout is the state geometry of one program: a space per procedure, the
+// fallback space for nodes whose procedure index is out of range (possible
+// only on fuzz-mutated graphs), and the count of globals every space puts
+// first.
+type layout struct {
+	p        *ir.Program
+	spaces   []*space
+	fallback *space
+	nGlob    int
+}
+
+func newLayout(p *ir.Program) layout {
+	l := layout{p: p}
+	var globals []ir.VarID
+	for _, v := range p.Vars {
+		if v != nil && v.IsGlobal() {
+			globals = append(globals, v.ID)
+		}
+	}
+	l.nGlob = len(globals)
+	mkSpace := func() *space {
+		sp := &space{slots: make([]int32, len(p.Vars)), vars: append([]ir.VarID(nil), globals...)}
+		for i := range sp.slots {
+			sp.slots[i] = -1
+		}
+		for s, v := range globals {
+			sp.slots[v] = int32(s)
+		}
+		return sp
+	}
+	l.fallback = mkSpace()
+	l.spaces = make([]*space, len(p.Procs))
+	for pi := range p.Procs {
+		sp := mkSpace()
+		for _, v := range p.Vars {
+			if v != nil && !v.IsGlobal() && v.Proc == pi {
+				sp.slots[v.ID] = int32(len(sp.vars))
+				sp.vars = append(sp.vars, v.ID)
+			}
+		}
+		l.spaces[pi] = sp
+	}
+	return l
+}
+
+func (l *layout) spaceOf(proc int) *space {
+	if proc >= 0 && proc < len(l.spaces) {
+		return l.spaces[proc]
+	}
+	return l.fallback
+}
+
+func (l *layout) isGlobalVar(v ir.VarID) bool {
+	return v >= 0 && int(v) < len(l.p.Vars) && l.p.Vars[v] != nil && l.p.Vars[v].IsGlobal()
+}
+
+// globalCell extracts one global slot for transport into another space,
+// dropping aliases rooted in non-global variables.
+func (l *layout) globalCell(st []cell, g int) cell {
+	if g >= len(st) {
+		return cell{v: bottom(), alias: ir.NoVar}
+	}
+	c := st[g]
+	if c.alias != ir.NoVar && !l.isGlobalVar(c.alias) {
+		c.alias = ir.NoVar
+	}
+	return c
+}
+
+// convert carries a state into another procedure's space across a malformed
+// cross-procedure edge: globals survive, everything else bottoms out.
+func (l *layout) convert(st []cell, to *space) []cell {
+	out := make([]cell, len(to.vars))
+	for i := range out {
+		if i < l.nGlob {
+			out[i] = l.globalCell(st, i)
+		} else {
+			out[i] = cell{v: bottom(), alias: ir.NoVar}
+		}
+	}
+	return out
+}
+
 // SCCP is the result of one forward conditional constant propagation run:
 // per-node entry states (a cell per in-scope variable) plus the
 // executable-node set, computed with a worklist over the ICFG in the
@@ -130,21 +207,13 @@ func (sp *space) slot(v ir.VarID) int {
 // Calls and returns are handled context-insensitively: entry states meet
 // across call sites, and a call-site exit combines its caller state (locals
 // survive the call in the caller's frame) with the callee exit's globals and
-// return value.
-//
-// Per-variable summaries (VarValue/ConstOf) meet the variable's entry value
-// over every executable read, so a constant summary is a whole-program fact
-// about runtime reads, directly comparable with the backward analysis'
-// answers; per-point facts are available through ValueAt and BranchOutcome.
+// return value. Facts are read per point, through ValueAt, BranchOutcome and
+// EdgeFacts.
 type SCCP struct {
-	prog     *ir.Program
-	spaces   []*space
-	fallback *space
-	nGlobals int
+	layout
 	in       [][]cell
 	exec     []bool
 	mustFail []ir.NodeID
-	summary  []Value
 	// ceRet holds, per call-site-exit node, the settled return value its
 	// callee exit delivered (⊥ when no exit fed it). EdgeFacts needs it to
 	// replay the call-site-exit transfer function after the run is over.
@@ -162,24 +231,14 @@ func RunSCCP(p *ir.Program) *SCCP {
 	r := newSCCPRun(p)
 	r.seed()
 	r.drain()
-	s := &SCCP{
-		prog:      p,
-		spaces:    r.spaces,
-		fallback:  r.fallback,
-		nGlobals:  r.nGlob,
-		saturated: r.saturated,
-	}
+	s := &SCCP{layout: r.layout, saturated: r.saturated}
 	if r.saturated {
 		return s
 	}
 	s.in, s.exec = r.in, r.exec
 	s.ceRet = make([]Value, len(r.ces))
-	for i, ce := range r.ces {
-		if ce != nil && ce.hasExit {
-			s.ceRet[i] = ce.ret
-		} else {
-			s.ceRet[i] = bottom()
-		}
+	for i := range r.ces {
+		s.ceRet[i] = r.retOf(ir.NodeID(i))
 	}
 	// Executable assertions whose own variable cannot satisfy the predicate
 	// are the sccp-consistency findings (a correct restructuring only keeps
@@ -189,36 +248,7 @@ func RunSCCP(p *ir.Program) *SCCP {
 			s.mustFail = append(s.mustFail, n.ID)
 		}
 	})
-	s.summary = make([]Value, len(p.Vars))
-	p.LiveNodes(func(n *ir.Node) {
-		st := s.stateOf(n.ID)
-		if st == nil {
-			return
-		}
-		sp := s.spaceOf(n.Proc)
-		forEachRead(n, func(v ir.VarID) {
-			if v >= 0 && int(v) < len(s.summary) {
-				s.summary[v] = meet(s.summary[v], valueOf(st, sp, v))
-			}
-		})
-		if n.Kind == ir.NExit {
-			// The exit's implicit read of the procedure's return variable.
-			if n.Proc >= 0 && n.Proc < len(p.Procs) && p.Procs[n.Proc] != nil {
-				rv := p.Procs[n.Proc].RetVar
-				if rv >= 0 && int(rv) < len(s.summary) {
-					s.summary[rv] = meet(s.summary[rv], valueOf(st, sp, rv))
-				}
-			}
-		}
-	})
 	return s
-}
-
-func (s *SCCP) spaceOf(proc int) *space {
-	if proc >= 0 && proc < len(s.spaces) {
-		return s.spaces[proc]
-	}
-	return s.fallback
 }
 
 func (s *SCCP) stateOf(n ir.NodeID) []cell {
@@ -233,29 +263,15 @@ func (s *SCCP) stateOf(n ir.NodeID) []cell {
 // may still be reported reachable, never the reverse).
 func (s *SCCP) Reachable(n ir.NodeID) bool {
 	if s.saturated {
-		return s.prog.Node(n) != nil
+		return s.p.Node(n) != nil
 	}
 	return n >= 0 && int(n) < len(s.exec) && s.exec[n]
 }
 
-// VarValue returns the variable's summary element: the meet of its entry
-// value over every executable read site. Out-of-range variables (including
-// NoVar) are ⊥; a variable with no executable read stays ⊤.
-func (s *SCCP) VarValue(v ir.VarID) Value {
-	if s.saturated || v < 0 || int(v) >= len(s.summary) {
-		return bottom()
-	}
-	return s.summary[v]
-}
-
-// ConstOf returns the proved constant value of a variable, if any: every
-// runtime read of the variable yields that constant.
-func (s *SCCP) ConstOf(v ir.VarID) (int64, bool) { return s.VarValue(v).Const() }
-
 // ValueAt returns the variable's lattice element on entry to the given node
 // (⊥ when the node is unreachable, deleted, or out of range).
 func (s *SCCP) ValueAt(n ir.NodeID, v ir.VarID) Value {
-	nd := s.prog.Node(n)
+	nd := s.p.Node(n)
 	st := s.stateOf(n)
 	if nd == nil || st == nil {
 		return bottom()
@@ -269,7 +285,7 @@ func (s *SCCP) ValueAt(n ir.NodeID, v ir.VarID) Value {
 // their cells hold no executable fact, and grading them would manufacture
 // spurious disagreements with the path-sensitive backward analysis.
 func (s *SCCP) BranchOutcome(b ir.NodeID) pred.Outcome {
-	n := s.prog.Node(b)
+	n := s.p.Node(b)
 	st := s.stateOf(b)
 	if n == nil || n.Kind != ir.NBranch || st == nil {
 		return pred.Unknown
@@ -285,24 +301,9 @@ func (s *SCCP) MustFailAsserts() []ir.NodeID {
 	return append([]ir.NodeID(nil), s.mustFail...)
 }
 
-// DecidedBranches returns the executable branches whose outcome
-// BranchOutcome decides, in node order.
-func (s *SCCP) DecidedBranches() []ir.NodeID {
-	var out []ir.NodeID
-	s.prog.LiveNodes(func(n *ir.Node) {
-		if n.Kind == ir.NBranch && s.BranchOutcome(n.ID) != pred.Unknown {
-			out = append(out, n.ID)
-		}
-	})
-	return out
-}
-
 // sccpRun is the in-flight worklist state of one RunSCCP call.
 type sccpRun struct {
-	p        *ir.Program
-	spaces   []*space
-	fallback *space
-	nGlob    int
+	layout
 	in       [][]cell
 	exec     []bool
 	mustFail []bool
@@ -310,10 +311,14 @@ type sccpRun struct {
 	queue    []ir.NodeID
 	head     int
 	inWL     []bool
-	// scratch holds the state process, processBranch or recomputeCE is
+	// scratch holds the state a transfer function or recomputeCE is
 	// building. Nothing keeps it: meetIn, feedCallHalf and convert copy what
 	// they store.
 	scratch []cell
+	// entry holds the callee entry state processCall builds, kept apart
+	// from scratch because recomputeCE rewrites scratch inside processCall's
+	// successor loop; glb holds the exit globals feedExitHalf feeds.
+	entry, glb []cell
 	// steps bounds worklist processing; exceeding the budget (possible only
 	// on adversarial graphs whose interval flows keep descending) flips
 	// saturated, the sound give-up state.
@@ -337,41 +342,12 @@ type ceState struct {
 
 func newSCCPRun(p *ir.Program) *sccpRun {
 	r := &sccpRun{
-		p:        p,
+		layout:   newLayout(p),
 		in:       make([][]cell, len(p.Nodes)),
 		exec:     make([]bool, len(p.Nodes)),
 		mustFail: make([]bool, len(p.Nodes)),
 		ces:      make([]*ceState, len(p.Nodes)),
 		inWL:     make([]bool, len(p.Nodes)),
-	}
-	var globals []ir.VarID
-	for _, v := range p.Vars {
-		if v != nil && v.IsGlobal() {
-			globals = append(globals, v.ID)
-		}
-	}
-	r.nGlob = len(globals)
-	mkSpace := func() *space {
-		sp := &space{slots: make([]int32, len(p.Vars)), vars: append([]ir.VarID(nil), globals...)}
-		for i := range sp.slots {
-			sp.slots[i] = -1
-		}
-		for s, v := range globals {
-			sp.slots[v] = int32(s)
-		}
-		return sp
-	}
-	r.fallback = mkSpace()
-	r.spaces = make([]*space, len(p.Procs))
-	for pi := range p.Procs {
-		sp := mkSpace()
-		for _, v := range p.Vars {
-			if v != nil && !v.IsGlobal() && v.Proc == pi {
-				sp.slots[v.ID] = int32(len(sp.vars))
-				sp.vars = append(sp.vars, v.ID)
-			}
-		}
-		r.spaces[pi] = sp
 	}
 	total := 0
 	p.LiveNodes(func(n *ir.Node) { total += len(r.spaceOf(n.Proc).vars) + 1 })
@@ -379,11 +355,15 @@ func newSCCPRun(p *ir.Program) *sccpRun {
 	return r
 }
 
-func (r *sccpRun) spaceOf(proc int) *space {
-	if proc >= 0 && proc < len(r.spaces) {
-		return r.spaces[proc]
+// retOf is the return value a call-site exit binds: what its callee exits
+// delivered, ⊥ before any did.
+func (r *sccpRun) retOf(id ir.NodeID) Value {
+	if id >= 0 && int(id) < len(r.ces) {
+		if ce := r.ces[id]; ce != nil && ce.hasExit {
+			return ce.ret
+		}
 	}
-	return r.fallback
+	return bottom()
 }
 
 // seed builds the program's initial state — globals at their declared
@@ -438,11 +418,11 @@ func (r *sccpRun) drain() {
 
 func cloneCells(st []cell) []cell { return append([]cell(nil), st...) }
 
-// scratchCopy copies st into the run's scratch buffer, to be edited and
-// pushed before the next scratchCopy call.
-func (r *sccpRun) scratchCopy(st []cell) []cell {
-	r.scratch = append(r.scratch[:0], st...)
-	return r.scratch
+// fill copies st into the buffer *buf, growing it when needed, to be edited
+// and pushed before the buffer's next fill.
+func fill(buf *[]cell, st []cell) []cell {
+	*buf = append((*buf)[:0], st...)
+	return *buf
 }
 
 // meetCells meets src into dst elementwise, reporting whether dst changed.
@@ -504,35 +484,6 @@ func (r *sccpRun) pushState(to ir.NodeID, st []cell, from *space) {
 		st = r.convert(st, tsp)
 	}
 	r.meetIn(to, st)
-}
-
-func (r *sccpRun) isGlobalVar(v ir.VarID) bool {
-	return v >= 0 && int(v) < len(r.p.Vars) && r.p.Vars[v] != nil && r.p.Vars[v].IsGlobal()
-}
-
-// globalCell extracts one global slot for transport into another space,
-// dropping aliases rooted in non-global variables.
-func (r *sccpRun) globalCell(st []cell, g int) cell {
-	if g >= len(st) {
-		return cell{v: bottom(), alias: ir.NoVar}
-	}
-	c := st[g]
-	if c.alias != ir.NoVar && !r.isGlobalVar(c.alias) {
-		c.alias = ir.NoVar
-	}
-	return c
-}
-
-func (r *sccpRun) convert(st []cell, to *space) []cell {
-	out := make([]cell, len(to.vars))
-	for i := range out {
-		if i < r.nGlob {
-			out[i] = r.globalCell(st, i)
-		} else {
-			out[i] = cell{v: bottom(), alias: ir.NoVar}
-		}
-	}
-	return out
 }
 
 func valueOf(st []cell, sp *space, v ir.VarID) Value {
@@ -629,6 +580,68 @@ func condOutcome(n *ir.Node, st []cell, sp *space) pred.Outcome {
 	return l.rng().Compare(n.CondOp, r.rng())
 }
 
+// transfer is the transfer function of every node kind whose successors
+// all receive one state: the state n sends on from its entry state in (an
+// assertion that cannot hold sends none, nil). ret is the value a call-site
+// exit binds. A changed state is built in *buf; an unchanged one is in
+// itself. Calls and exits reach their interprocedural successors through
+// processCall and processExit; toward any other successor they pass their
+// state through, as here.
+func (l *layout) transfer(n *ir.Node, in []cell, ret Value, buf *[]cell) []cell {
+	sp := l.spaceOf(n.Proc)
+	switch n.Kind {
+	case ir.NAssign:
+		out := fill(buf, in)
+		v, root := evalRHS(in, sp, n)
+		assign(out, sp, n.Dst, v, root)
+		return out
+	case ir.NAssert:
+		if !validOp(n.APred.Op) {
+			return in
+		}
+		out := fill(buf, in)
+		if !refineGroup(out, sp, n.AVar, n.APred) {
+			return nil // statically failing: control cannot continue past it
+		}
+		return out
+	case ir.NCallExit:
+		if n.Dst == ir.NoVar {
+			return in
+		}
+		out := fill(buf, in)
+		assign(out, sp, n.Dst, ret, ir.NoVar)
+		return out
+	}
+	return in // NEntry, NCall, NExit, NStore, NPrint, NNop
+}
+
+// arm is the branch-arm transfer function: the state a branch whose
+// condition folds to o sends along out-edge slot, refined on the tested
+// variable's copy group by the predicate the arm implies — the branch-edge
+// assertion that makes the oracle conditional. An infeasible arm, or one
+// whose assertion the tested variable cannot satisfy, sends none (nil);
+// malformed extra out-edges (fuzz graphs) carry the state unrefined.
+func (l *layout) arm(n *ir.Node, in []cell, o pred.Outcome, slot int, buf *[]cell) []cell {
+	if slot >= 2 {
+		return in
+	}
+	if (slot == 0 && o == pred.False) || (slot == 1 && o == pred.True) {
+		return nil
+	}
+	if !n.CondRHS.IsConst || !validOp(n.CondOp) {
+		return in
+	}
+	p := pred.Pred{Op: n.CondOp, C: n.CondRHS.Const}
+	if slot == 1 {
+		p = p.Negate()
+	}
+	out := fill(buf, in)
+	if !refineGroup(out, l.spaceOf(n.Proc), n.CondVar, p) {
+		return nil
+	}
+	return out
+}
+
 func (r *sccpRun) process(id ir.NodeID) {
 	n := r.p.Node(id)
 	if n == nil || int(id) >= len(r.in) {
@@ -640,82 +653,27 @@ func (r *sccpRun) process(id ir.NodeID) {
 	}
 	sp := r.spaceOf(n.Proc)
 	switch n.Kind {
-	case ir.NAssign:
-		out := r.scratchCopy(st)
-		v, root := evalRHS(st, sp, n)
-		assign(out, sp, n.Dst, v, root)
-		r.pushAll(n, out, sp)
 	case ir.NBranch:
-		r.processBranch(n, st, sp)
-	case ir.NAssert:
-		out := r.scratchCopy(st)
-		ok := true
-		if validOp(n.APred.Op) {
-			ok = refineGroup(out, sp, n.AVar, n.APred)
+		o := condOutcome(n, st, sp)
+		for slot, s := range n.Succs {
+			if out := r.arm(n, st, o, slot, &r.scratch); out != nil {
+				r.pushState(s, out, sp)
+			}
 		}
-		if int(id) < len(r.mustFail) {
-			r.mustFail[id] = !ok
-		}
-		if !ok {
-			// Statically failing assertion: control cannot continue past it.
-			return
-		}
-		r.pushAll(n, out, sp)
 	case ir.NCall:
 		r.processCall(n, st, sp)
 	case ir.NExit:
 		r.processExit(n, st, sp)
-	case ir.NCallExit:
-		out := r.scratchCopy(st)
-		if n.Dst != ir.NoVar {
-			ret := bottom()
-			if ce := r.ces[id]; ce != nil && ce.hasExit {
-				ret = ce.ret
+	default:
+		out := r.transfer(n, st, r.retOf(id), &r.scratch)
+		if n.Kind == ir.NAssert {
+			r.mustFail[id] = out == nil
+		}
+		if out != nil {
+			for _, s := range n.Succs {
+				r.pushState(s, out, sp)
 			}
-			assign(out, sp, n.Dst, ret, ir.NoVar)
 		}
-		r.pushAll(n, out, sp)
-	default: // NEntry, NStore, NPrint, NNop
-		r.pushAll(n, st, sp)
-	}
-}
-
-func (r *sccpRun) pushAll(n *ir.Node, st []cell, sp *space) {
-	for _, s := range n.Succs {
-		r.pushState(s, st, sp)
-	}
-}
-
-// processBranch pushes only the feasible arms, refining the tested
-// variable's group by the implied predicate on each taken edge — the
-// branch-edge assertion that makes the oracle conditional.
-func (r *sccpRun) processBranch(n *ir.Node, st []cell, sp *space) {
-	o := condOutcome(n, st, sp)
-	refinable := n.CondRHS.IsConst && validOp(n.CondOp)
-	p := pred.Pred{Op: n.CondOp, C: n.CondRHS.Const}
-	if o != pred.False && len(n.Succs) > 0 {
-		out := r.scratchCopy(st)
-		ok := true
-		if refinable {
-			ok = refineGroup(out, sp, n.CondVar, p)
-		}
-		if ok {
-			r.pushState(n.Succs[0], out, sp)
-		}
-	}
-	if o != pred.True && len(n.Succs) > 1 {
-		out := r.scratchCopy(st)
-		ok := true
-		if refinable {
-			ok = refineGroup(out, sp, n.CondVar, p.Negate())
-		}
-		if ok {
-			r.pushState(n.Succs[1], out, sp)
-		}
-	}
-	// Malformed extra out-edges (fuzz graphs): plain unrefined flow.
-	for i := 2; i < len(n.Succs); i++ {
-		r.pushState(n.Succs[i], st, sp)
 	}
 }
 
@@ -728,16 +686,14 @@ func (r *sccpRun) processBranch(n *ir.Node, st []cell, sp *space) {
 func (r *sccpRun) processCall(n *ir.Node, st []cell, sp *space) {
 	callee := n.Callee
 	calleeOK := callee >= 0 && callee < len(r.p.Procs) && r.p.Procs[callee] != nil
-	var es []cell
-	var csp *space
+	es := r.entry[:0]
 	if calleeOK {
-		csp = r.spaceOf(callee)
-		es = make([]cell, len(csp.vars))
-		for i := range es {
+		csp := r.spaceOf(callee)
+		for i := range csp.vars {
 			if i < r.nGlob {
-				es[i] = r.globalCell(st, i)
+				es = append(es, r.globalCell(st, i))
 			} else {
-				es[i] = cell{v: constant(0), alias: ir.NoVar}
+				es = append(es, cell{v: constant(0), alias: ir.NoVar})
 			}
 		}
 		for i, formal := range r.p.Procs[callee].Formals {
@@ -751,6 +707,7 @@ func (r *sccpRun) processCall(n *ir.Node, st []cell, sp *space) {
 			}
 			es[fs] = cell{v: v, alias: ir.NoVar}
 		}
+		r.entry = es
 	}
 	for _, s := range n.Succs {
 		sn := r.p.Node(s)
@@ -823,26 +780,18 @@ func (r *sccpRun) feedExitHalf(ce *ir.Node, st []cell, ret Value) {
 	if ces == nil {
 		return
 	}
+	glb := r.glb[:0]
+	for g := 0; g < r.nGlob; g++ {
+		glb = append(glb, r.globalCell(st, g))
+	}
+	r.glb = glb
 	changed := !ces.hasExit
-	ces.hasExit = true
-	if ces.exitGlb == nil {
-		ces.exitGlb = make([]cell, r.nGlob)
-		for g := range ces.exitGlb {
-			ces.exitGlb[g] = r.globalCell(st, g)
-		}
-		ces.ret = ret
-		changed = true
+	if changed {
+		ces.hasExit, ces.exitGlb, ces.ret = true, cloneCells(glb), ret
 	} else {
-		glb := make([]cell, r.nGlob)
-		for g := range glb {
-			glb[g] = r.globalCell(st, g)
-		}
-		if meetCells(ces.exitGlb, glb) {
-			changed = true
-		}
+		changed = meetCells(ces.exitGlb, glb)
 		if nr := meet(ces.ret, ret); nr != ces.ret {
-			ces.ret = nr
-			changed = true
+			ces.ret, changed = nr, true
 		}
 	}
 	if changed {
@@ -861,7 +810,7 @@ func (r *sccpRun) recomputeCE(ce *ir.Node) {
 	if ces == nil || !ces.hasCall || !ces.hasExit {
 		return
 	}
-	merged := r.scratchCopy(ces.callSt)
+	merged := fill(&r.scratch, ces.callSt)
 	for g := 0; g < r.nGlob && g < len(merged) && g < len(ces.exitGlb); g++ {
 		merged[g] = ces.exitGlb[g]
 	}

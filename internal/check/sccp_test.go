@@ -65,8 +65,8 @@ func TestSCCPDecidesConstantBranch(t *testing.T) {
 	if got := s.BranchOutcome(b.ID); got != pred.True {
 		t.Errorf("BranchOutcome = %v, want true", got)
 	}
-	if c, ok := s.ConstOf(b.CondVar); !ok || c != 5 {
-		t.Errorf("ConstOf(x) = %d,%v, want 5,true", c, ok)
+	if v := s.ValueAt(b.ID, b.CondVar); v != constant(5) {
+		t.Errorf("ValueAt(branch, x) = %s, want 5", v)
 	}
 	if got := RecallCount(p, s); got != 1 {
 		t.Errorf("RecallCount = %d, want 1", got)
@@ -81,9 +81,11 @@ func TestSCCPDecidesConstantBranch(t *testing.T) {
 	if reachPrints != 1 {
 		t.Errorf("reachable prints = %d, want 1 (false arm pruned)", reachPrints)
 	}
-	if got := s.DecidedBranches(); len(got) != 1 || got[0] != b.ID {
-		t.Errorf("DecidedBranches = %v, want [%d]", got, b.ID)
-	}
+	p.LiveNodes(func(n *ir.Node) {
+		if n.Kind == ir.NBranch && n.ID != b.ID && s.BranchOutcome(n.ID) != pred.Unknown {
+			t.Errorf("branch %d decided %v, want only branch %d decided", n.ID, s.BranchOutcome(n.ID), b.ID)
+		}
+	})
 }
 
 func TestSCCPInputIsBottom(t *testing.T) {
@@ -98,8 +100,8 @@ func TestSCCPInputIsBottom(t *testing.T) {
 	if got := s.BranchOutcome(b.ID); got != pred.Unknown {
 		t.Errorf("BranchOutcome = %v, want unknown", got)
 	}
-	if !s.VarValue(b.CondVar).IsBottom() {
-		t.Errorf("input-fed variable not ⊥: %v", s.VarValue(b.CondVar))
+	if v := s.ValueAt(b.ID, b.CondVar); !v.IsBottom() {
+		t.Errorf("input-fed variable not ⊥: %v", v)
 	}
 	reachPrints := 0
 	p.LiveNodes(func(n *ir.Node) {
@@ -138,8 +140,8 @@ func TestSCCPFormalMeetConflictingCallSites(t *testing.T) {
 	if got := s.BranchOutcome(b.ID); got != pred.Unknown {
 		t.Errorf("BranchOutcome = %v, want unknown (two call sites conflict)", got)
 	}
-	if !s.VarValue(b.CondVar).IsBottom() {
-		t.Errorf("formal with conflicting arguments not ⊥")
+	if v := s.ValueAt(b.ID, b.CondVar); !v.IsBottom() {
+		t.Errorf("formal with conflicting arguments not ⊥: %v", v)
 	}
 }
 
@@ -203,8 +205,8 @@ func TestSCCPDivByConstantZero(t *testing.T) {
 	if got := s.BranchOutcome(b.ID); got != pred.Unknown {
 		t.Errorf("BranchOutcome = %v, want unknown (div by zero is ⊥)", got)
 	}
-	if !s.VarValue(b.CondVar).IsBottom() {
-		t.Errorf("div-by-zero result not ⊥: %v", s.VarValue(b.CondVar))
+	if v := s.ValueAt(b.ID, b.CondVar); !v.IsBottom() {
+		t.Errorf("div-by-zero result not ⊥: %v", v)
 	}
 }
 
@@ -218,9 +220,11 @@ func TestSCCPLoopTerminates(t *testing.T) {
 		}
 	`)
 	s := RunSCCP(p)
-	i := findVar(t, p, ".i")
-	if !s.VarValue(i).IsBottom() {
-		t.Errorf("loop counter cell = %v, want ⊥", s.VarValue(i))
+	// At the loop test the counter meets 0 from the entry with 1 from the
+	// back edge: incomparable constants, so ⊥.
+	head := findBranch(t, p, ".i", pred.Lt, 3)
+	if v := s.ValueAt(head.ID, head.CondVar); !v.IsBottom() {
+		t.Errorf("loop counter cell = %v, want ⊥", v)
 	}
 }
 

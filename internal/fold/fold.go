@@ -1,7 +1,7 @@
 // Package fold turns the CCP oracle's facts into a second optimizer pass:
 // residual attribution (phase 1) classifies every conditional the
-// correlation analysis left behind by which oracle fact decides it, and the
-// rewriter (phase 2) folds branches constant on all executable in-edges and
+// correlation analysis left behind by whether the oracle decides it on all,
+// some or none of its executable in-edges, and the rewriter (phase 2) folds branches constant on all executable in-edges and
 // redirects the deciding in-edges of edge-split residuals straight to the
 // implied arm — the degenerate form of Breitner-style conditional
 // duplication for a single side-effect-free conditional (duplicating the
@@ -29,12 +29,8 @@ type Class uint8
 const (
 	// ClassUndecidable: no executable in-edge decides the condition.
 	ClassUndecidable Class = iota
-	// ClassValue: the condition is constant on every executable in-edge,
-	// decided by plain constant/interval values.
+	// ClassValue: the condition is constant on every executable in-edge.
 	ClassValue
-	// ClassCopy: constant on every executable in-edge, and at least one
-	// deciding edge owes its fact to the copy-propagation group.
-	ClassCopy
 	// ClassEdgeSplit: only some executable in-edges decide the condition —
 	// eliminable per-edge by redirection, not as a whole.
 	ClassEdgeSplit
@@ -46,8 +42,6 @@ func (c Class) String() string {
 		return "undecidable"
 	case ClassValue:
 		return "value"
-	case ClassCopy:
-		return "copy"
 	case ClassEdgeSplit:
 		return "edge-split"
 	}
@@ -56,15 +50,14 @@ func (c Class) String() string {
 
 // BranchFact is the fact table row for one live conditional: its residual
 // class, the whole-branch outcome when one exists, and the per-edge oracle
-// verdicts with provenance.
+// verdicts.
 type BranchFact struct {
-	Branch     ir.NodeID
-	Line       int
-	Analyzable bool
-	Class      Class
+	Branch ir.NodeID
+	Line   int
+	Class  Class
 	// Outcome is the branch's constant outcome when the class is ClassValue
-	// or ClassCopy (decided either by the entry state or by unanimous
-	// agreement of the executable in-edges); pred.Unknown otherwise.
+	// (decided either by the entry state or by unanimous agreement of the
+	// executable in-edges); pred.Unknown otherwise.
 	Outcome pred.Outcome
 	// Edges holds one fact per in-edge, in predecessor-list order.
 	Edges        []check.EdgeFact
@@ -80,7 +73,7 @@ type Facts struct {
 	// Branches holds one row per live conditional, in node order.
 	Branches []BranchFact
 	// Residual counts the conditionals the oracle proves constant on every
-	// executable in-edge (ClassValue and ClassCopy rows) — the fold pass's
+	// executable in-edge (ClassValue rows) — the fold pass's
 	// elimination target. It is a superset of the check gate's SCCPResidual
 	// stat, which counts only analyzable branches decided by the entry
 	// state: the per-edge replay also decides branches whose entry-state
@@ -100,16 +93,14 @@ func Compute(p *ir.Program, s *check.SCCP) *Facts {
 			return
 		}
 		bf := BranchFact{
-			Branch:     n.ID,
-			Line:       n.Line,
-			Analyzable: n.Analyzable(),
-			Outcome:    pred.Unknown,
-			Edges:      s.EdgeFacts(n.ID),
+			Branch:  n.ID,
+			Line:    n.Line,
+			Outcome: pred.Unknown,
+			Edges:   s.EdgeFacts(n.ID),
 		}
 		whole := s.BranchOutcome(n.ID)
 		agreed := pred.Unknown
 		unanimous := true
-		copyDecided := false
 		for _, e := range bf.Edges {
 			if !e.Live {
 				continue
@@ -120,9 +111,6 @@ func Compute(p *ir.Program, s *check.SCCP) *Facts {
 				continue
 			}
 			bf.DecidedEdges++
-			if e.Prov == check.ProvCopy {
-				copyDecided = true
-			}
 			if agreed == pred.Unknown {
 				agreed = e.Outcome
 			} else if agreed != e.Outcome {
@@ -140,17 +128,13 @@ func Compute(p *ir.Program, s *check.SCCP) *Facts {
 			bf.Outcome = agreed
 		}
 		switch {
-		case bf.Outcome != pred.Unknown && copyDecided:
-			bf.Class = ClassCopy
 		case bf.Outcome != pred.Unknown:
 			bf.Class = ClassValue
+			f.Residual++
 		case bf.DecidedEdges > 0:
 			bf.Class = ClassEdgeSplit
 		default:
 			bf.Class = ClassUndecidable
-		}
-		if bf.Class == ClassValue || bf.Class == ClassCopy {
-			f.Residual++
 		}
 		f.Branches = append(f.Branches, bf)
 	})
@@ -158,7 +142,7 @@ func Compute(p *ir.Program, s *check.SCCP) *Facts {
 }
 
 // Apply rewrites the program in place according to one fact-table row.
-// For ClassValue/ClassCopy the branch folds whole: the dead arm's edge is
+// For ClassValue the branch folds whole: the dead arm's edge is
 // removed and the node becomes a synthetic nop (the caller's prune sweeps
 // the arm). For ClassEdgeSplit each deciding executable in-edge is
 // redirected straight to the arm its outcome selects. It returns the
@@ -177,7 +161,7 @@ func Apply(p *ir.Program, bf *BranchFact) (redirected int, changed bool) {
 		return 0, false
 	}
 	switch bf.Class {
-	case ClassValue, ClassCopy:
+	case ClassValue:
 		var keep, drop ir.NodeID
 		switch bf.Outcome {
 		case pred.True:

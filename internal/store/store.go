@@ -269,7 +269,7 @@ func verifyProgram(enc []byte) error {
 	if err := ir.Validate(p); err != nil {
 		return err
 	}
-	if rep := check.AnalyzeInvariants(p); rep.Invariants != 0 {
+	if rep := check.AnalyzeInvariants(p); len(rep.Findings) != 0 {
 		return errCorrupt
 	}
 	return nil
