@@ -23,6 +23,7 @@ import (
 	"icbe/internal/experiments"
 	"icbe/internal/ir"
 	"icbe/internal/progs"
+	"icbe/internal/randprog"
 	"icbe/internal/restructure"
 )
 
@@ -392,6 +393,47 @@ func BenchmarkDriverWorkers(b *testing.B) {
 			b.ReportMetric(float64(clones), "clones")
 			b.ReportMetric(float64(avoided), "clones-avoided")
 			b.ReportMetric(float64(analyses), "analyses")
+		})
+	}
+}
+
+// BenchmarkColdShapes measures one cold Compile + Optimize(DefaultOptions)
+// per op on programs shaped like the benchmark's `recursion` and
+// `scale-cold` workloads (their randprog configurations, program seeds
+// 1–8, cycled), with the analysis phase NumCPU wide. Run it with
+// -benchmem (or read its allocs) for the in-process numbers quoted in
+// ROADMAP.md.
+func BenchmarkColdShapes(b *testing.B) {
+	shapes := []struct {
+		name string
+		gen  func(seed uint64) string
+	}{
+		{"recursion", func(s uint64) string {
+			return randprog.Recursion(s, randprog.RecConfig{Chains: 4, ChainLen: 4, Depth: 40, BodyStmts: 60, Globals: 3})
+		}},
+		{"scale-cold", func(s uint64) string {
+			return randprog.Scale(s, randprog.ScaleConfig{Leaves: 20, LeafStmts: 80, Hubs: 6})
+		}},
+	}
+	opts := DefaultOptions()
+	opts.Workers = runtime.NumCPU()
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			var srcs []string
+			for seed := uint64(1); seed <= 8; seed++ {
+				srcs = append(srcs, sh.gen(seed))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := Compile(srcs[i%len(srcs)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := p.Optimize(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -262,10 +262,10 @@ func TestFigure5GlobalThroughSummary(t *testing.T) {
 		t.Errorf("root answers = %v, want {F,U}", got)
 	}
 	// A summary node entry must exist, with TRANS recorded at f's entry.
-	if len(res.SNEs()) == 0 {
+	if len(res.st.snes) == 0 {
 		t.Fatal("no summary node entries created")
 	}
-	s := res.SNEs()[0]
+	s := res.st.snes[0]
 	f := p.ProcByName("f")
 	exitAns := res.AnswerAt(s.Exit, s.Qsn)
 	if exitAns != AnsUndef|AnsTrans {
@@ -291,8 +291,8 @@ func TestModSummarySkipsCallee(t *testing.T) {
 	if got := res.RootAnswers(); got != AnsTrue {
 		t.Errorf("root answers = %v, want {T}", got)
 	}
-	if len(res.SNEs()) != 0 {
-		t.Errorf("MOD summaries should have skipped the callee, got %d SNEs", len(res.SNEs()))
+	if len(res.st.snes) != 0 {
+		t.Errorf("MOD summaries should have skipped the callee, got %d SNEs", len(res.st.snes))
 	}
 	// Without MOD summaries the callee is traversed but the answer is the
 	// same.
@@ -300,7 +300,7 @@ func TestModSummarySkipsCallee(t *testing.T) {
 	if got := res2.RootAnswers(); got != AnsTrue {
 		t.Errorf("no-MOD root answers = %v, want {T}", got)
 	}
-	if len(res2.SNEs()) == 0 {
+	if len(res2.st.snes) == 0 {
 		t.Error("expected summary traversal without MOD info")
 	}
 	if res2.PairsProcessed <= res.PairsProcessed {

@@ -217,6 +217,18 @@ func (r *Result) AnswerAt(n ir.NodeID, q *Query) AnswerSet {
 	return r.st.pairAns[pid]
 }
 
+// AnswersAt appends the rolled-back answer sets of node n's pairs to dst,
+// in the order of QueriesAt(n), and returns the extended slice.
+func (r *Result) AnswersAt(dst []AnswerSet, n ir.NodeID) []AnswerSet {
+	if n < 0 || int(n) >= len(r.st.nodePair) {
+		return dst
+	}
+	for _, pid := range r.st.nodePair[n] {
+		dst = append(dst, r.st.pairAns[pid])
+	}
+	return dst
+}
+
 // ResolvedAt returns the propagation-phase resolution of the pair (n, q)
 // (a single answer), and whether the pair resolved.
 func (r *Result) ResolvedAt(n ir.NodeID, q *Query) (AnswerSet, bool) {
@@ -280,9 +292,6 @@ func (r *Result) FullCorrelation() bool {
 	root := r.RootAnswers()
 	return root != 0 && root&(AnsUndef|AnsTrans) == 0
 }
-
-// SNEs returns the summary node entries created during the analysis.
-func (r *Result) SNEs() []*SNE { return r.st.snes }
 
 type run struct {
 	a         *Analyzer

@@ -53,15 +53,16 @@ func removePredOnce(ids []ir.NodeID, x ir.NodeID) []ir.NodeID {
 }
 
 // mutate applies one random graph corruption: the kinds of damage a buggy
-// restructuring could inflict (dangling and asymmetric edges, freed nodes,
-// out-of-range variable/procedure references, invalid kinds and operators).
+// restructuring could inflict (dangling, asymmetric and extra edges, freed
+// nodes, out-of-range variable/procedure references, invalid kinds and
+// operators).
 func mutate(p *ir.Program, r *fuzzRNG) {
 	ids := liveNodeIDs(p)
 	if len(ids) == 0 {
 		return
 	}
 	n := p.Node(ids[r.intn(len(ids))])
-	switch r.intn(9) {
+	switch r.intn(10) {
 	case 0: // free a node while edges still reference it
 		p.Nodes[n.ID] = nil
 	case 1: // drop the backward direction of an edge (asymmetry)
@@ -89,6 +90,11 @@ func mutate(p *ir.Program, r *fuzzRNG) {
 		n.APred.Op = pred.Op(64 + r.intn(8))
 	case 7: // out-of-range argument list
 		n.Args = append(n.Args, ir.VarID(len(p.Vars)+r.intn(3)))
+	case 8: // an extra out-edge: a third branch arm, a second entry
+		// successor, a cross-procedure edge
+		to := p.Node(ids[r.intn(len(ids))])
+		n.Succs = append(n.Succs, to.ID)
+		to.Preds = append(to.Preds, n.ID)
 	default: // invalid main procedure
 		p.MainProc = len(p.Procs) + r.intn(2)
 	}

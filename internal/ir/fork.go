@@ -71,6 +71,7 @@ func Fork(p *Program) *Program {
 	p.cow = true
 	p.owned = nil
 	p.touched = nil
+	p.sorted = nil
 	p.prior = nil
 	// p's touched set restarts empty, so it no longer describes p's changes
 	// against a settled program.
@@ -107,13 +108,34 @@ func (p *Program) RegionNodes(f func(*Node)) {
 		p.LiveNodes(f)
 		return
 	}
-	ids := slices.Clone(p.touched)
-	slices.Sort(ids)
-	for _, id := range ids {
+	for _, id := range p.sortedTouched() {
 		if n := p.Nodes[id]; n != nil {
 			f(n)
 		}
 	}
+}
+
+// sortedTouched returns Touched in ascending order. The sorted copy is kept
+// until Touched grows; then the new IDs are sorted and merged into a fresh
+// copy, so a caller still iterating the old one is not disturbed.
+func (p *Program) sortedTouched() []NodeID {
+	old := p.sorted
+	if len(old) == len(p.touched) {
+		return old
+	}
+	tail := slices.Clone(p.touched[len(old):])
+	slices.Sort(tail)
+	merged := make([]NodeID, 0, len(p.touched))
+	for len(old) > 0 && len(tail) > 0 {
+		if old[0] < tail[0] {
+			merged, old = append(merged, old[0]), old[1:]
+		} else {
+			merged, tail = append(merged, tail[0]), tail[1:]
+		}
+	}
+	merged = append(append(merged, old...), tail...)
+	p.sorted = merged
+	return merged
 }
 
 // Mut returns node id for writing, or nil when the node is deleted. On a
@@ -156,6 +178,7 @@ func (p *Program) Unshare() {
 	p.cow = false
 	p.owned = nil
 	p.touched = nil
+	p.sorted = nil
 	p.prior = nil
 	p.settled = false
 	p.base = nil
@@ -186,21 +209,17 @@ func (p *Program) touch(id NodeID, prior *Node) {
 }
 
 // allocNode hands out a node slot from the pool. The pool grows with the
-// program: a whole program carves chunks in proportion to its size, while a
-// fork carves in proportion to the nodes it has written so far, so an
-// attempt that touches a few nodes does not pay for a thousand.
+// program: a whole program carves chunks in proportion to its size, from 64
+// nodes up, while a fork carves in proportion to the nodes it has written
+// so far, from 8 nodes up, so an attempt that writes a handful of nodes
+// pays for a handful.
 func (p *Program) allocNode() *Node {
 	if len(p.nodePool) == 0 {
-		size := len(p.Nodes)
+		size, floor := len(p.Nodes), 64
 		if p.cow {
-			size = len(p.touched)
+			size, floor = len(p.touched), 8
 		}
-		if size < 64 {
-			size = 64
-		} else if size > 1024 {
-			size = 1024
-		}
-		p.nodePool = make([]Node, size)
+		p.nodePool = make([]Node, min(max(size, floor), 1024))
 	}
 	n := &p.nodePool[0]
 	p.nodePool = p.nodePool[1:]

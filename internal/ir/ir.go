@@ -355,6 +355,9 @@ type Program struct {
 	cow     bool
 	owned   []uint64
 	touched []NodeID
+	// sorted is touched in ascending order, as of the last RegionNodes
+	// call on a Local program (see sortedTouched).
+	sorted []NodeID
 	// prior[i] is the node touched[i] replaced at its first touch: the
 	// version shared with the program this one was forked from, nil for a
 	// node created since.

@@ -1,6 +1,9 @@
 package ir
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -203,4 +206,84 @@ func FuzzForkValidate(f *testing.F) {
 				applied, got, want, fork.Dump())
 		}
 	})
+}
+
+// TestRegionNodesOrder pins RegionNodes' visiting order on a Local fork to
+// a sort of a fresh copy of Touched, after every edit of a fixed sequence,
+// and checks the region stays fixed while f edits and calls RegionNodes
+// again.
+func TestRegionNodesOrder(t *testing.T) {
+	p := build(t, regionSources[1])
+	p.Settle()
+	fork := Fork(p)
+	want := func() []NodeID {
+		ids := slices.Clone(fork.Touched())
+		slices.Sort(ids)
+		var live []NodeID
+		for _, id := range ids {
+			if fork.Nodes[id] != nil {
+				live = append(live, id)
+			}
+		}
+		return live
+	}
+	visit := func() []NodeID {
+		var got []NodeID
+		fork.RegionNodes(func(n *Node) { got = append(got, n.ID) })
+		return got
+	}
+	for i := 0; i < 40; i++ {
+		e := regionEdits[(i*7)%len(regionEdits)]
+		if e.corrupt {
+			continue
+		}
+		e.apply(fork, i*13+5, i*29+3)
+		if got, w := visit(), want(); !slices.Equal(got, w) {
+			t.Fatalf("after edit %d (%s): RegionNodes visited %v, want %v", i, e.name, got, w)
+		}
+		if got, w := visit(), want(); !slices.Equal(got, w) {
+			t.Fatalf("after edit %d (%s), second call: RegionNodes visited %v, want %v", i, e.name, got, w)
+		}
+	}
+	before := want()
+	var got []NodeID
+	fork.RegionNodes(func(n *Node) {
+		got = append(got, n.ID)
+		c := fork.NewNode(NNop, n.Proc)
+		fork.AddEdge(n.ID, c.ID)
+		visit()
+	})
+	if !slices.Equal(got, before) {
+		t.Fatalf("RegionNodes with edits in f visited %v, want the region at the start %v", got, before)
+	}
+	if got, w := visit(), want(); !slices.Equal(got, w) {
+		t.Fatalf("after edits in f: RegionNodes visited %v, want %v", got, w)
+	}
+}
+
+// TestForkArenaSizedByAttempt pins the node pool's chunk sizes: a fork of
+// a settled program of over a thousand nodes that writes one node carves a
+// chunk of at most 8 nodes, while a whole program carves at least 64.
+func TestForkArenaSizedByAttempt(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("func main() {\n\tvar x = input();\n")
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&src, "\tx = x + %d;\n", i)
+	}
+	src.WriteString("\tprint(x);\n}\n")
+	p := build(t, src.String())
+	if len(p.Nodes) < 1000 {
+		t.Fatalf("program has %d nodes, want at least 1000", len(p.Nodes))
+	}
+	p.Settle()
+	fork := Fork(p)
+	fork.Mut(p.Procs[p.MainProc].Entries[0])
+	if chunk := len(fork.nodePool) + 1; chunk > 8 {
+		t.Errorf("a fork that wrote one node carved a chunk of %d nodes, want at most 8", chunk)
+	}
+	whole := &Program{}
+	whole.NewNode(NNop, 0)
+	if chunk := len(whole.nodePool) + 1; chunk < 64 {
+		t.Errorf("a whole program carved a chunk of %d nodes, want at least 64", chunk)
+	}
 }

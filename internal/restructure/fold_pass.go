@@ -35,17 +35,7 @@ func runFoldPass(ctx context.Context, w *working, maxDuplication int) {
 	// uncalled on input (or intentionally left by the correlation rounds);
 	// the fold pass's prune must not delete them, mirroring the
 	// restructurer's initiallyDead contract.
-	initiallyDead := make(map[ir.NodeID]bool)
-	for _, pr := range w.prog.Procs {
-		if pr == nil {
-			continue
-		}
-		for _, e := range pr.Entries {
-			if n := w.prog.Node(e); n != nil && len(n.Preds) == 0 {
-				initiallyDead[e] = true
-			}
-		}
-	}
+	initiallyDead := uncalledEntries(w.prog)
 
 	// Adopted folds are budgeted like the driver's work queue: redirections
 	// move edges forward through the graph and on adversarial loop shapes
@@ -103,7 +93,7 @@ func runFoldPass(ctx context.Context, w *working, maxDuplication int) {
 // discards the fork — that is the rollback. changed is false when the
 // rewriter had nothing safe to do for this row (no attempt happened).
 func foldOne(w *working, scratch *ir.Program, bf *fold.BranchFact,
-	initiallyDead map[ir.NodeID]bool) (redirected int, changed bool, carried *facts, fail *BranchFailure) {
+	initiallyDead []ir.NodeID) (redirected int, changed bool, carried *facts, fail *BranchFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The scratch may be arbitrarily damaged; report the attempt and
@@ -116,7 +106,7 @@ func foldOne(w *working, scratch *ir.Program, bf *fold.BranchFact,
 	if !changed {
 		return 0, false, nil, nil
 	}
-	pruneProgram(scratch, initiallyDead, nil)
+	pruneProgram(scratch, initiallyDead)
 	carried, fail = w.gate(scratch, true)
 	if fail == nil {
 		if id, bad := newResidual(w.prog, scratch, w.report().SCCP, carried.rep.SCCP); bad {

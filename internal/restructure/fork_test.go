@@ -70,12 +70,12 @@ func setSettleHook(t *testing.T, h func(w *working, scratch *ir.Program, carried
 func setRegionCrossCheck(t *testing.T) (validateAgrees func(scratch *ir.Program), regions *int) {
 	t.Helper()
 	n := 0
-	testHookPrune = func(p *ir.Program, initiallyDead map[ir.NodeID]bool) func() {
+	testHookPrune = func(p *ir.Program, initiallyDead []ir.NodeID) func() {
 		if !p.Local() {
 			return func() {}
 		}
 		whole := ir.Clone(p)
-		pruneProgram(whole, initiallyDead, nil)
+		pruneProgram(whole, initiallyDead)
 		return func() {
 			n++
 			if !bytes.Equal(ir.EncodeProgram(p), ir.EncodeProgram(whole)) {

@@ -45,7 +45,7 @@ func (r *rest) normalize() error {
 		}
 	})
 	for _, ce := range ces {
-		calls, exits := r.callExitPreds(ce)
+		calls, exits := callExitPredsOf(r.p, ce)
 		if len(calls) == 1 && len(exits) == 1 {
 			continue
 		}
@@ -85,12 +85,17 @@ func (r *rest) normalize() error {
 // deliver any of the node's answers for every query the analysis raised at
 // it. Unvisited call-site exits (no queries) are unconstrained.
 func (r *rest) pairConsistent(ce *ir.Node, call, exit ir.NodeID) bool {
-	for _, q := range r.queriesAt(ce.ID) {
-		a := r.ans[ce.ID][q.ID]
+	off := r.at(ce.ID)
+	if off < 0 {
+		return true
+	}
+	o := r.origOf(ce.ID)
+	for i, q := range r.res.QueriesAt(o) {
+		a := r.ans[off+int32(i)]
 		if a == 0 {
 			continue
 		}
-		sups := r.suppliers(ce.ID, q)
+		sups := r.res.SuppliersAt(o, q)
 		if len(sups) == 0 {
 			continue
 		}
@@ -152,20 +157,36 @@ func (rc *reachCache) reaches(entry, target ir.NodeID) bool {
 // successors are dead ends; and a branch with exactly one surviving arm
 // always takes it and becomes unconditional.
 func (r *rest) prune() {
-	pruneProgram(r.p, r.initiallyDead, func(id ir.NodeID) { delete(r.ans, id) })
+	pruneProgram(r.p, r.initiallyDead)
+}
+
+// uncalledEntries lists the entries that have no call sites: the
+// initiallyDead list pruneProgram keeps, taken before a transformation.
+func uncalledEntries(p *ir.Program) []ir.NodeID {
+	var out []ir.NodeID
+	for _, pr := range p.Procs {
+		if pr == nil {
+			continue
+		}
+		for _, e := range pr.Entries {
+			if n := p.Node(e); n != nil && len(n.Preds) == 0 {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
 }
 
 // testHookPrune, when non-nil, runs at the start of every pruneProgram call
 // and the function it returns when the call ends. Tests use it to compare a
 // region prune against a whole-program prune of the same input. It must be
 // nil outside tests.
-var testHookPrune func(p *ir.Program, initiallyDead map[ir.NodeID]bool) func()
+var testHookPrune func(p *ir.Program, initiallyDead []ir.NodeID) func()
 
 // pruneProgram is the standalone form of the sweep, shared with the fold
 // pass (which prunes forks with no restructuring state around).
-// initiallyDead protects entries that were already uncalled before the
-// caller's transformation; onRemove, when non-nil, observes every deleted
-// node so callers can drop their own per-node bookkeeping.
+// initiallyDead lists the entries that were already uncalled before the
+// caller's transformation, which the sweep keeps.
 //
 // Every step works on a region of the program (ir.Program.RegionNodes):
 // all live nodes, or on a Local fork only the nodes it touched, since the
@@ -180,7 +201,7 @@ var testHookPrune func(p *ir.Program, initiallyDead map[ir.NodeID]bool) func()
 // (which is reachable), and whatever the flood misses is removed. With the
 // whole program as the region, C is every live node and the flood is the
 // plain one from all entries.
-func pruneProgram(p *ir.Program, initiallyDead map[ir.NodeID]bool, onRemove func(ir.NodeID)) {
+func pruneProgram(p *ir.Program, initiallyDead []ir.NodeID) {
 	if testHookPrune != nil {
 		defer testHookPrune(p, initiallyDead)()
 	}
@@ -199,9 +220,6 @@ func pruneProgram(p *ir.Program, initiallyDead map[ir.NodeID]bool, onRemove func
 			}
 		}
 		p.DeleteNode(id)
-		if onRemove != nil {
-			onRemove(id)
-		}
 	}
 	removeAll := func(ids []ir.NodeID) bool {
 		changed := false
@@ -226,7 +244,7 @@ func pruneProgram(p *ir.Program, initiallyDead map[ir.NodeID]bool, onRemove func
 		// below, which would miss it too.
 		dead = dead[:0]
 		p.RegionNodes(func(n *ir.Node) {
-			if n.Kind == ir.NEntry && n.Proc != p.MainProc && len(n.Preds) == 0 && !initiallyDead[n.ID] {
+			if n.Kind == ir.NEntry && n.Proc != p.MainProc && len(n.Preds) == 0 && !slices.Contains(initiallyDead, n.ID) {
 				dead = append(dead, n.ID)
 			}
 		})

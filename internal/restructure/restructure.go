@@ -20,7 +20,8 @@ package restructure
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"icbe/internal/analysis"
 	"icbe/internal/ir"
@@ -36,21 +37,6 @@ import (
 // correct as sets).
 var ErrAmbiguousTransparency = errors.New("restructure: transparent paths carry distinct continuation queries; cannot isolate correlated paths")
 
-// Outcome reports what one Eliminate call did.
-type Outcome struct {
-	// BranchCopiesRemoved counts conditional copies converted to
-	// unconditional flow (>= 1 when the optimization succeeded).
-	BranchCopiesRemoved int
-	// Splits counts node-splitting operations performed.
-	Splits int
-	// NodesCreated counts nodes created by splitting and normalization.
-	NodesCreated int
-	// BranchDescendants maps each original branch node that was split away
-	// to its surviving branch copies, so a driver can keep considering
-	// them for optimization.
-	BranchDescendants map[ir.NodeID][]ir.NodeID
-}
-
 // Eliminate restructures the program to eliminate the analyzed conditional
 // along its correlated paths. The program is mutated in place, only through
 // the ir mutators and ir.Program.Mut, so it may be a copy-on-write fork
@@ -64,14 +50,7 @@ func Eliminate(p *ir.Program, res *analysis.Result) (*Outcome, error) {
 	if p.Node(res.Cond) == nil {
 		return nil, fmt.Errorf("restructure: conditional %d no longer exists", res.Cond)
 	}
-	r := &rest{
-		p:      p,
-		res:    res,
-		orig:   make(map[ir.NodeID]ir.NodeID),
-		ans:    make(map[ir.NodeID]map[int]analysis.AnswerSet),
-		inWL:   make(map[ir.NodeID]bool),
-		origTF: make(map[ir.NodeID][2]ir.NodeID),
-	}
+	r := &rest{p: p, res: res}
 	r.init()
 	if err := r.checkTransparencyUnambiguous(); err != nil {
 		return nil, err
@@ -93,73 +72,142 @@ func Eliminate(p *ir.Program, res *analysis.Result) (*Outcome, error) {
 	}
 	r.eliminateConditional()
 	r.prune()
-	r.out.BranchDescendants = make(map[ir.NodeID][]ir.NodeID)
 	// Copies are created nodes, so the region always holds them.
-	p.RegionNodes(func(n *ir.Node) {
-		if n.Kind == ir.NBranch {
-			if o := r.origOf(n.ID); o != n.ID {
-				r.out.BranchDescendants[o] = append(r.out.BranchDescendants[o], n.ID)
-			}
-		}
-	})
+	r.out.BranchDescendants = branchCopies(p, r.origOf)
 	return &r.out, nil
 }
 
+// rest is one Eliminate call's state. Its tables are slices sized by the
+// visited nodes, their pairs and the copies made (only the worklist bitset,
+// a bit per node, and the visited rank, an int32 per 64 nodes, span the
+// program), so its cost follows the pairs it reads and the copies it
+// makes. A node's answers are indexed by query slot: slot i is the query
+// res.QueriesAt(origOf(node))[i], so every copy has the slots of the
+// analysis-time node it descends from.
 type rest struct {
 	p   *ir.Program
 	res *analysis.Result
 
-	// orig maps copies to the analysis-time node they descend from;
-	// analysis-time nodes are absent (identity).
-	orig map[ir.NodeID]ir.NodeID
-	// ans holds the current answer sets per live node (indexed by query
-	// ID); only nodes visited by the analysis appear.
-	ans map[ir.NodeID]map[int]analysis.AnswerSet
+	// n0 is the node count when restructuring starts: IDs below it are
+	// analysis-time nodes, and copies[id-n0] describes copy id.
+	n0     ir.NodeID
+	copies []copyInfo
+
+	// ans holds the current answer sets, one block per node the analysis
+	// visited (and per copy of one), indexed by slot; at locates a node's
+	// block. A deleted node keeps its block: only live nodes are read.
+	ans []analysis.AnswerSet
+	// visited is the analysis' visited-node bitset; rank[w] counts its
+	// bits below word w, and visOff[i] is the block offset of the i-th
+	// visited node (-1 when it was deleted before restructuring).
+	visited []uint64
+	rank    []int32
+	visOff  []int32
+	// ord caches each analysis-time node's slots in canonical query order
+	// (see canonicalOrder), at the node's own block offset; -1 until the
+	// node is first popped.
+	ord []int32
 
 	wl   []ir.NodeID
-	inWL map[ir.NodeID]bool
+	inWL nodeBits
 
-	// origTF snapshots the original (true, false) arm IDs of every branch
-	// in the visited region, so arm order can be restored after splitting.
-	origTF map[ir.NodeID][2]ir.NodeID
-	// initiallyDead records entries that already had no call sites in the
+	// armIDs (ascending) and arms snapshot the original (true, false) arm
+	// IDs of every branch in the visited region, so arm order can be
+	// restored after splitting.
+	armIDs []ir.NodeID
+	arms   [][2]ir.NodeID
+	// initiallyDead lists entries that already had no call sites in the
 	// input (dead procedures are not this transformation's business);
 	// pruning only removes entries that lost their call sites here.
-	initiallyDead map[ir.NodeID]bool
+	initiallyDead []ir.NodeID
+
+	// preds is fixEdges' scratch copy of a predecessor list.
+	preds []ir.NodeID
 
 	out   Outcome
 	steps int
 }
 
+// copyInfo is a copy's origin (the analysis-time node it descends from)
+// and the offset of its answer block, -1 when it has none.
+type copyInfo struct {
+	orig ir.NodeID
+	off  int32
+}
+
 func (r *rest) origOf(id ir.NodeID) ir.NodeID {
-	if o, ok := r.orig[id]; ok {
-		return o
+	if i := id - r.n0; i >= 0 && int(i) < len(r.copies) {
+		return r.copies[i].orig
 	}
 	return id
 }
 
-func (r *rest) queriesAt(id ir.NodeID) []*analysis.Query {
-	return canonicalQueries(r.res.QueriesAt(r.origOf(id)))
+// at returns the offset of node id's answer block in ans, or -1 when it
+// has none.
+func (r *rest) at(id ir.NodeID) int32 {
+	if id >= r.n0 {
+		if i := int(id - r.n0); i < len(r.copies) {
+			return r.copies[i].off
+		}
+		return -1
+	}
+	w := int(id >> 6)
+	if id < 0 || w >= len(r.visited) {
+		return -1
+	}
+	word, bit := r.visited[w], uint64(1)<<(uint(id)&63)
+	if word&bit == 0 {
+		return -1
+	}
+	return r.visOff[r.rank[w]+int32(bits.OnesCount64(word&(bit-1)))]
 }
 
-// canonicalQueries reorders a node's queries by content instead of raise
-// order. Raise order is a propagation-schedule artifact: a run replaying
-// memoized summaries interns a summary's pairs consecutively, while a fresh
-// run interleaves them, so the two runs hand mainLoop the same query sets in
-// different orders. mainLoop acts on the first splittable query it sees, and
-// that choice decides the IDs of every node the split creates — iteration
-// must therefore be a function of content for a seeded run to emit the same
-// program as a cold one. The key is unique within a node: the analysis
-// interns one query per (var, pred, owner) and one summary entry per
-// (exit, var, pred), so no two queries at a node compare equal.
-func canonicalQueries(qs []*analysis.Query) []*analysis.Query {
-	if len(qs) < 2 {
-		return qs
+// answerFor returns node m's answer set for query q, and false when m has
+// no recorded answer for it: the analysis did not visit m's origin, or did
+// not raise q there.
+func (r *rest) answerFor(m ir.NodeID, q *analysis.Query) (analysis.AnswerSet, bool) {
+	off := r.at(m)
+	if off < 0 {
+		return 0, false
 	}
-	out := make([]*analysis.Query, len(qs))
-	copy(out, qs)
-	sort.Slice(out, func(i, j int) bool { return queryLess(out[i], out[j]) })
-	return out
+	for i, x := range r.res.QueriesAt(r.origOf(m)) {
+		if x == q {
+			return r.ans[off+int32(i)], true
+		}
+	}
+	return 0, false
+}
+
+// canonicalOrder returns an analysis-time node's slots ordered by query
+// content instead of raise order. Raise order is a propagation-schedule
+// artifact: a run replaying memoized summaries interns a summary's pairs
+// consecutively, while a fresh run interleaves them, so the two runs hand
+// mainLoop the same query sets in different orders. mainLoop acts on the
+// first splittable query it sees, and that choice decides the IDs of every
+// node the split creates — iteration must therefore be a function of
+// content for a seeded run to emit the same program as a cold one. The key
+// is unique within a node: the analysis interns one query per (var, pred,
+// owner) and one summary entry per (exit, var, pred), so no two queries at
+// a node compare equal.
+func (r *rest) canonicalOrder(o ir.NodeID) []int32 {
+	qs := r.res.QueriesAt(o)
+	off := r.at(o)
+	ord := r.ord[off : off+int32(len(qs))]
+	if ord[0] < 0 {
+		for i := range ord {
+			ord[i] = int32(i)
+		}
+		slices.SortFunc(ord, func(a, b int32) int {
+			switch {
+			case queryLess(qs[a], qs[b]):
+				return -1
+			case queryLess(qs[b], qs[a]):
+				return 1
+			}
+			return 0
+		})
+	}
+	return ord
 }
 
 func queryLess(a, b *analysis.Query) bool {
@@ -192,113 +240,106 @@ func queryLess(a, b *analysis.Query) bool {
 	return aq.P.C < bq.P.C
 }
 
-func (r *rest) resolvedAt(id ir.NodeID, q *analysis.Query) (analysis.AnswerSet, bool) {
-	return r.res.ResolvedAt(r.origOf(id), q)
-}
-
-func (r *rest) suppliers(id ir.NodeID, q *analysis.Query) []analysis.EdgeSupplier {
-	return r.res.SuppliersAt(r.origOf(id), q)
-}
-
 func (r *rest) enqueue(id ir.NodeID) {
-	if r.inWL[id] {
+	for int(id>>6) >= len(r.inWL) {
+		r.inWL = append(r.inWL, 0)
+	}
+	if r.inWL.has(id) {
 		return
 	}
-	r.inWL[id] = true
+	r.inWL.set(id)
 	r.wl = append(r.wl, id)
 }
 
+// forEachVisited calls f in ascending ID order for every node the analysis
+// visited that is still live.
+func (r *rest) forEachVisited(f func(*ir.Node)) {
+	for w, word := range r.visited {
+		for ; word != 0; word &= word - 1 {
+			if n := r.p.Node(ir.NodeID(w<<6 + bits.TrailingZeros64(word))); n != nil {
+				f(n)
+			}
+		}
+	}
+}
+
 func (r *rest) init() {
-	// Copy the analysis answers into the mutable per-node answer state.
-	r.res.ForEachPair(func(pn ir.NodeID, q *analysis.Query, a analysis.AnswerSet) {
-		if r.p.Node(pn) == nil {
-			return
-		}
-		m := r.ans[pn]
-		if m == nil {
-			m = make(map[int]analysis.AnswerSet)
-			r.ans[pn] = m
-		}
-		m[q.ID] = a
-	})
-	// Snapshot branch arms in the visited region (and the conditional
-	// itself) before any mutation.
-	for id := range r.ans {
-		n := r.p.Node(id)
-		if n != nil && n.Kind == ir.NBranch {
-			r.origTF[id] = [2]ir.NodeID{n.TrueSucc(), n.FalseSucc()}
-		}
-	}
-	r.initiallyDead = make(map[ir.NodeID]bool)
-	for _, pr := range r.p.Procs {
-		for _, e := range pr.Entries {
-			if n := r.p.Node(e); n != nil && len(n.Preds) == 0 {
-				r.initiallyDead[e] = true
+	n := len(r.p.Nodes)
+	r.n0 = ir.NodeID(n)
+	r.inWL = make(nodeBits, (n+63)/64)
+	// Copy the analysis answers into one block per visited node, and
+	// snapshot branch arms in the visited region (and the conditional
+	// itself) before any mutation. Seed the worklist with every visited
+	// node hosting a multi-answer query (the frontier nodes among them make
+	// progress first; the rest re-check cheaply), in node order: the
+	// seeding order decides the split order and with it the IDs of created
+	// nodes.
+	r.visited = r.res.VisitedBits()
+	r.rank = make([]int32, len(r.visited))
+	r.ans = make([]analysis.AnswerSet, 0, r.res.PairsRaised)
+	for w, word := range r.visited {
+		r.rank[w] = int32(len(r.visOff))
+		for ; word != 0; word &= word - 1 {
+			nd := r.p.Node(ir.NodeID(w<<6 + bits.TrailingZeros64(word)))
+			if nd == nil {
+				r.visOff = append(r.visOff, -1)
+				continue
+			}
+			off := len(r.ans)
+			r.visOff = append(r.visOff, int32(off))
+			r.ans = r.res.AnswersAt(r.ans, nd.ID)
+			if nd.Kind == ir.NBranch {
+				r.armIDs = append(r.armIDs, nd.ID)
+				r.arms = append(r.arms, [2]ir.NodeID{nd.TrueSucc(), nd.FalseSucc()})
+			}
+			for _, a := range r.ans[off:] {
+				if a.Count() > 1 {
+					r.enqueue(nd.ID)
+					break
+				}
 			}
 		}
 	}
-	// Seed the worklist with every visited node hosting a multi-answer
-	// query (the frontier nodes among them make progress first; the rest
-	// re-check cheaply), in node order: the seeding order decides the split
-	// order and with it the IDs of created nodes, so iterating the map
-	// directly would make the restructured program differ run to run.
-	var seeds []ir.NodeID
-	for id, m := range r.ans {
-		for _, a := range m {
-			if a.Count() > 1 {
-				seeds = append(seeds, id)
-				break
-			}
-		}
+	r.ord = make([]int32, len(r.ans))
+	for i := range r.ord {
+		r.ord[i] = -1
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	for _, id := range seeds {
-		r.enqueue(id)
-	}
+	r.initiallyDead = uncalledEntries(r.p)
 }
 
 // checkTransparencyUnambiguous refuses to restructure when any visited
 // call-site exit receives transparent-path answers through more than one
 // distinct continuation query (see ErrAmbiguousTransparency). With a single
 // continuation query per call site, the TRANS answer class corresponds to
-// exactly one caller-side query and edge fixing is path-precise.
+// exactly one caller-side query and edge fixing is path-precise. The
+// call-site exits are checked in ID order, so the one reported is stable.
 func (r *rest) checkTransparencyUnambiguous() error {
-	// Sorted pair order so the reported call-site exit is stable.
-	type pk struct {
-		node ir.NodeID
-		q    *analysis.Query
-	}
-	var pks []pk
-	r.res.ForEachPair(func(pn ir.NodeID, q *analysis.Query, _ analysis.AnswerSet) {
-		pks = append(pks, pk{pn, q})
-	})
-	sort.Slice(pks, func(i, j int) bool {
-		if pks[i].node != pks[j].node {
-			return pks[i].node < pks[j].node
+	var err error
+	r.forEachVisited(func(n *ir.Node) {
+		if err != nil || n.Kind != ir.NCallExit {
+			return
 		}
-		return pks[i].q.ID < pks[j].q.ID
-	})
-	for _, k := range pks {
-		node := r.p.Node(k.node)
-		if node == nil || node.Kind != ir.NCallExit {
-			continue
-		}
-		sups := r.res.SuppliersAt(k.node, k.q)
-		if !hasExitSupplier(sups) {
-			continue
-		}
-		// Count distinct continuation queries per call predecessor.
-		distinct := make(map[int]bool)
-		for _, s := range sups {
-			if !s.FromExit {
-				distinct[s.Query.ID] = true
+		for _, q := range r.res.QueriesAt(n.ID) {
+			sups := r.res.SuppliersAt(n.ID, q)
+			if !hasExitSupplier(sups) {
+				continue
+			}
+			// At most one continuation query across the call predecessors.
+			cont := -1
+			for _, s := range sups {
+				if s.FromExit {
+					continue
+				}
+				if cont < 0 {
+					cont = s.Query.ID
+				} else if s.Query.ID != cont {
+					err = fmt.Errorf("%w (call-site exit %d)", ErrAmbiguousTransparency, n.ID)
+					return
+				}
 			}
 		}
-		if len(distinct) > 1 {
-			return fmt.Errorf("%w (call-site exit %d)", ErrAmbiguousTransparency, k.node)
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 const (
@@ -323,26 +364,25 @@ func (r *rest) mainLoop() error {
 		}
 		id := r.wl[0]
 		r.wl = r.wl[1:]
-		r.inWL[id] = false
-		node := r.p.Node(id)
-		if node == nil {
+		r.inWL.clear(id)
+		// A node without answers hosts no query to act on.
+		off := r.at(id)
+		if r.p.Node(id) == nil || off < 0 {
 			continue
 		}
-		qs := r.queriesAt(id)
-		if len(qs) == 0 {
-			continue
-		}
+		o := r.origOf(id)
+		qs := r.res.QueriesAt(o)
 		removed, edgeRemoved, didSplit, deleted := false, false, false, false
-		for _, q := range qs {
-			a := r.ans[id][q.ID]
+		for _, slot := range r.canonicalOrder(o) {
+			a := r.ans[off+slot]
 			if a == 0 {
 				continue
 			}
 			// Line 5: drop answers no longer available at predecessors.
-			if _, isResolved := r.resolvedAt(id, q); !isResolved {
-				avail := r.availAnswers(id, q)
+			if _, isResolved := r.res.ResolvedAt(o, qs[slot]); !isResolved {
+				avail := r.availAnswers(id, qs[slot])
 				if na := a & avail; na != a {
-					r.ans[id][q.ID] = na
+					r.ans[off+slot] = na
 					removed = true
 					a = na
 				}
@@ -360,12 +400,12 @@ func (r *rest) mainLoop() error {
 				}
 			}
 			// Line 6: fix-edges.
-			if r.fixEdges(id, q) {
+			if r.fixEdges(id, slot) {
 				edgeRemoved = true
 			}
 			// Line 7: split when multiple answers remain.
 			if a.Count() > 1 {
-				r.split(id, q)
+				r.split(id, slot)
 				didSplit = true
 				break // id is deleted; copies are on the worklist
 			}
@@ -387,33 +427,44 @@ func (r *rest) mainLoop() error {
 			}
 		}
 	}
-	// Convergence check: every visited live node must host single answers.
-	for id, m := range r.ans {
-		if r.p.Node(id) == nil {
-			continue
+	// Convergence check: every visited live node, and every live copy of
+	// one, must host single answers.
+	var err error
+	converged := func(n *ir.Node) {
+		off := r.at(n.ID)
+		if err != nil || off < 0 {
+			return
 		}
-		for qid, a := range m {
+		qs := r.res.QueriesAt(r.origOf(n.ID))
+		for i, a := range r.ans[off : off+int32(len(qs))] {
 			if a.Count() > 1 {
-				return fmt.Errorf("restructure: node %d still hosts %v for query %d after convergence",
-					id, a, qid)
+				err = fmt.Errorf("restructure: node %d still hosts %v for query %d after convergence",
+					n.ID, a, qs[i].ID)
+				return
 			}
 		}
 	}
-	return nil
+	r.forEachVisited(converged)
+	for _, n := range r.p.Nodes[r.n0:] {
+		if n != nil {
+			converged(n)
+		}
+	}
+	return err
 }
 
 // availAnswers computes which answers for (id, q) are still supplied by the
 // current predecessors (Figure 8 line 5).
 func (r *rest) availAnswers(id ir.NodeID, q *analysis.Query) analysis.AnswerSet {
 	node := r.p.Node(id)
-	sups := r.suppliers(id, q)
+	sups := r.res.SuppliersAt(r.origOf(id), q)
 	if len(sups) == 0 {
 		// No recorded suppliers (possible only after truncation): leave
 		// the answers untouched.
 		return analysis.MaskAll
 	}
 	if node.Kind == ir.NCallExit {
-		return r.callExitAvail(node, q, sups)
+		return r.callExitAvail(node, sups)
 	}
 	var avail analysis.AnswerSet
 	for _, m := range node.Preds {
@@ -422,7 +473,7 @@ func (r *rest) availAnswers(id ir.NodeID, q *analysis.Query) analysis.AnswerSet 
 			if s.Pred != om {
 				continue
 			}
-			if pa, ok := r.ans[m][s.Query.ID]; ok {
+			if pa, ok := r.answerFor(m, s.Query); ok {
 				avail |= pa & s.Mask
 			} else {
 				// Predecessor without recorded answers: unconstrained.
@@ -438,8 +489,8 @@ func (r *rest) availAnswers(id ir.NodeID, q *analysis.Query) analysis.AnswerSet 
 // exit supplies the answers resolved inside the callee, and when the callee
 // is transparent (TRANS), the call predecessor supplies the answers of the
 // continued entry queries.
-func (r *rest) callExitAvail(node *ir.Node, q *analysis.Query, sups []analysis.EdgeSupplier) analysis.AnswerSet {
-	calls, exits := r.callExitPreds(node)
+func (r *rest) callExitAvail(node *ir.Node, sups []analysis.EdgeSupplier) analysis.AnswerSet {
+	calls, exits := callExitPredsOf(r.p, node)
 	var avail analysis.AnswerSet
 	for _, c := range calls {
 		for _, e := range exits {
@@ -463,10 +514,6 @@ func hasExitSupplier(sups []analysis.EdgeSupplier) bool {
 		}
 	}
 	return false
-}
-
-func (r *rest) callExitPreds(node *ir.Node) (calls, exits []ir.NodeID) {
-	return callExitPredsOf(r.p, node)
 }
 
 func callExitPredsOf(p *ir.Program, node *ir.Node) (calls, exits []ir.NodeID) {
@@ -497,7 +544,7 @@ func (r *rest) pairAnswer(call, exit ir.NodeID, sups []analysis.EdgeSupplier) an
 			if exit == ir.NoNode {
 				continue
 			}
-			ea := r.ans[exit][s.Query.ID]
+			ea, _ := r.answerFor(exit, s.Query)
 			a |= ea & s.Mask
 			if ea&analysis.AnsTrans != 0 {
 				trans = true
@@ -511,7 +558,7 @@ func (r *rest) pairAnswer(call, exit ir.NodeID, sups []analysis.EdgeSupplier) an
 			if s.FromExit {
 				continue
 			}
-			if ca, ok := r.ans[call][s.Query.ID]; ok {
+			if ca, ok := r.answerFor(call, s.Query); ok {
 				a |= ca & s.Mask
 			} else {
 				a |= s.Mask
@@ -522,23 +569,25 @@ func (r *rest) pairAnswer(call, exit ir.NodeID, sups []analysis.EdgeSupplier) an
 }
 
 // fixEdges removes predecessor edges that no longer host a common answer
-// with the node for query q (Figure 8 fix-edges). Returns whether an edge
-// was removed.
-func (r *rest) fixEdges(id ir.NodeID, q *analysis.Query) bool {
+// with the node for its query at slot (Figure 8 fix-edges). Returns whether
+// an edge was removed.
+func (r *rest) fixEdges(id ir.NodeID, slot int32) bool {
 	node := r.p.Node(id)
-	a := r.ans[id][q.ID]
+	a := r.ans[r.at(id)+slot]
 	if a == 0 {
 		return false
 	}
-	sups := r.suppliers(id, q)
+	o := r.origOf(id)
+	sups := r.res.SuppliersAt(o, r.res.QueriesAt(o)[slot])
 	if len(sups) == 0 {
 		return false // resolved here (answers originate at this node)
 	}
 	if node.Kind == ir.NCallExit {
-		return r.fixCallExitEdges(node, q, a, sups)
+		return r.fixCallExitEdges(node, a, sups)
 	}
 	removed := false
-	for _, m := range append([]ir.NodeID(nil), node.Preds...) {
+	r.preds = append(r.preds[:0], node.Preds...)
+	for _, m := range r.preds {
 		om := r.origOf(m)
 		var supplied analysis.AnswerSet
 		has := false
@@ -548,7 +597,7 @@ func (r *rest) fixEdges(id ir.NodeID, q *analysis.Query) bool {
 				continue
 			}
 			has = true
-			if pa, ok := r.ans[m][s.Query.ID]; ok {
+			if pa, ok := r.answerFor(m, s.Query); ok {
 				supplied |= pa & s.Mask
 			} else {
 				unconstrained = true
@@ -565,8 +614,8 @@ func (r *rest) fixEdges(id ir.NodeID, q *analysis.Query) bool {
 // fixCallExitEdges applies pair-aware edge fixing at call-site exits: an
 // edge stays if it participates in at least one (call, exit) pair whose
 // joint answers intersect the node's answers.
-func (r *rest) fixCallExitEdges(node *ir.Node, q *analysis.Query, a analysis.AnswerSet, sups []analysis.EdgeSupplier) bool {
-	calls, exits := r.callExitPreds(node)
+func (r *rest) fixCallExitEdges(node *ir.Node, a analysis.AnswerSet, sups []analysis.EdgeSupplier) bool {
+	calls, exits := callExitPredsOf(r.p, node)
 	if !hasExitSupplier(sups) {
 		// Skip suppliers: only call edges are constrained.
 		removed := false
@@ -578,26 +627,21 @@ func (r *rest) fixCallExitEdges(node *ir.Node, q *analysis.Query, a analysis.Ans
 		}
 		return removed
 	}
-	validC := make(map[ir.NodeID]bool)
-	validE := make(map[ir.NodeID]bool)
-	for _, c := range calls {
-		for _, e := range exits {
+	// valid[i] marks calls[i], and valid[len(calls)+j] exits[j], as part
+	// of a pair that delivers one of the node's answers.
+	valid := make([]bool, len(calls)+len(exits))
+	for i, c := range calls {
+		for j, e := range exits {
 			if r.pairAnswer(c, e, sups)&a != 0 {
-				validC[c] = true
-				validE[e] = true
+				valid[i] = true
+				valid[len(calls)+j] = true
 			}
 		}
 	}
 	removed := false
-	for _, c := range calls {
-		if !validC[c] {
-			r.p.RemoveEdge(c, node.ID)
-			removed = true
-		}
-	}
-	for _, e := range exits {
-		if !validE[e] {
-			r.p.RemoveEdge(e, node.ID)
+	for i, m := range append(calls, exits...) {
+		if !valid[i] {
+			r.p.RemoveEdge(m, node.ID)
 			removed = true
 		}
 	}
@@ -608,18 +652,18 @@ func (r *rest) fixCallExitEdges(node *ir.Node, q *analysis.Query, a analysis.Ans
 var answerBits = [4]analysis.AnswerSet{analysis.AnsTrue, analysis.AnsFalse, analysis.AnsUndef, analysis.AnsTrans}
 
 // split duplicates node id so each copy hosts exactly one of its answers
-// for q (Figure 8 split). The original is removed.
-func (r *rest) split(id ir.NodeID, q *analysis.Query) {
+// for the query at slot (Figure 8 split). The original is removed.
+func (r *rest) split(id ir.NodeID, slot int32) {
 	node := r.p.Node(id)
-	a := r.ans[id][q.ID]
+	a := r.ans[r.at(id)+slot]
 	r.out.Splits++
 	for _, bit := range answerBits {
 		if a&bit == 0 {
 			continue
 		}
 		c := r.cloneNode(node)
-		r.ans[c.ID][q.ID] = bit
-		r.fixEdges(c.ID, q)
+		r.ans[r.at(c.ID)+slot] = bit
+		r.fixEdges(c.ID, slot)
 		r.enqueue(c.ID)
 		for _, s := range c.Succs {
 			r.enqueue(s)
@@ -659,12 +703,14 @@ func (r *rest) cloneNode(n *ir.Node) *ir.Node {
 		r.p.AddEdge(m, c.ID)
 	}
 
-	r.orig[c.ID] = r.origOf(n.ID)
-	am := make(map[int]analysis.AnswerSet, len(r.ans[n.ID]))
-	for k, v := range r.ans[n.ID] {
-		am[k] = v
+	// The copy descends from n's origin and starts with n's answers.
+	ci := copyInfo{orig: r.origOf(n.ID), off: -1}
+	if off := r.at(n.ID); off >= 0 {
+		ci.off = int32(len(r.ans))
+		r.ans = append(r.ans, r.ans[off:off+int32(len(r.res.QueriesAt(ci.orig)))]...)
 	}
-	r.ans[c.ID] = am
+	// Copies are the only nodes created here, so c.ID == n0+len(copies).
+	r.copies = append(r.copies, ci)
 
 	pr := r.p.Procs[n.Proc]
 	switch n.Kind {
@@ -672,15 +718,11 @@ func (r *rest) cloneNode(n *ir.Node) *ir.Node {
 		pr.Entries = append(pr.Entries, c.ID)
 	case ir.NExit:
 		pr.Exits = append(pr.Exits, c.ID)
-	case ir.NBranch:
-		tf := r.origTF[r.origOf(n.ID)]
-		r.origTF[c.ID] = tf
 	}
 	return c
 }
 
-// removeNode deletes a node and its bookkeeping, maintaining the procedure
-// entry/exit lists.
+// removeNode deletes a node, maintaining the procedure entry/exit lists.
 func (r *rest) removeNode(id ir.NodeID) {
 	n := r.p.Node(id)
 	if n == nil {
@@ -694,7 +736,6 @@ func (r *rest) removeNode(id ir.NodeID) {
 		pr.Exits = removeID(pr.Exits, id)
 	}
 	r.p.DeleteNode(id)
-	delete(r.ans, id)
 }
 
 func removeID(ids []ir.NodeID, x ir.NodeID) []ir.NodeID {
@@ -718,13 +759,13 @@ func (r *rest) reorderBranchArms() error {
 		if err != nil || n.Kind != ir.NBranch {
 			return
 		}
-		tf, tracked := r.origTF[n.ID]
-		if !tracked {
-			tf, tracked = r.origTF[r.origOf(n.ID)]
-		}
+		// A copy of a branch descends from a visited one, whose arms the
+		// snapshot holds.
+		i, tracked := slices.BinarySearch(r.armIDs, r.origOf(n.ID))
 		if !tracked {
 			return // branch outside the restructured region
 		}
+		tf := r.arms[i]
 		if len(n.Succs) != 2 {
 			err = fmt.Errorf("restructure: branch %d has %d successors after convergence", n.ID, len(n.Succs))
 			return
@@ -773,7 +814,7 @@ func (r *rest) eliminateConditional() {
 		}
 	})
 	for _, n := range victims {
-		switch r.ans[n.ID][root.ID] {
+		switch a, _ := r.answerFor(n.ID, root); a {
 		case analysis.AnsTrue:
 			r.p.RemoveEdge(n.ID, n.FalseSucc())
 		case analysis.AnsFalse:
