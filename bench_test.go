@@ -22,6 +22,7 @@ import (
 	"icbe/internal/analysis"
 	"icbe/internal/experiments"
 	"icbe/internal/ir"
+	"icbe/internal/minic"
 	"icbe/internal/progs"
 	"icbe/internal/randprog"
 	"icbe/internal/restructure"
@@ -397,32 +398,38 @@ func BenchmarkDriverWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkColdShapes measures one cold Compile + Optimize(DefaultOptions)
-// per op on programs shaped like the benchmark's `recursion` and
-// `scale-cold` workloads (their randprog configurations, program seeds
-// 1–8, cycled), with the analysis phase NumCPU wide. Run it with
-// -benchmem (or read its allocs) for the in-process numbers quoted in
-// ROADMAP.md.
-func BenchmarkColdShapes(b *testing.B) {
-	shapes := []struct {
-		name string
-		gen  func(seed uint64) string
-	}{
-		{"recursion", func(s uint64) string {
-			return randprog.Recursion(s, randprog.RecConfig{Chains: 4, ChainLen: 4, Depth: 40, BodyStmts: 60, Globals: 3})
-		}},
-		{"scale-cold", func(s uint64) string {
-			return randprog.Scale(s, randprog.ScaleConfig{Leaves: 20, LeafStmts: 80, Hubs: 6})
-		}},
+// coldShapes are the benchmark's `recursion` and `scale-cold` program
+// shapes: their randprog configurations, program seeds 1–8.
+var coldShapes = []struct {
+	name string
+	gen  func(seed uint64) string
+}{
+	{"recursion", func(s uint64) string {
+		return randprog.Recursion(s, randprog.RecConfig{Chains: 4, ChainLen: 4, Depth: 40, BodyStmts: 60, Globals: 3})
+	}},
+	{"scale-cold", func(s uint64) string {
+		return randprog.Scale(s, randprog.ScaleConfig{Leaves: 20, LeafStmts: 80, Hubs: 6})
+	}},
+}
+
+func coldSources(gen func(uint64) string) []string {
+	var srcs []string
+	for seed := uint64(1); seed <= 8; seed++ {
+		srcs = append(srcs, gen(seed))
 	}
+	return srcs
+}
+
+// BenchmarkColdShapes measures one cold Compile + Optimize(DefaultOptions)
+// per op on the coldShapes programs, cycled, with the analysis phase NumCPU
+// wide. Run it with -benchmem (or read its allocs) for the in-process
+// numbers quoted in ROADMAP.md.
+func BenchmarkColdShapes(b *testing.B) {
 	opts := DefaultOptions()
 	opts.Workers = runtime.NumCPU()
-	for _, sh := range shapes {
+	for _, sh := range coldShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			var srcs []string
-			for seed := uint64(1); seed <= 8; seed++ {
-				srcs = append(srcs, sh.gen(seed))
-			}
+			srcs := coldSources(sh.gen)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -435,5 +442,60 @@ func BenchmarkColdShapes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCompile measures the front end's layers on the coldShapes
+// programs, cycled: minic.Parse, minic.Check (on a parsed AST), ir.BuildAST
+// (on a checked AST) and the whole Compile. Besides allocs it reports
+// B/srcbyte, the bytes allocated per byte of source text.
+func BenchmarkCompile(b *testing.B) {
+	for _, sh := range coldShapes {
+		srcs := coldSources(sh.gen)
+		type checked struct {
+			ast  *minic.Program
+			info *minic.Info
+		}
+		asts := make([]checked, len(srcs))
+		srcBytes := 0
+		for i, src := range srcs {
+			srcBytes += len(src)
+			ast, err := minic.Parse(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			info, err := minic.Check(ast)
+			if err != nil {
+				b.Fatal(err)
+			}
+			asts[i] = checked{ast, info}
+		}
+		layers := []struct {
+			name string
+			run  func(i int) error
+		}{
+			{"Parse", func(i int) error { _, err := minic.Parse(srcs[i]); return err }},
+			{"Check", func(i int) error { _, err := minic.Check(asts[i].ast); return err }},
+			{"BuildAST", func(i int) error { _, err := ir.BuildAST(asts[i].ast, asts[i].info); return err }},
+			{"Compile", func(i int) error { _, err := Compile(srcs[i]); return err }},
+		}
+		for _, l := range layers {
+			b.Run(sh.name+"/"+l.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := l.run(i % len(srcs)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				perSrcByte := float64(len(srcs)) / float64(srcBytes)
+				b.ReportMetric(float64(ms.TotalAlloc-before)/float64(b.N)*perSrcByte, "B/srcbyte")
+			})
+		}
 	}
 }

@@ -33,7 +33,7 @@ func BuildAST(ast *minic.Program, info *minic.Info) (*Program, error) {
 		ast:  ast,
 		info: info,
 		prog: &Program{},
-		vars: make(map[*minic.Symbol]VarID),
+		vars: make([]VarID, info.NumSyms),
 	}
 	b.lowerProgram()
 	if b.err != nil {
@@ -51,7 +51,7 @@ type builder struct {
 	ast  *minic.Program
 	info *minic.Info
 	prog *Program
-	vars map[*minic.Symbol]VarID
+	vars []VarID // by minic.Symbol.ID
 
 	proc  int
 	cur   *Node // nil while lowering unreachable code
@@ -72,7 +72,7 @@ func (b *builder) lowerProgram() {
 	// Globals first so their IDs are dense at the front of the arena.
 	for i, sym := range b.info.GlobalSyms {
 		id := p.NewVar(sym.Name, VarGlobal, -1)
-		b.vars[sym] = id
+		b.vars[sym.ID] = id
 		g := b.ast.Globals[i]
 		if g.HasInit {
 			p.Vars[id].Init = g.Init
@@ -85,7 +85,7 @@ func (b *builder) lowerProgram() {
 		for j := 0; j < nparams; j++ {
 			sym := b.info.ProcSyms[i][j]
 			id := p.NewVar(fn.Name+"."+sym.Name, VarParam, i)
-			b.vars[sym] = id
+			b.vars[sym.ID] = id
 			pr.Formals = append(pr.Formals, id)
 		}
 		pr.RetVar = p.NewVar(fn.Name+".$ret", VarRet, i)
@@ -232,24 +232,23 @@ func (b *builder) lowerBlock(blk *minic.Block) {
 func (b *builder) lowerStmt(s minic.Stmt) {
 	switch s := s.(type) {
 	case *minic.VarDecl:
-		sym := b.info.DeclSyms[s]
 		id := b.prog.NewVar(b.prog.Procs[b.proc].Name+"."+s.Name, VarLocal, b.proc)
 		if s.Init != nil {
 			// Initializer evaluated before the variable exists (it may
 			// reference an outer binding of the same name).
 			b.lowerExprInto(id, s.Init, int(s.Pos.Line))
-			b.vars[sym] = id
+			b.vars[s.Sym.ID] = id
 		} else {
-			b.vars[sym] = id
+			b.vars[s.Sym.ID] = id
 			b.emit(b.newAssign(id, RHS{Kind: RConst, Const: 0}, int(s.Pos.Line)))
 		}
 
 	case *minic.AssignStmt:
-		dst := b.vars[b.info.AssignSyms[s]]
+		dst := b.vars[s.Sym.ID]
 		b.lowerExprInto(dst, s.Value, int(s.Pos.Line))
 
 	case *minic.StoreStmt:
-		ptr := b.vars[b.info.StoreSyms[s]]
+		ptr := b.vars[s.Sym.ID]
 		idx := b.lowerOperand(s.Index)
 		val := b.lowerOperand(s.Value)
 		n := b.prog.NewNode(NStore, b.proc)
@@ -458,7 +457,7 @@ func (b *builder) lowerOperand(e minic.Expr) Operand {
 	case *minic.NumLit:
 		return ConstOp(e.Val)
 	case *minic.VarRef:
-		return VarOp(b.vars[b.info.Uses[e]])
+		return VarOp(b.vars[e.Sym.ID])
 	default:
 		t := b.newTemp()
 		b.lowerExprInto(t, e, int(e.Position().Line))
@@ -473,7 +472,7 @@ func (b *builder) lowerExprInto(dst VarID, e minic.Expr, line int) {
 		b.emit(b.newAssign(dst, RHS{Kind: RConst, Const: e.Val}, line))
 
 	case *minic.VarRef:
-		src := b.vars[b.info.Uses[e]]
+		src := b.vars[e.Sym.ID]
 		b.emit(b.newAssign(dst, RHS{Kind: RCopy, Src: src}, line))
 
 	case *minic.NegExpr:
@@ -496,7 +495,7 @@ func (b *builder) lowerExprInto(dst VarID, e minic.Expr, line int) {
 		b.emit(b.newAssign(dst, RHS{Kind: RBinop, Op: binOpOf(e.Op), A: a, B: c}, line))
 
 	case *minic.IndexExpr:
-		ptr := b.vars[b.info.LoadSyms[e]]
+		ptr := b.vars[e.Sym.ID]
 		idx := b.lowerOperand(e.Index)
 		b.emit(b.newAssign(dst, RHS{Kind: RLoad, Src: ptr, A: idx}, line))
 		// The load dereferenced ptr, so ptr != 0 afterwards — unless the

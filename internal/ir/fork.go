@@ -209,13 +209,14 @@ func (p *Program) touch(id NodeID, prior *Node) {
 }
 
 // allocNode hands out a node slot from the pool. The pool grows with the
-// program: a whole program carves chunks in proportion to its size, from 64
-// nodes up, while a fork carves in proportion to the nodes it has written
-// so far, from 8 nodes up, so an attempt that writes a handful of nodes
-// pays for a handful.
+// program: a whole program carves chunks of a quarter of its size, from 64
+// nodes up, so a build leaves at most a quarter of its size (or 64) in
+// unused slots, while a fork carves in proportion to the nodes it has
+// written so far, from 8 nodes up, so an attempt that writes a handful of
+// nodes pays for a handful.
 func (p *Program) allocNode() *Node {
 	if len(p.nodePool) == 0 {
-		size, floor := len(p.Nodes), 64
+		size, floor := len(p.Nodes)/4, 64
 		if p.cow {
 			size, floor = len(p.touched), 8
 		}

@@ -263,17 +263,21 @@ func TestRegionNodesOrder(t *testing.T) {
 
 // TestForkArenaSizedByAttempt pins the node pool's chunk sizes: a fork of
 // a settled program of over a thousand nodes that writes one node carves a
-// chunk of at most 8 nodes, while a whole program carves at least 64.
+// chunk of at most 8 nodes, while a whole program carves at least 64, and a
+// build leaves at most a quarter of its nodes' worth of slots unused.
 func TestForkArenaSizedByAttempt(t *testing.T) {
 	var src strings.Builder
 	src.WriteString("func main() {\n\tvar x = input();\n")
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 1100; i++ {
 		fmt.Fprintf(&src, "\tx = x + %d;\n", i)
 	}
 	src.WriteString("\tprint(x);\n}\n")
 	p := build(t, src.String())
 	if len(p.Nodes) < 1000 {
 		t.Fatalf("program has %d nodes, want at least 1000", len(p.Nodes))
+	}
+	if spare := len(p.nodePool); spare > len(p.Nodes)/4 {
+		t.Errorf("a build of %d nodes left %d node slots unused, want at most %d", len(p.Nodes), spare, len(p.Nodes)/4)
 	}
 	p.Settle()
 	fork := Fork(p)

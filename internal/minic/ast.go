@@ -46,7 +46,8 @@ type Stmt interface {
 // VarDecl declares a local variable with an optional initializer.
 type VarDecl struct {
 	Name string
-	Init Expr // nil means zero
+	Init Expr    // nil means zero
+	Sym  *Symbol // the declared symbol, set by Check
 	Pos  Pos
 }
 
@@ -54,6 +55,7 @@ type VarDecl struct {
 type AssignStmt struct {
 	Name  string
 	Value Expr
+	Sym   *Symbol // resolution of Name, set by Check
 	Pos   Pos
 }
 
@@ -62,6 +64,7 @@ type StoreStmt struct {
 	Ptr   string
 	Index Expr
 	Value Expr
+	Sym   *Symbol // resolution of Ptr, set by Check
 	Pos   Pos
 }
 
@@ -152,6 +155,7 @@ type NumLit struct {
 // VarRef names a variable.
 type VarRef struct {
 	Name string
+	Sym  *Symbol // resolution of Name, set by Check
 	Pos  Pos
 }
 
@@ -208,6 +212,7 @@ type CallExpr struct {
 type IndexExpr struct {
 	Ptr   string
 	Index Expr
+	Sym   *Symbol // resolution of Ptr, set by Check
 	Pos   Pos
 }
 

@@ -1,33 +1,64 @@
 package minic
 
 import (
+	"slices"
+
 	"icbe/internal/pred"
 )
 
-// Parser is a recursive-descent parser for MiniC.
+// Parser is a recursive-descent parser for MiniC. It pulls tokens from its
+// lexer one at a time and holds one token of lookahead, so it never builds
+// a token slice.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx     Lexer
+	tok    Token  // the lookahead token
+	lexErr error  // the first lexical error; tok is then EOF for good
+	stmts  []Stmt // the open blocks' statements, innermost last
 }
 
 // Parse parses a complete MiniC program from source text.
+//
+// A lexical error takes precedence over a syntax error wherever the two
+// occur, as if the whole source were lexed before parsing: on a syntax
+// error Parse lexes the rest of the source and returns its first lexical
+// error, if there is one.
 func Parse(src string) (*Program, error) {
-	toks, err := LexAll(src)
+	p := &Parser{lx: *NewLexer(src)}
+	p.advance()
+	prog, err := p.parseProgram()
 	if err != nil {
-		return nil, err
+		for p.tok.Kind != TokEOF {
+			p.advance()
+		}
 	}
-	p := &Parser{toks: toks}
-	return p.parseProgram()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return prog, err
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// advance lexes the next lookahead token. A lexical error is recorded and
+// ends the stream: the lookahead becomes EOF, so the parse unwinds.
+func (p *Parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	t, err := p.lx.Next()
+	if err != nil {
+		p.lexErr = err
+		t = Token{Kind: TokEOF, Pos: p.lx.pos()}
+	}
+	p.tok = t
+}
 
-func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
+
+func (p *Parser) at(k TokKind) bool { return p.tok.Kind == k }
 
 func (p *Parser) accept(k TokKind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -35,7 +66,7 @@ func (p *Parser) accept(k TokKind) bool {
 
 func (p *Parser) expect(k TokKind) (Token, error) {
 	if !p.at(k) {
-		return Token{}, errf(p.cur().Pos, "expected %s, found %s", k, p.cur())
+		return Token{}, errf(p.tok.Pos, "expected %s, found %s", k, p.tok)
 	}
 	return p.next(), nil
 }
@@ -126,7 +157,10 @@ func (p *Parser) parseBlock() (*Block, error) {
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
-	b := &Block{Stmts: make([]Stmt, 0, 4)}
+	// The statements collect on the parser's stack, so each block's slice
+	// is allocated once, at its final length. (A failed parse is dropped,
+	// so only success pops.)
+	start := len(p.stmts)
 	for !p.at(TokRBrace) {
 		if p.at(TokEOF) {
 			return nil, errf(p.cur().Pos, "unexpected end of input inside block")
@@ -135,9 +169,11 @@ func (p *Parser) parseBlock() (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
 	p.next() // '}'
+	b := &Block{Stmts: slices.Clone(p.stmts[start:])}
+	p.stmts = p.stmts[:start]
 	return b, nil
 }
 

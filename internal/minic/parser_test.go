@@ -216,6 +216,27 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestLexErrorWinsOverSyntaxError pins the error precedence of the
+// streaming parser: a lexical error anywhere in the source is reported
+// instead of a syntax error that comes before it.
+func TestLexErrorWinsOverSyntaxError(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"func main() { 1 @", "1:17: unexpected character '@'"},
+		{"func main() { print(1) } /* never closed", "1:26: unterminated block comment"},
+		{"func main() { } @", "1:17: unexpected character '@'"},
+		{"var x\n'", "2:1: unterminated character literal"},
+		{"func main() { x; }\n// fine\n123abc", "3:1: malformed number: identifier character 'a' after digits"},
+		// Only the first lexical error counts.
+		{"func f( { @ 'ab'", "1:11: unexpected character '@'"},
+	}
+	for _, tc := range cases {
+		_, err := Parse(tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) error = %v, want %q", tc.src, err, tc.want)
+		}
+	}
+}
+
 func TestParseErrorHasPosition(t *testing.T) {
 	_, err := Parse("func f() {\n  var x = ;\n}")
 	if err == nil {

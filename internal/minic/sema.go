@@ -29,21 +29,30 @@ type Symbol struct {
 	Name string
 	Kind SymKind
 	Proc int // procedure index, or -1 for globals
+	ID   int // dense number in [0, Info.NumSyms)
 	Pos  Pos
 }
 
 // Info is the result of semantic analysis: procedure indices and the
-// resolution of every variable reference, ready for IR construction.
+// symbol tables, ready for IR construction. The resolution of each name is
+// not kept here: Check writes it into the node that names it (the Sym field
+// of VarRef, VarDecl, AssignStmt, StoreStmt and IndexExpr).
+//
+// Symbols are numbered densely in declaration order: globals first, then
+// each procedure's params and locals. A consumer keeps per-symbol state in
+// a slice of NumSyms entries indexed by Symbol.ID.
 type Info struct {
 	ProcIdx    map[string]int
 	GlobalSyms []*Symbol
 	ProcSyms   [][]*Symbol // per procedure: params first, then locals in declaration order
+	NumSyms    int
+}
 
-	Uses       map[*VarRef]*Symbol
-	DeclSyms   map[*VarDecl]*Symbol
-	AssignSyms map[*AssignStmt]*Symbol
-	StoreSyms  map[*StoreStmt]*Symbol // resolution of the pointer identifier
-	LoadSyms   map[*IndexExpr]*Symbol // resolution of the pointer identifier
+// binding is a name in scope. outer is the index in checker.binds of the
+// binding it shadows, or -1.
+type binding struct {
+	sym   *Symbol
+	outer int32
 }
 
 type checker struct {
@@ -51,7 +60,9 @@ type checker struct {
 	info *Info
 
 	procIdx   int
-	scopes    []map[string]*Symbol // innermost last; scopes[0] is globals
+	names     map[string]int32 // name → index in binds of its innermost binding
+	binds     []binding        // the bindings in scope, outermost first
+	scopes    []int            // where each open scope's bindings start in binds
 	loopDepth int
 	errs      []*Error
 	symPool   []Symbol // slab declare hands symbols out of
@@ -60,18 +71,14 @@ type checker struct {
 // Check performs semantic analysis on a parsed program. It verifies that a
 // `main` procedure with no parameters exists, that all names resolve, that
 // calls match procedure arity, and that break/continue appear inside loops.
-// The first error encountered in source order is returned.
+// The first error encountered in source order is returned. Check writes
+// each name's resolution into the node that names it.
 func Check(prog *Program) (*Info, error) {
 	c := &checker{
-		prog: prog,
-		info: &Info{
-			ProcIdx:    make(map[string]int),
-			Uses:       make(map[*VarRef]*Symbol),
-			DeclSyms:   make(map[*VarDecl]*Symbol),
-			AssignSyms: make(map[*AssignStmt]*Symbol),
-			StoreSyms:  make(map[*StoreStmt]*Symbol),
-			LoadSyms:   make(map[*IndexExpr]*Symbol),
-		},
+		prog:   prog,
+		info:   &Info{ProcIdx: make(map[string]int)},
+		names:  make(map[string]int32),
+		scopes: []int{0},
 	}
 	c.run()
 	if len(c.errs) > 0 {
@@ -85,21 +92,21 @@ func (c *checker) errorf(pos Pos, format string, args ...interface{}) {
 }
 
 func (c *checker) run() {
-	globals := make(map[string]*Symbol)
+	// The globals are the outermost scope.
 	for _, g := range c.prog.Globals {
 		if IsBuiltin(g.Name) {
 			c.errorf(g.Pos, "cannot declare global %q: name is a builtin", g.Name)
 			continue
 		}
-		if _, dup := globals[g.Name]; dup {
+		if _, dup := c.names[g.Name]; dup {
 			c.errorf(g.Pos, "duplicate global variable %q", g.Name)
 			continue
 		}
-		sym := &Symbol{Name: g.Name, Kind: SymGlobal, Proc: -1, Pos: g.Pos}
-		globals[g.Name] = sym
+		sym := &Symbol{Name: g.Name, Kind: SymGlobal, Proc: -1, ID: c.info.NumSyms, Pos: g.Pos}
+		c.info.NumSyms++
+		c.bind(sym, -1)
 		c.info.GlobalSyms = append(c.info.GlobalSyms, sym)
 	}
-	c.scopes = []map[string]*Symbol{globals}
 
 	for i, fn := range c.prog.Procs {
 		if IsBuiltin(fn.Name) {
@@ -109,7 +116,7 @@ func (c *checker) run() {
 			c.errorf(fn.Pos, "duplicate procedure %q", fn.Name)
 			continue
 		}
-		if _, isGlobal := globals[fn.Name]; isGlobal {
+		if _, isGlobal := c.names[fn.Name]; isGlobal {
 			c.errorf(fn.Pos, "procedure %q conflicts with a global variable", fn.Name)
 		}
 		c.info.ProcIdx[fn.Name] = i
@@ -129,15 +136,40 @@ func (c *checker) run() {
 	}
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, make(map[string]*Symbol)) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) pushScope() { c.scopes = append(c.scopes, len(c.binds)) }
+
+// popScope unbinds the innermost scope's names, uncovering what they
+// shadowed.
+func (c *checker) popScope() {
+	start := c.scopes[len(c.scopes)-1]
+	for i := len(c.binds) - 1; i >= start; i-- {
+		b := c.binds[i]
+		if b.outer < 0 {
+			delete(c.names, b.sym.Name)
+		} else {
+			c.names[b.sym.Name] = b.outer
+		}
+	}
+	c.binds = c.binds[:start]
+	c.scopes = c.scopes[:len(c.scopes)-1]
+}
+
+// bind makes sym the innermost binding of its name; outer is the binding
+// it shadows, or -1.
+func (c *checker) bind(sym *Symbol, outer int32) {
+	c.names[sym.Name] = int32(len(c.binds))
+	c.binds = append(c.binds, binding{sym: sym, outer: outer})
+}
 
 func (c *checker) declare(name string, kind SymKind, pos Pos) *Symbol {
-	top := c.scopes[len(c.scopes)-1]
 	if IsBuiltin(name) {
 		c.errorf(pos, "cannot declare %q: name is a builtin", name)
 	}
-	if prev, dup := top[name]; dup {
+	outer, bound := c.names[name]
+	if !bound {
+		outer = -1
+	} else if int(outer) >= c.scopes[len(c.scopes)-1] {
+		prev := c.binds[outer].sym
 		c.errorf(pos, "duplicate declaration of %q (previous at %s)", name, prev.Pos)
 		return prev
 	}
@@ -146,21 +178,21 @@ func (c *checker) declare(name string, kind SymKind, pos Pos) *Symbol {
 	}
 	sym := &c.symPool[0]
 	c.symPool = c.symPool[1:]
-	*sym = Symbol{Name: name, Kind: kind, Proc: c.procIdx, Pos: pos}
-	top[name] = sym
+	*sym = Symbol{Name: name, Kind: kind, Proc: c.procIdx, ID: c.info.NumSyms, Pos: pos}
+	c.info.NumSyms++
+	c.bind(sym, outer)
 	c.info.ProcSyms[c.procIdx] = append(c.info.ProcSyms[c.procIdx], sym)
 	return sym
 }
 
 func (c *checker) lookup(name string, pos Pos) *Symbol {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if sym, ok := c.scopes[i][name]; ok {
-			return sym
-		}
+	if i, ok := c.names[name]; ok {
+		return c.binds[i].sym
 	}
 	c.errorf(pos, "undeclared variable %q", name)
-	// Recover with a fake local so later checks continue.
-	return &Symbol{Name: name, Kind: SymLocal, Proc: c.procIdx, Pos: pos}
+	// Recover with a fake local so later checks continue. It has no ID:
+	// a program with an error is never lowered.
+	return &Symbol{Name: name, Kind: SymLocal, Proc: c.procIdx, ID: -1, Pos: pos}
 }
 
 func (c *checker) checkProc(fn *Proc) {
@@ -188,12 +220,12 @@ func (c *checker) checkStmt(s Stmt) {
 		if s.Init != nil {
 			c.checkExpr(s.Init)
 		}
-		c.info.DeclSyms[s] = c.declare(s.Name, SymLocal, s.Pos)
+		s.Sym = c.declare(s.Name, SymLocal, s.Pos)
 	case *AssignStmt:
 		c.checkExpr(s.Value)
-		c.info.AssignSyms[s] = c.lookup(s.Name, s.Pos)
+		s.Sym = c.lookup(s.Name, s.Pos)
 	case *StoreStmt:
-		c.info.StoreSyms[s] = c.lookup(s.Ptr, s.Pos)
+		s.Sym = c.lookup(s.Ptr, s.Pos)
 		c.checkExpr(s.Index)
 		c.checkExpr(s.Value)
 	case *CallStmt:
@@ -245,7 +277,7 @@ func (c *checker) checkExpr(e Expr) {
 	switch e := e.(type) {
 	case *NumLit:
 	case *VarRef:
-		c.info.Uses[e] = c.lookup(e.Name, e.Pos)
+		e.Sym = c.lookup(e.Name, e.Pos)
 	case *BinExpr:
 		c.checkExpr(e.L)
 		c.checkExpr(e.R)
@@ -254,7 +286,7 @@ func (c *checker) checkExpr(e Expr) {
 	case *CallExpr:
 		c.checkCall(e, false)
 	case *IndexExpr:
-		c.info.LoadSyms[e] = c.lookup(e.Ptr, e.Pos)
+		e.Sym = c.lookup(e.Ptr, e.Pos)
 		c.checkExpr(e.Index)
 	default:
 		c.errorf(e.Position(), "unsupported expression %T", e)

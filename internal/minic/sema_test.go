@@ -16,7 +16,7 @@ func mustCheck(t *testing.T, src string) (*Program, *Info) {
 }
 
 func TestCheckResolvesScopes(t *testing.T) {
-	prog, info := mustCheck(t, `
+	prog, _ := mustCheck(t, `
 		var g = 1;
 		func f(a) {
 			var x = a + g;
@@ -33,36 +33,36 @@ func TestCheckResolvesScopes(t *testing.T) {
 	outerDecl := f.Body.Stmts[0].(*VarDecl)
 	ifs := f.Body.Stmts[1].(*IfStmt)
 	innerDecl := ifs.Then.Stmts[0].(*VarDecl)
-	outerSym := info.DeclSyms[outerDecl]
-	innerSym := info.DeclSyms[innerDecl]
+	outerSym := outerDecl.Sym
+	innerSym := innerDecl.Sym
 	if outerSym == innerSym {
 		t.Error("shadowed locals resolved to the same symbol")
 	}
 	// Assignment inside the if refers to the inner x.
 	asgn := ifs.Then.Stmts[1].(*AssignStmt)
-	if info.AssignSyms[asgn] != innerSym {
+	if asgn.Sym != innerSym {
 		t.Error("assignment in inner scope did not resolve to inner symbol")
 	}
 	// Return refers to the outer x.
 	ret := f.Body.Stmts[2].(*ReturnStmt)
-	if info.Uses[ret.Value.(*VarRef)] != outerSym {
+	if ret.Value.(*VarRef).Sym != outerSym {
 		t.Error("return did not resolve to outer symbol")
 	}
 	// g resolves to a global.
 	add := outerDecl.Init.(*BinExpr)
-	gSym := info.Uses[add.R.(*VarRef)]
+	gSym := add.R.(*VarRef).Sym
 	if gSym.Kind != SymGlobal {
 		t.Errorf("g resolved to %v", gSym.Kind)
 	}
 	// a resolves to the parameter.
-	aSym := info.Uses[add.L.(*VarRef)]
+	aSym := add.L.(*VarRef).Sym
 	if aSym.Kind != SymParam {
 		t.Errorf("a resolved to %v", aSym.Kind)
 	}
 }
 
 func TestCheckLocalShadowsGlobal(t *testing.T) {
-	prog, info := mustCheck(t, `
+	prog, _ := mustCheck(t, `
 		var x = 1;
 		func main() {
 			var x = 2;
@@ -70,7 +70,7 @@ func TestCheckLocalShadowsGlobal(t *testing.T) {
 		}
 	`)
 	pr := prog.Procs[0].Body.Stmts[1].(*PrintStmt)
-	sym := info.Uses[pr.Value.(*VarRef)]
+	sym := pr.Value.(*VarRef).Sym
 	if sym.Kind != SymLocal {
 		t.Errorf("x resolved to %v, want local", sym.Kind)
 	}
@@ -78,7 +78,7 @@ func TestCheckLocalShadowsGlobal(t *testing.T) {
 
 func TestCheckVarInitUsesOuterScope(t *testing.T) {
 	// `var x = x;` must refer to the outer x, not the new one.
-	prog, info := mustCheck(t, `
+	prog, _ := mustCheck(t, `
 		var x = 5;
 		func main() {
 			var x = x;
@@ -86,7 +86,7 @@ func TestCheckVarInitUsesOuterScope(t *testing.T) {
 		}
 	`)
 	decl := prog.Procs[0].Body.Stmts[0].(*VarDecl)
-	initSym := info.Uses[decl.Init.(*VarRef)]
+	initSym := decl.Init.(*VarRef).Sym
 	if initSym.Kind != SymGlobal {
 		t.Errorf("initializer x resolved to %v, want global", initSym.Kind)
 	}
@@ -164,6 +164,43 @@ func TestCheckParamsAndLocalsListed(t *testing.T) {
 	}
 	if syms[0].Kind != SymParam || syms[1].Kind != SymParam || syms[2].Kind != SymLocal {
 		t.Errorf("symbol kinds = %v %v %v", syms[0].Kind, syms[1].Kind, syms[2].Kind)
+	}
+}
+
+// TestCheckNumbersSymbolsDensely checks that symbol IDs run 0..NumSyms-1 in
+// declaration order, globals first, and that every name resolves to the
+// symbol of its declaration.
+func TestCheckNumbersSymbolsDensely(t *testing.T) {
+	prog, info := mustCheck(t, `
+		var g; var h = 2;
+		func f(a) { var p = alloc(a); p[0] = g; if (a) { var q = p[0]; h = q; } return a; }
+		func main() { var r = f(1); print(r); }
+	`)
+	var all []*Symbol
+	all = append(all, info.GlobalSyms...)
+	for _, ps := range info.ProcSyms {
+		all = append(all, ps...)
+	}
+	if len(all) != info.NumSyms {
+		t.Fatalf("%d symbols listed, NumSyms = %d", len(all), info.NumSyms)
+	}
+	for i, s := range all {
+		if s.ID != i {
+			t.Errorf("symbol %q has ID %d, want %d", s.Name, s.ID, i)
+		}
+	}
+	body := prog.Procs[0].Body.Stmts
+	p := body[0].(*VarDecl).Sym
+	if st := body[1].(*StoreStmt); st.Sym != p || st.Value.(*VarRef).Sym != info.GlobalSyms[0] {
+		t.Error("store did not resolve to p and g")
+	}
+	then := body[2].(*IfStmt).Then.Stmts
+	q := then[0].(*VarDecl)
+	if q.Init.(*IndexExpr).Sym != p {
+		t.Error("load did not resolve to p")
+	}
+	if asg := then[1].(*AssignStmt); asg.Sym != info.GlobalSyms[1] || asg.Value.(*VarRef).Sym != q.Sym {
+		t.Error("h = q did not resolve to h and q")
 	}
 }
 

@@ -4,6 +4,13 @@
 // return value, globals, if/while control flow, and heap access through
 // builtins (alloc, indexed load/store, byte). The front end produces an AST
 // that internal/ir lowers onto the interprocedural control flow graph.
+//
+// The front end keeps only what it produces. Parse pulls tokens from a
+// Lexer one at a time, with one token of lookahead, and builds no token
+// slice; a lexical error anywhere in the source still wins over a syntax
+// error. Check resolves each name into the AST node that carries it and
+// numbers the symbols densely, so a consumer indexes per-symbol state by
+// Symbol.ID instead of hashing AST or symbol pointers.
 package minic
 
 import "fmt"
@@ -95,20 +102,34 @@ func (k TokKind) String() string {
 	return fmt.Sprintf("TokKind(%d)", int(k))
 }
 
-var keywords = map[string]TokKind{
-	"var":      TokVar,
-	"func":     TokFunc,
-	"if":       TokIf,
-	"else":     TokElse,
-	"while":    TokWhile,
-	"return":   TokReturn,
-	"break":    TokBreak,
-	"continue": TokContinue,
-	"print":    TokPrint,
+// keyword returns the kind of a keyword, or TokIdent for any other
+// identifier. A switch, not a map: it runs once per identifier token.
+func keyword(text string) TokKind {
+	switch text {
+	case "var":
+		return TokVar
+	case "func":
+		return TokFunc
+	case "if":
+		return TokIf
+	case "else":
+		return TokElse
+	case "while":
+		return TokWhile
+	case "return":
+		return TokReturn
+	case "break":
+		return TokBreak
+	case "continue":
+		return TokContinue
+	case "print":
+		return TokPrint
+	}
+	return TokIdent
 }
 
 // Pos is a source position (1-based line and column). int32 keeps Token
-// at 32 bytes (tokens are the front end's largest allocation).
+// at 32 bytes (the parser copies one per token).
 type Pos struct {
 	Line, Col int32
 }
