@@ -92,7 +92,7 @@ func measureStress(name, label, src string) (*stressRecord, error) {
 	}
 	rec := &stressRecord{
 		Name:  name,
-		Nodes: len(p.Nodes),
+		Nodes: p.NumNodes(),
 		Procs: len(p.Procs),
 	}
 	p.LiveNodes(func(n *ir.Node) {

@@ -58,10 +58,17 @@ func Compile(src string) (p *Program, err error) {
 	if err := ir.Validate(g); err != nil {
 		return nil, fmt.Errorf("icbe: internal: built graph invalid: %w", err)
 	}
+	// Optimize forks the graph instead of copying it. A shared graph owns
+	// nothing, so forking it writes nothing and concurrent Optimize calls
+	// on one Program do not race.
+	g.Share()
 	return &Program{g: g}, nil
 }
 
 // Graph exposes the underlying ICFG (read-mostly; mutate via Optimize).
+// The graph is shared (ir.Program.Share) with every program Optimize
+// returns from it, so a caller that writes it must go through the ir
+// mutators, Mut and MutProc, which copy before writing.
 func (p *Program) Graph() *ir.Program { return p.g }
 
 // Dump renders the ICFG as text.
@@ -309,6 +316,8 @@ type Report struct {
 // analyzed concurrently against program snapshots (Options.Workers) and the
 // accepted restructurings applied serially. The receiver is unmodified; the
 // optimized program is returned and is identical for every worker count.
+// The result shares its unchanged nodes with the receiver and, like a
+// compiled Program, may be optimized by several goroutines at once.
 //
 // The driver is transactional: a conditional whose restructuring panics,
 // fails validation, or (with Options.Verify) diverges under shadow
@@ -351,6 +360,10 @@ func (p *Program) OptimizeContext(ctx context.Context, opts Options) (op *Progra
 	if opts.Compact {
 		ir.Simplify(dr.Program)
 	}
+	// The result is copy-on-write over p's graph. Sharing it makes it own
+	// nothing, as Compile's graphs do, so it too may be optimized by
+	// several goroutines at once.
+	dr.Program.Share()
 	rep = &Report{
 		Optimized:        dr.Optimized,
 		PairsTotal:       dr.PairsTotal,

@@ -1,9 +1,13 @@
 package icbe
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"icbe/internal/ir"
 )
 
 const apiDemoSrc = `
@@ -225,6 +229,53 @@ func TestCompactOption(t *testing.T) {
 	}
 }
 
+// TestCompactLoopEndingInBranch compacts, through Optimize, a program whose
+// loop body ends in a branch on an input the analysis cannot decide. The
+// result shares its nodes with the compiled graph, and contracting the
+// loop head replaces the body's join with a private copy while Simplify
+// still holds the join as a candidate; the candidate must be re-read, not
+// contracted from its stale version.
+func TestCompactLoopEndingInBranch(t *testing.T) {
+	const src = `func main() {
+	var i = input();
+	while (i > 0) {
+		i = i - 1;
+		if (input() > 0) { print(i); }
+	}
+	print(0);
+}`
+	p, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Compact = true
+	opt, _, err := p.Optimize(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ir.Validate(opt.Graph()); err != nil {
+		t.Fatal(err)
+	}
+	plain, _, err := p.Optimize(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.Stats().Nodes >= plain.Stats().Nodes {
+		t.Errorf("compaction did not shrink nodes: %d vs %d", opt.Stats().Nodes, plain.Stats().Nodes)
+	}
+	for _, in := range [][]int64{{0}, {3, 1, 0, 1}} {
+		r1, err1 := plain.Run(in)
+		r2, err2 := opt.Run(in)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if !reflect.DeepEqual(r1.Output, r2.Output) || r1.Operations != r2.Operations {
+			t.Errorf("compaction changed behavior on %v", in)
+		}
+	}
+}
+
 func TestOptimizeWorkersDeterminismAndStats(t *testing.T) {
 	p, err := Compile(apiDemoSrc)
 	if err != nil {
@@ -260,5 +311,72 @@ func TestOptimizeWorkersDeterminismAndStats(t *testing.T) {
 	}
 	if srep.Truncated {
 		t.Error("unexpected truncation on the demo program")
+	}
+}
+
+// TestConcurrentOptimizeSharedInput optimizes one compiled Program from
+// four goroutines at once, and then one optimized Program the same way.
+// Optimize forks its input rather than copying it, so this pins the sharing
+// contract for both kinds of Program: the goroutines must not race (go test
+// -race), each result must encode exactly like a sequential run on a
+// separately made copy, and the input must not change.
+func TestConcurrentOptimizeSharedInput(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.Compact = true
+	optimize := func(t *testing.T, p *Program) *Program {
+		t.Helper()
+		op, _, err := p.Optimize(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	// concurrently optimizes p from four goroutines and checks every result
+	// against want and p against its encoding beforehand.
+	concurrently := func(t *testing.T, p *Program, want []byte) {
+		t.Helper()
+		input := ir.EncodeProgram(p.Graph())
+		got := make([][]byte, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				op, _, err := p.Optimize(opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = ir.EncodeProgram(op.Graph())
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if !bytes.Equal(g, want) {
+				t.Errorf("goroutine %d: result differs from a sequential run on its own copy", i)
+			}
+		}
+		if !bytes.Equal(ir.EncodeProgram(p.Graph()), input) {
+			t.Error("optimizing the program changed it")
+		}
+	}
+	for _, sh := range coldShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			src := sh.gen(1)
+			alone, err := Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			once := optimize(t, alone)
+			twice := optimize(t, once)
+
+			p, err := Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			concurrently(t, p, ir.EncodeProgram(once.Graph()))
+			concurrently(t, optimize(t, p), ir.EncodeProgram(twice.Graph()))
+		})
 	}
 }

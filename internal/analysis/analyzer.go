@@ -320,7 +320,7 @@ func (a *Analyzer) AnalyzeBranchInterruptible(b ir.NodeID, interrupt func() bool
 	if node == nil || !node.Analyzable() {
 		return nil
 	}
-	st := acquireState(len(a.Prog.Nodes), len(a.Prog.Vars))
+	st := acquireState(a.Prog.NumNodes(), len(a.Prog.Vars))
 	res := &Result{Cond: b, st: st}
 	r := &run{a: a, p: a.Prog, idx: a.idx, st: st, res: res, interrupt: interrupt}
 	// Raise the initial query at the conditional itself; the branch node is

@@ -85,7 +85,7 @@ func newFlowIndex(p *ir.Program) *flowIndex {
 	ix := &flowIndex{
 		nodes: p.NodesByProc(),
 		vars:  make([][]ir.VarID, len(p.Procs)),
-		node:  make([]int32, len(p.Nodes)),
+		node:  make([]int32, p.NumNodes()),
 		vr:    make([]int32, len(p.Vars)),
 	}
 	for _, v := range p.Vars {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"testing"
 
 	"icbe/internal/analysis"
@@ -35,8 +36,8 @@ func (r *fuzzRNG) intn(n int) int {
 // liveNodeIDs returns the non-nil node ids, the mutation candidates.
 func liveNodeIDs(p *ir.Program) []ir.NodeID {
 	var ids []ir.NodeID
-	for i, n := range p.Nodes {
-		if n != nil {
+	for i := range p.NumNodes() {
+		if p.Node(ir.NodeID(i)) != nil {
 			ids = append(ids, ir.NodeID(i))
 		}
 	}
@@ -52,6 +53,33 @@ func removePredOnce(ids []ir.NodeID, x ir.NodeID) []ir.NodeID {
 	return ids
 }
 
+// freeNode frees node id's slot but leaves every edge that references it:
+// DeleteNode drops those edges, so the neighbours' lists are put back.
+// The mutator runs on built programs, whose neighbours DeleteNode edits in
+// place, and its removeOne never writes the list it is given. An earlier
+// mutation may have left the node a dangling neighbour, which DeleteNode
+// cannot edit, so the freed node's own lists drop those first.
+func freeNode(p *ir.Program, id ir.NodeID) {
+	type lists struct {
+		n            *ir.Node
+		succs, preds []ir.NodeID
+	}
+	var saved []lists
+	n := p.Node(id)
+	for _, m := range slices.Concat(n.Succs, n.Preds) {
+		if mn := p.Node(m); mn != nil {
+			saved = append(saved, lists{mn, mn.Succs, mn.Preds})
+		}
+	}
+	dangling := func(m ir.NodeID) bool { return p.Node(m) == nil }
+	n.Succs = slices.DeleteFunc(slices.Clone(n.Succs), dangling)
+	n.Preds = slices.DeleteFunc(slices.Clone(n.Preds), dangling)
+	p.DeleteNode(id)
+	for _, l := range saved {
+		l.n.Succs, l.n.Preds = l.succs, l.preds
+	}
+}
+
 // mutate applies one random graph corruption: the kinds of damage a buggy
 // restructuring could inflict (dangling, asymmetric and extra edges, freed
 // nodes, out-of-range variable/procedure references, invalid kinds and
@@ -64,7 +92,7 @@ func mutate(p *ir.Program, r *fuzzRNG) {
 	n := p.Node(ids[r.intn(len(ids))])
 	switch r.intn(10) {
 	case 0: // free a node while edges still reference it
-		p.Nodes[n.ID] = nil
+		freeNode(p, n.ID)
 	case 1: // drop the backward direction of an edge (asymmetry)
 		if len(n.Succs) > 0 {
 			s := n.Succs[r.intn(len(n.Succs))]
@@ -74,7 +102,7 @@ func mutate(p *ir.Program, r *fuzzRNG) {
 		}
 	case 2: // rewrite a successor slot to an arbitrary id
 		if len(n.Succs) > 0 {
-			n.Succs[r.intn(len(n.Succs))] = ir.NodeID(r.intn(len(p.Nodes)+6) - 3)
+			n.Succs[r.intn(len(n.Succs))] = ir.NodeID(r.intn(p.NumNodes()+6) - 3)
 		}
 	case 3: // retype the node, possibly to an invalid kind
 		n.Kind = ir.NodeKind(r.intn(16))

@@ -52,7 +52,7 @@ type reach struct {
 	stack []ir.NodeID
 }
 
-func newReach(p *ir.Program) *reach { return &reach{mark: make([]int32, len(p.Nodes))} }
+func newReach(p *ir.Program) *reach { return &reach{mark: make([]int32, p.NumNodes())} }
 
 // from replaces the set with the nodes reachable from pr's entries.
 func (r *reach) from(p *ir.Program, pr *ir.Proc) {

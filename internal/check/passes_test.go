@@ -55,7 +55,8 @@ func TestUseBeforeDefFinding(t *testing.T) {
 	// Erase the zero-initializing assignment by retyping it: the read at the
 	// print is now ahead of every definition.
 	var erased bool
-	for _, n := range p.Nodes {
+	for i := range p.NumNodes() {
+		n := p.Node(ir.NodeID(i))
 		if n != nil && n.Kind == ir.NAssign && n.RHS.Kind == ir.RConst && n.RHS.Const == 0 {
 			n.Kind = ir.NNop
 			erased = true

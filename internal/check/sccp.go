@@ -343,11 +343,11 @@ type ceState struct {
 func newSCCPRun(p *ir.Program) *sccpRun {
 	r := &sccpRun{
 		layout:   newLayout(p),
-		in:       make([][]cell, len(p.Nodes)),
-		exec:     make([]bool, len(p.Nodes)),
-		mustFail: make([]bool, len(p.Nodes)),
-		ces:      make([]*ceState, len(p.Nodes)),
-		inWL:     make([]bool, len(p.Nodes)),
+		in:       make([][]cell, p.NumNodes()),
+		exec:     make([]bool, p.NumNodes()),
+		mustFail: make([]bool, p.NumNodes()),
+		ces:      make([]*ceState, p.NumNodes()),
+		inWL:     make([]bool, p.NumNodes()),
 	}
 	total := 0
 	p.LiveNodes(func(n *ir.Node) { total += len(r.spaceOf(n.Proc).vars) + 1 })

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"icbe/internal/ir"
 )
@@ -92,6 +93,7 @@ type varLoc struct {
 
 type machine struct {
 	prog    *ir.Program
+	nodes   []*ir.Node // prog's nodes by ID, looked up on every step
 	opts    Options
 	vars    []varLoc
 	globals []int64
@@ -105,6 +107,9 @@ type machine struct {
 	res     *Result
 }
 
+// nodeBufs holds the node buffers of finished runs, cleared.
+var nodeBufs = sync.Pool{New: func() any { return new([]*ir.Node) }}
+
 // Run executes the program from main's entry until main's exit. The
 // returned Result is valid (partially filled) even when an error occurred.
 func Run(p *ir.Program, opts Options) (*Result, error) {
@@ -116,6 +121,16 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		heap:    make([]int64, 1), // heap[0] unused; 0 is the nil pointer
 		res:     &Result{},
 	}
+	// A flat copy of the paged node table, in a buffer reused across runs:
+	// the step loop's lookups then cost one load, as the interpreter's
+	// time goes to following edges.
+	buf := nodeBufs.Get().(*[]*ir.Node)
+	m.nodes = p.AppendNodes((*buf)[:0])
+	defer func() {
+		clear(m.nodes)
+		*buf = m.nodes
+		nodeBufs.Put(buf)
+	}()
 	m.size = make([]int32, len(p.Procs))
 	for i, v := range p.Vars {
 		loc := &m.vars[i]
@@ -131,7 +146,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		}
 	}
 	if opts.Profile {
-		m.counts = make([]int64, len(p.Nodes))
+		m.counts = make([]int64, p.NumNodes())
 	}
 	err := m.run()
 	if opts.Profile {
@@ -206,9 +221,9 @@ func (m *machine) run() error {
 				rhs = m.read(cur.CondRHS.Var)
 			}
 			if cur.CondOp.Eval(lhs, rhs) {
-				cur = m.prog.Node(cur.TrueSucc())
+				cur = m.node(cur.TrueSucc())
 			} else {
-				cur = m.prog.Node(cur.FalseSucc())
+				cur = m.node(cur.FalseSucc())
 			}
 
 		case ir.NPrint:
@@ -249,7 +264,7 @@ func (m *machine) run() error {
 			}
 			var ret *ir.Node
 			for _, s := range cur.Succs {
-				ce := m.prog.Node(s)
+				ce := m.node(s)
 				if ce == nil || ce.Kind != ir.NCallExit {
 					continue
 				}
@@ -299,11 +314,19 @@ func (m *machine) count(id ir.NodeID) {
 	m.extra[id]++
 }
 
+// node is ir.Program.Node on the flat copy.
+func (m *machine) node(id ir.NodeID) *ir.Node {
+	if id < 0 || int(id) >= len(m.nodes) {
+		return nil
+	}
+	return m.nodes[id]
+}
+
 func (m *machine) onlySucc(n *ir.Node) *ir.Node {
 	if len(n.Succs) != 1 {
 		return nil
 	}
-	return m.prog.Node(n.Succs[0])
+	return m.node(n.Succs[0])
 }
 
 // read returns v's value in the innermost frame.

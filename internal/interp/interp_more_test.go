@@ -129,8 +129,10 @@ func TestDeletedNodeControlError(t *testing.T) {
 			first = n
 		}
 	})
-	second := p.Node(first.Succs[0])
-	p.Nodes[second.ID] = nil
+	// DeleteNode drops the edge into the node; put it back.
+	second := first.Succs[0]
+	p.DeleteNode(second)
+	first.Succs = []ir.NodeID{second}
 	_, err = Run(p, Options{})
 	if err == nil || !strings.Contains(err.Error(), "deleted node") {
 		t.Errorf("err = %v, want deleted-node error", err)

@@ -190,7 +190,8 @@ var corruptions = map[string]func(t testing.TB, g *ir.Program){
 	// main writes and reads f's local x: a foreign local in main's frame.
 	"foreign-local": func(t testing.TB, g *ir.Program) {
 		x := varNamed(t, g, "f.x")
-		for _, n := range g.Nodes {
+		for i := range g.NumNodes() {
+			n := g.Node(ir.NodeID(i))
 			if n != nil && n.Kind == ir.NPrint && n.Proc == g.MainProc {
 				pre := g.NewNode(ir.NAssign, g.MainProc)
 				pre.Dst = x
@@ -215,9 +216,10 @@ var corruptions = map[string]func(t testing.TB, g *ir.Program){
 	// A node of f carries an ID outside the arena: its profile count is
 	// keyed by that ID.
 	"renumbered-node": func(t testing.TB, g *ir.Program) {
-		for _, n := range g.Nodes {
+		for i := range g.NumNodes() {
+			n := g.Node(ir.NodeID(i))
 			if n != nil && n.Kind == ir.NPrint && n.Proc != g.MainProc {
-				n.ID = ir.NodeID(len(g.Nodes) + 5)
+				n.ID = ir.NodeID(g.NumNodes() + 5)
 			}
 		}
 	},

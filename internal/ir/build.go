@@ -117,15 +117,15 @@ func (b *builder) lowerProgram() {
 	// Prune intraprocedurally unreachable nodes. A walk follows only its own
 	// procedure's nodes, so one mark array serves every procedure, and a
 	// deletion never changes another procedure's walk.
-	reached := make([]bool, len(p.Nodes))
+	reached := make([]bool, p.numNodes)
 	for i := range p.Procs {
 		b.markReachable(i, reached)
 	}
-	for _, n := range p.Nodes {
-		if n != nil && !reached[n.ID] {
+	p.LiveNodes(func(n *Node) {
+		if !reached[n.ID] {
 			p.DeleteNode(n.ID)
 		}
-	}
+	})
 	for _, pr := range p.Procs {
 		var exits []NodeID
 		for _, e := range pr.Exits {
@@ -175,8 +175,8 @@ func (b *builder) markReachable(idx int, reached []bool) {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range p.Nodes[id].Succs {
-			sn := p.Nodes[s]
+		for _, s := range p.Node(id).Succs {
+			sn := p.Node(s)
 			if sn == nil || sn.Proc != idx || reached[s] {
 				continue
 			}

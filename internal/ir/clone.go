@@ -1,10 +1,9 @@
 package ir
 
 // Clone returns a deep copy of the program. The copy shares nothing mutable
-// with the original, so it can be restructured independently (the
-// optimization driver clones its input once, keeping the original for
-// comparison runs). A transactional attempt that may be discarded uses the
-// cheaper Fork instead.
+// with the original and owns everything it holds, so it can be written in
+// place, bypassing Mut (the inliner does). The optimization driver never
+// clones: it forks its input, and each attempt forks the working program.
 func Clone(p *Program) *Program {
 	q := &Program{
 		MainProc:    p.MainProc,
@@ -28,19 +27,15 @@ func Clone(p *Program) *Program {
 		}
 		q.Procs[i] = cp
 	}
-	q.Nodes = make([]*Node, len(p.Nodes))
-	// One block for the node structs and one for their edge lists: cloning
-	// is the driver's hottest allocation site, and per-node allocations
-	// dominate it otherwise.
-	nblock := make([]Node, len(p.Nodes))
+	// One block for the node structs and one for their edge lists: per-node
+	// allocations would dominate a clone otherwise.
+	nblock := make([]Node, p.numNodes)
 	edges := 0
-	for _, n := range p.Nodes {
-		if n != nil {
-			edges += len(n.Succs) + len(n.Preds)
-		}
-	}
+	p.LiveNodes(func(n *Node) { edges += len(n.Succs) + len(n.Preds) })
 	eblock := make([]NodeID, 0, edges)
-	for i, n := range p.Nodes {
+	q.extend(p.numNodes)
+	for i := range p.numNodes {
+		n := p.Node(NodeID(i))
 		if n == nil {
 			continue
 		}
@@ -51,7 +46,7 @@ func Clone(p *Program) *Program {
 		cn.Succs = eblock[len(eblock)-len(n.Succs) : len(eblock) : len(eblock)]
 		eblock = append(eblock, n.Preds...)
 		cn.Preds = eblock[len(eblock)-len(n.Preds) : len(eblock) : len(eblock)]
-		q.Nodes[i] = cn
+		q.store(NodeID(i), cn, nil)
 	}
 	return q
 }

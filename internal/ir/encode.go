@@ -105,7 +105,7 @@ func EncodeProgram(p *Program) []byte {
 		Version:     codecVersion,
 		MainProc:    p.MainProc,
 		SourceLines: p.SourceLines,
-		NumNodes:    len(p.Nodes),
+		NumNodes:    p.numNodes,
 	}
 	for _, pr := range p.Procs {
 		wp.Procs = append(wp.Procs, &wireProc{
@@ -126,10 +126,7 @@ func EncodeProgram(p *Program) []byte {
 			Init: v.Init,
 		})
 	}
-	for _, n := range p.Nodes {
-		if n == nil {
-			continue
-		}
+	p.LiveNodes(func(n *Node) {
 		wn := &wireNode{
 			ID:        n.ID,
 			Kind:      n.Kind,
@@ -163,7 +160,7 @@ func EncodeProgram(p *Program) []byte {
 			wn.RHS = &r
 		}
 		wp.Nodes = append(wp.Nodes, wn)
-	}
+	})
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
@@ -243,7 +240,7 @@ func DecodeProgram(data []byte) (*Program, error) {
 			Exits:   wpr.Exits,
 		}
 	}
-	p.Nodes = make([]*Node, wp.NumNodes)
+	p.extend(wp.NumNodes)
 	nblock := make([]Node, len(wp.Nodes))
 	prev := NodeID(-1)
 	for i, wn := range wp.Nodes {
@@ -282,7 +279,7 @@ func DecodeProgram(data []byte) (*Program, error) {
 				Op:    wn.RHS.Op,
 			}
 		}
-		p.Nodes[wn.ID] = n
+		p.store(wn.ID, n, nil)
 	}
 	return p, nil
 }

@@ -3,80 +3,61 @@ package ir
 import "slices"
 
 // Fork returns a copy-on-write copy of the program for one transactional
-// attempt. The fork copies only the Nodes and Vars pointer slices and the
-// Proc headers (with their Entries and Exits); every node stays shared with
-// p until the fork writes it. The ir mutators privatize a node — the node
-// struct plus its Succs and Preds — the first time the fork writes it, and
-// code outside this package that writes node fields directly must obtain
-// the node through Mut first. Rollback is discarding the fork; adoption is
-// using it in p's place.
+// attempt. The fork allocates only its own header: it shares p's node
+// table, procedure list and headers, and variable arena. Its first write
+// into a node copies the page directory and the node's page, and Mut
+// privatizes the node itself — its struct plus its Succs and Preds — so an
+// attempt pays for the pages and nodes it writes, not for the program.
+// Code outside this package that writes node fields directly must obtain
+// the node through Mut first, and edits a procedure's Entries or Exits
+// through MutProc. Rollback is discarding the fork; adoption is using it
+// in p's place.
 //
-// Forking also ends p's ownership of its nodes: from then on p privatizes
-// before writing too, so neither side can write through to the other. Var
-// structs and Proc.Formals are shared outright and never written after
-// construction. Fork writes p's ownership bookkeeping, so like any mutation
-// it must not run concurrently with other use of p.
+// Forking also ends p's ownership (Share): from then on p copies before
+// writing too, so neither side can write through to the other. Var structs
+// and Proc.Formals are shared outright and never written after
+// construction. Fork writes p only when p still owns or touched something,
+// so goroutines may fork one shared program concurrently as long as none
+// of them writes it; icbe.Compile shares every program it returns.
 //
-// A fork of a settled program (see Settle) is Local: it keeps p's entry
-// and exit lists and variable count so Validate can check only the region
-// the fork touched.
+// A fork of a settled program (see Settle) is Local: it keeps p's
+// procedure headers and variable count so Validate can check only the
+// region the fork touched.
 func Fork(p *Program) *Program {
+	p.Share()
 	q := &Program{
+		Procs:       p.Procs,
+		Vars:        p.Vars[:len(p.Vars):len(p.Vars)],
 		MainProc:    p.MainProc,
 		SourceLines: p.SourceLines,
-		Vars:        append([]*Var(nil), p.Vars...),
-		// Room for the nodes a typical attempt creates, so the first
-		// splits do not copy the whole pointer slice again.
-		Nodes: make([]*Node, len(p.Nodes), len(p.Nodes)+len(p.Nodes)/8+16),
-		cow:   true,
-	}
-	copy(q.Nodes, p.Nodes)
-	q.Procs = make([]*Proc, len(p.Procs))
-	procs := make([]Proc, len(p.Procs))
-	ends := 0
-	for _, pr := range p.Procs {
-		if pr != nil {
-			ends += len(pr.Entries) + len(pr.Exits)
-		}
+		pages:       p.pages,
+		numNodes:    p.numNodes,
+		cow:         true,
 	}
 	if p.settled {
-		q.base = &forkBase{
-			entries: make([][]NodeID, len(p.Procs)),
-			exits:   make([][]NodeID, len(p.Procs)),
-			vars:    len(p.Vars),
-		}
-		ends *= 2
+		q.base = &forkBase{procs: p.Procs, vars: len(p.Vars)}
 	}
-	// One block for every entry and exit list; each carve has cap == len, so
-	// appending to one reallocates instead of overwriting its neighbor.
-	block := make([]NodeID, 0, ends)
-	carve := func(ids []NodeID) []NodeID {
-		block = append(block, ids...)
-		return block[len(block)-len(ids) : len(block) : len(block)]
-	}
-	for i, pr := range p.Procs {
-		if pr == nil {
-			continue
-		}
-		cp := &procs[i]
-		*cp = *pr
-		cp.Entries = carve(pr.Entries)
-		cp.Exits = carve(pr.Exits)
-		q.Procs[i] = cp
-		if q.base != nil {
-			q.base.entries[i] = carve(pr.Entries)
-			q.base.exits[i] = carve(pr.Exits)
-		}
+	return q
+}
+
+// Share gives up p's ownership of its node table, nodes and procedure
+// headers, as forking p does: every later write through the mutators, Mut
+// or MutProc copies what it lands in first, so programs sharing parts with
+// p — forks of it, and results built from those — never see the write. On a
+// program that already owns nothing Share writes nothing, so concurrent
+// Forks of it are safe.
+func (p *Program) Share() {
+	if p.cow && p.token == 0 && p.touched == nil && p.base == nil {
+		return
 	}
 	p.cow = true
-	p.owned = nil
+	p.token = 0
 	p.touched = nil
 	p.sorted = nil
 	p.prior = nil
 	// p's touched set restarts empty, so it no longer describes p's changes
 	// against a settled program.
 	p.base = nil
-	return q
 }
 
 // Settle records that p is valid (Validate returns nil) and at a prune
@@ -87,9 +68,8 @@ func Fork(p *Program) *Program {
 // keep them (Validate checks only the successor side). The optimization
 // driver settles each attempt it adopts, since that attempt ended with a
 // prune and passed Validate. Forks of a settled program are
-// Local. Any later write through the mutators or Mut clears the mark;
-// edits to a procedure's Entries or Exits and writes that bypass Mut are
-// not seen and break the claim.
+// Local. Any later write through the mutators, Mut or MutProc clears the
+// mark; writes that bypass them are not seen and break the claim.
 func (p *Program) Settle() { p.settled = true }
 
 // Local reports whether p is a fork of a settled program. Every node such
@@ -109,7 +89,7 @@ func (p *Program) RegionNodes(f func(*Node)) {
 		return
 	}
 	for _, id := range p.sortedTouched() {
-		if n := p.Nodes[id]; n != nil {
+		if n := p.Node(id); n != nil {
 			f(n)
 		}
 	}
@@ -139,28 +119,49 @@ func (p *Program) sortedTouched() []NodeID {
 }
 
 // Mut returns node id for writing, or nil when the node is deleted. On a
-// program that was forked, or is a fork, the first Mut of a node replaces
-// it with a private copy (its struct and its Succs and Preds lists) and
-// records it in Touched; later calls return that copy. Pointers obtained
-// through Node before the Mut keep seeing the shared version, so callers
-// that write must re-read through Mut. On a program that was never forked
-// Mut is Node. A fork's every node write must go through Mut (or the
-// mutators, which use it): a write that bypasses it reaches the program
+// program that was forked or shared, or is a fork, the first Mut of a node
+// replaces it with a private copy (its struct and its Succs and Preds
+// lists) and records it in Touched; later calls return that copy. Pointers
+// obtained through Node before the Mut keep seeing the shared version, so
+// callers that write must re-read through Mut. On a program that was never
+// forked Mut is Node. A fork's every node write must go through Mut (or
+// the mutators, which use it): a write that bypasses it reaches the program
 // the fork shares the node with, and on a Local fork it also escapes
 // Validate, which checks only the region around Touched.
 func (p *Program) Mut(id NodeID) *Node {
 	p.settled = false
-	n := p.Nodes[id]
-	if !p.cow || n == nil || p.owns(id) {
+	n := p.Node(id)
+	if n == nil || p.owns(id) {
 		return n
 	}
 	c := p.allocNode()
 	*c = *n
 	c.Succs = p.copyEdges(n.Succs)
 	c.Preds = p.copyEdges(n.Preds)
-	p.Nodes[id] = c
-	p.touch(id, n)
+	p.store(id, c, n)
 	return c
+}
+
+// MutProc returns procedure i's header for editing its Entries or Exits.
+// On a program that was forked or shared, or is a fork, the first MutProc
+// of a header replaces it with a private copy with private Entries and
+// Exits; later calls return that copy. Like Mut it clears the settled mark.
+func (p *Program) MutProc(i int) *Proc {
+	p.settled = false
+	pr := p.Procs[i]
+	if !p.cow || pr == nil || pr.owner == p.ownToken() {
+		return pr
+	}
+	if p.procsOwner != p.token {
+		p.Procs = slices.Clone(p.Procs)
+		p.procsOwner = p.token
+	}
+	c := *pr
+	c.owner = p.token
+	c.Entries = slices.Clone(pr.Entries)
+	c.Exits = slices.Clone(pr.Exits)
+	p.Procs[i] = &c
+	return &c
 }
 
 // Touched returns the nodes the program privatized, created or deleted
@@ -170,61 +171,40 @@ func (p *Program) Mut(id NodeID) *Node {
 // program that was never forked.
 func (p *Program) Touched() []NodeID { return p.touched }
 
-// Unshare makes p own every node again, as if it had never been forked. The
-// caller asserts that p is the only program still in use among those it
-// shares nodes with — every fork of it and every program it was forked from
-// has been discarded — so writing in place cannot reach another program.
-func (p *Program) Unshare() {
-	p.cow = false
-	p.owned = nil
-	p.touched = nil
-	p.sorted = nil
-	p.prior = nil
-	p.settled = false
-	p.base = nil
-}
-
-func (p *Program) owns(id NodeID) bool {
-	w := int(id) >> 6
-	return w < len(p.owned) && p.owned[w]&(1<<(uint(id)&63)) != 0
-}
-
-// touch marks a node as the program's own and records it in Touched once,
-// with prior, the version it replaced (nil for a created node).
-func (p *Program) touch(id NodeID, prior *Node) {
-	if p.owns(id) {
-		return
-	}
-	w := int(id) >> 6
-	if w >= len(p.owned) {
-		// Every id is below cap(p.Nodes), so this covers the arena's growth
-		// until the next reallocation.
-		grown := make([]uint64, (cap(p.Nodes)+63)/64)
-		copy(grown, p.owned)
-		p.owned = grown
-	}
-	p.owned[w] |= 1 << (uint(id) & 63)
-	p.touched = append(p.touched, id)
-	p.prior = append(p.prior, prior)
-}
-
 // allocNode hands out a node slot from the pool. The pool grows with the
 // program: a whole program carves chunks of a quarter of its size, from 64
 // nodes up, so a build leaves at most a quarter of its size (or 64) in
 // unused slots, while a fork carves in proportion to the nodes it has
-// written so far, from 8 nodes up, so an attempt that writes a handful of
+// written so far, from 2 nodes up, so an attempt that writes a handful of
 // nodes pays for a handful.
 func (p *Program) allocNode() *Node {
 	if len(p.nodePool) == 0 {
-		size, floor := len(p.Nodes)/4, 64
+		size, floor := p.numNodes/4, 64
 		if p.cow {
-			size, floor = len(p.touched), 8
+			size, floor = len(p.touched), 2
 		}
 		p.nodePool = make([]Node, min(max(size, floor), 1024))
 	}
 	n := &p.nodePool[0]
 	p.nodePool = p.nodePool[1:]
 	return n
+}
+
+// carveEdges returns an empty edge list with capacity size, carved from
+// the edge pool. Like the node pool, a fork's edge pool grows with the
+// nodes it has written, so an attempt that writes a handful of nodes
+// carves a handful of lists.
+func (p *Program) carveEdges(size int) []NodeID {
+	if len(p.edgePool) < size {
+		n := 256
+		if p.cow {
+			n = min(max(8*len(p.touched), 32), n)
+		}
+		p.edgePool = make([]NodeID, n)
+	}
+	s := p.edgePool[:0:size]
+	p.edgePool = p.edgePool[size:]
+	return s
 }
 
 // copyEdges returns a private copy of an edge list with room for two more
@@ -234,14 +214,8 @@ func (p *Program) copyEdges(ids []NodeID) []NodeID {
 		return nil
 	}
 	size := len(ids) + 2
-	if size > 64 {
+	if size > 32 {
 		return append(make([]NodeID, 0, size), ids...)
 	}
-	if len(p.edgePool) < size {
-		p.edgePool = make([]NodeID, 256)
-	}
-	s := p.edgePool[:len(ids):size]
-	p.edgePool = p.edgePool[size:]
-	copy(s, ids)
-	return s
+	return append(p.carveEdges(size), ids...)
 }

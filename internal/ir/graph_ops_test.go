@@ -29,7 +29,7 @@ func TestEdgeOpsSymmetry(t *testing.T) {
 		ok := true
 		p.LiveNodes(func(nd *Node) {
 			for _, s := range nd.Succs {
-				if count(p.Nodes[s].Preds, nd.ID) != count(nd.Succs, s) {
+				if count(p.Node(s).Preds, nd.ID) != count(nd.Succs, s) {
 					ok = false
 				}
 			}
@@ -129,7 +129,7 @@ func TestCondPredPanicsOnVarVarBranch(t *testing.T) {
 
 func TestNodeOutOfRangeLookups(t *testing.T) {
 	p := build(t, `func main() { print(1); }`)
-	if p.Node(-1) != nil || p.Node(NodeID(len(p.Nodes))) != nil {
+	if p.Node(-1) != nil || p.Node(NodeID(p.NumNodes())) != nil {
 		t.Error("out-of-range Node lookup returned non-nil")
 	}
 }

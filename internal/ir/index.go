@@ -36,14 +36,15 @@ const (
 // as absent, never reported eagerly: like the Program methods, the Index
 // only complains when the broken link is actually consulted.
 func BuildIndex(p *Program) *Index {
-	n := len(p.Nodes)
+	n := p.numNodes
 	ix := &Index{
 		callPred:  make([]NodeID, n),
 		exitPred:  make([]NodeID, n),
 		entrySucc: make([]NodeID, n),
 	}
-	for i, nd := range p.Nodes {
+	for i := range n {
 		ix.callPred[i], ix.exitPred[i], ix.entrySucc[i] = NoNode, NoNode, noEntry
+		nd := p.Node(NodeID(i))
 		if nd == nil {
 			continue
 		}

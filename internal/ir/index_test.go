@@ -32,11 +32,12 @@ func TestIndexMatchesLinearScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := BuildIndex(p)
-	if ix.NumNodes() != len(p.Nodes) {
-		t.Fatalf("NumNodes = %d, want %d", ix.NumNodes(), len(p.Nodes))
+	if ix.NumNodes() != p.NumNodes() {
+		t.Fatalf("NumNodes = %d, want %d", ix.NumNodes(), p.NumNodes())
 	}
 	calls, exits := 0, 0
-	for _, n := range p.Nodes {
+	for i := range p.NumNodes() {
+		n := p.Node(NodeID(i))
 		if n == nil {
 			continue
 		}
@@ -78,7 +79,8 @@ func TestIndexMalformedEntryPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var call *Node
-	for _, n := range p.Nodes {
+	for i := range p.NumNodes() {
+		n := p.Node(NodeID(i))
 		if n != nil && n.Kind == NCall {
 			call = n
 			break

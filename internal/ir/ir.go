@@ -304,7 +304,9 @@ func (n *Node) TrueSucc() NodeID { return n.Succs[0] }
 func (n *Node) FalseSucc() NodeID { return n.Succs[1] }
 
 // Proc is a procedure of the program. After restructuring a procedure may
-// have several entries and exits.
+// have several entries and exits. Formals is never written after
+// construction; on a forked or shared program Entries and Exits are edited
+// only through Program.MutProc.
 type Proc struct {
 	Name    string
 	Index   int
@@ -312,18 +314,24 @@ type Proc struct {
 	RetVar  VarID
 	Entries []NodeID
 	Exits   []NodeID
+	// owner is the token of the program that copied the header (MutProc),
+	// zero for a header made by a build, decode or clone.
+	owner uint64
 }
 
 // Program is a complete ICFG with its variable arena.
 //
-// A program built, decoded or cloned owns all of its nodes and may be
-// written freely. Once it is forked (see Fork) it shares nodes with the
-// fork, and both sides must write nodes only through the mutators
-// (NewNode, AddEdge, RemoveEdge, RedirectSucc, DeleteNode) or through a
-// pointer obtained from Mut; a direct write through a pointer from Node,
-// Nodes or LiveNodes would reach the other program. The optimization
-// driver forks the working program once per transactional attempt and
-// never writes the working program itself.
+// The node table is paged: a directory of fixed pages of pageSize node
+// slots. A program built, decoded or cloned
+// owns every page, procedure header and node and writes them in place.
+// Once it is forked (see Fork), or marked shared (Share), it owns nothing
+// it had: a write first copies the directory, page, header or node it lands in,
+// so both sides must write only through the mutators (NewNode, AddEdge,
+// RemoveEdge, RedirectSucc, DeleteNode) or through pointers from Mut and
+// MutProc. A direct write through a pointer from Node, LiveNodes or Procs
+// would reach every program sharing it. The optimization driver forks its
+// input and, once per transactional attempt, the working program, and
+// never writes a program it forked.
 //
 // A program the driver adopted is marked settled (Settle): it passed
 // Validate and ended with a prune, so it is valid and at a prune fixpoint.
@@ -333,14 +341,22 @@ type Proc struct {
 // the settled program and unchanged. A write that bypasses Mut therefore
 // escapes validation as well as isolation.
 type Program struct {
+	// Procs is the procedure table. Once the program is forked or shared,
+	// the slice and the headers are shared too: edit a header's Entries or
+	// Exits only through MutProc.
 	Procs []*Proc
-	Vars  []*Var
-	// Nodes is the node arena; deleted nodes are nil.
-	Nodes    []*Node
+	// Vars is the variable arena. Var structs are never written after
+	// construction; a fork shares them with its length as capacity, so
+	// NewVar on either side never writes the other's slots.
+	Vars     []*Var
 	MainProc int
 	// SourceLines is the number of source lines the program was built from
 	// (for Table 1 reporting).
 	SourceLines int
+	// pages is the node table's page directory; deleted nodes are nil
+	// slots. numNodes is the arena size: every slot below it lies on a page.
+	pages    []*nodePage
+	numNodes int
 	// nodePool is the spare capacity NewNode hands nodes out of, so building
 	// and restructuring do not pay one heap allocation per node. edgePool
 	// seeds fresh Succs/Preds lists the same way: almost every node has one
@@ -349,11 +365,19 @@ type Program struct {
 	nodePool []Node
 	edgePool []NodeID
 	varPool  []Var
-	// cow is set once the program was forked or is a fork: it then owns
-	// only the nodes marked in owned (privatized or created since the
-	// fork), and touched lists those plus the nodes it deleted.
-	cow     bool
-	owned   []uint64
+	// cow is set once the program was forked, is a fork, or was shared: it
+	// then owns only what carries its token — the page directory and
+	// procedure list when pagesOwner and procsOwner match it, pages and
+	// headers whose owner matches it, and of an owned page the nodes
+	// marked in its own bits (privatized or created since the fork).
+	// token is drawn on the first write after the program lost its
+	// ownership, so a shared program that is only read is never written.
+	cow        bool
+	token      uint64
+	pagesOwner uint64
+	procsOwner uint64
+	// touched lists the nodes privatized, created or deleted since the
+	// program was made by Fork or last forked.
 	touched []NodeID
 	// sorted is touched in ascending order, as of the last RegionNodes
 	// call on a Local program (see sortedTouched).
@@ -370,31 +394,17 @@ type Program struct {
 }
 
 // forkBase is the part of a settled program a fork's region Validate needs
-// beyond the nodes it touched: every procedure's entry and exit lists (code
-// outside this package edits them in place) and the variable count.
+// beyond the nodes it touched: the settled program's procedure headers
+// (a fork copies a header before editing it, so these keep the settled
+// entry and exit lists) and its variable count.
 type forkBase struct {
-	entries, exits [][]NodeID
-	vars           int
+	procs []*Proc
+	vars  int
 }
 
 // newEdgeList returns an empty edge list with room for two entries carved
 // from the pool; appending past two falls back to the normal grow path.
-func (p *Program) newEdgeList() []NodeID {
-	if len(p.edgePool) < 2 {
-		p.edgePool = make([]NodeID, 256)
-	}
-	s := p.edgePool[:0:2]
-	p.edgePool = p.edgePool[2:]
-	return s
-}
-
-// Node returns the node with the given id, or nil if deleted/out of range.
-func (p *Program) Node(id NodeID) *Node {
-	if id < 0 || int(id) >= len(p.Nodes) {
-		return nil
-	}
-	return p.Nodes[id]
-}
+func (p *Program) newEdgeList() []NodeID { return p.carveEdges(2) }
 
 // Var returns the variable with the given id.
 func (p *Program) Var(id VarID) *Var { return p.Vars[id] }
@@ -415,16 +425,15 @@ func (p *Program) NewVar(name string, kind VarKind, proc int) VarID {
 // NewNode appends a node of the given kind to the arena.
 func (p *Program) NewNode(kind NodeKind, proc int) *Node {
 	n := p.allocNode()
-	*n = Node{ID: NodeID(len(p.Nodes)), Kind: kind, Proc: proc, Dst: NoVar}
+	id := NodeID(p.numNodes)
+	*n = Node{ID: id, Kind: kind, Proc: proc, Dst: NoVar}
 	switch kind {
 	case NEntry, NExit, NCall, NAssert, NNop:
 		n.Synthetic = true
 	}
-	p.Nodes = append(p.Nodes, n)
+	p.extend(p.numNodes + 1)
 	p.settled = false
-	if p.cow {
-		p.touch(n.ID, nil)
-	}
+	p.store(id, n, nil)
 	return n
 }
 
@@ -432,7 +441,7 @@ func (p *Program) NewNode(kind NodeKind, proc int) *Node {
 // Parallel edges are permitted only for branches whose two arms reach the
 // same node; elsewhere a duplicate edge is ignored.
 func (p *Program) AddEdge(from, to NodeID) {
-	if f := p.Nodes[from]; f.Kind != NBranch {
+	if f := p.Node(from); f.Kind != NBranch {
 		for _, s := range f.Succs {
 			if s == to {
 				return
@@ -491,7 +500,7 @@ func (p *Program) RedirectSucc(from, old, new NodeID) {
 // the neighbors' edge lists are rewritten: the node itself is dropped, so a
 // fork does not privatize it first.
 func (p *Program) DeleteNode(id NodeID) {
-	n := p.Nodes[id]
+	n := p.Node(id)
 	if n == nil {
 		return
 	}
@@ -504,17 +513,14 @@ func (p *Program) DeleteNode(id NodeID) {
 		f.Succs = removeOne(f.Succs, id)
 	}
 	p.settled = false
-	if p.cow {
-		p.touch(id, n)
-	}
-	p.Nodes[id] = nil
+	p.store(id, nil, n)
 }
 
 // EntrySucc returns the unique procedure-entry successor of a call node.
 func (p *Program) EntrySucc(call *Node) *Node {
 	var entry *Node
 	for _, s := range call.Succs {
-		if sn := p.Nodes[s]; sn != nil && sn.Kind == NEntry {
+		if sn := p.Node(s); sn != nil && sn.Kind == NEntry {
 			if entry != nil {
 				panic(fmt.Sprintf("ir: call node %d has multiple entry successors", call.ID))
 			}
@@ -531,7 +537,7 @@ func (p *Program) EntrySucc(call *Node) *Node {
 func (p *Program) CallExitSuccs(call *Node) []*Node {
 	var out []*Node
 	for _, s := range call.Succs {
-		if sn := p.Nodes[s]; sn != nil && sn.Kind == NCallExit {
+		if sn := p.Node(s); sn != nil && sn.Kind == NCallExit {
 			out = append(out, sn)
 		}
 	}
@@ -543,7 +549,7 @@ func (p *Program) CallExitSuccs(call *Node) []*Node {
 func (p *Program) CallPred(ce *Node) *Node {
 	var call *Node
 	for _, m := range ce.Preds {
-		if mn := p.Nodes[m]; mn != nil && mn.Kind == NCall {
+		if mn := p.Node(m); mn != nil && mn.Kind == NCall {
 			if call != nil {
 				return nil
 			}
@@ -558,7 +564,7 @@ func (p *Program) CallPred(ce *Node) *Node {
 func (p *Program) ExitPred(ce *Node) *Node {
 	var exit *Node
 	for _, m := range ce.Preds {
-		if mn := p.Nodes[m]; mn != nil && mn.Kind == NExit {
+		if mn := p.Node(m); mn != nil && mn.Kind == NExit {
 			if exit != nil {
 				return nil
 			}
@@ -568,24 +574,15 @@ func (p *Program) ExitPred(ce *Node) *Node {
 	return exit
 }
 
-// LiveNodes iterates over all non-deleted nodes.
-func (p *Program) LiveNodes(f func(*Node)) {
-	for _, n := range p.Nodes {
-		if n != nil {
-			f(n)
-		}
-	}
-}
-
 // NodesByProc buckets the live nodes by owning procedure in one pass over
 // the arena: element i lists procedure i's nodes in ID order.
 func (p *Program) NodesByProc() [][]*Node {
 	out := make([][]*Node, len(p.Procs))
-	for _, n := range p.Nodes {
-		if n != nil && n.Proc >= 0 && n.Proc < len(out) {
+	p.LiveNodes(func(n *Node) {
+		if n.Proc >= 0 && n.Proc < len(out) {
 			out[n.Proc] = append(out[n.Proc], n)
 		}
-	}
+	})
 	return out
 }
 

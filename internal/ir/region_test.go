@@ -76,7 +76,7 @@ var regionEdits = []regionEdit{
 		n := pickNode(p, a)
 		if b%2 == 0 {
 			// Keep the procedure's lists in step, as prune does.
-			pr := p.Procs[n.Proc]
+			pr := p.MutProc(n.Proc)
 			pr.Entries = removeOne(pr.Entries, n.ID)
 			pr.Exits = removeOne(pr.Exits, n.ID)
 		}
@@ -102,11 +102,11 @@ var regionEdits = []regionEdit{
 	}},
 	{"dangling-succ", true, func(p *Program, a, b int) {
 		m := p.Mut(pickNode(p, a).ID)
-		m.Succs = append(m.Succs, NodeID(len(p.Nodes)+b))
+		m.Succs = append(m.Succs, NodeID(p.NumNodes()+b))
 	}},
 	{"one-armed-branch", false, func(p *Program, a, b int) {
-		for i := range p.Nodes {
-			n := p.Nodes[(a+i)%len(p.Nodes)]
+		for i := range p.NumNodes() {
+			n := p.Node(NodeID((a + i) % p.NumNodes()))
 			if n != nil && n.Kind == NBranch && len(n.Succs) == 2 {
 				p.RemoveEdge(n.ID, n.Succs[b%2])
 				return
@@ -114,14 +114,14 @@ var regionEdits = []regionEdit{
 		}
 	}},
 	{"drop-exit", false, func(p *Program, a, b int) {
-		pr := p.Procs[a%len(p.Procs)]
+		pr := p.MutProc(a % len(p.Procs))
 		if len(pr.Exits) > 0 {
 			pr.Exits = removeOne(pr.Exits, pr.Exits[b%len(pr.Exits)])
 		}
 	}},
 	{"cross-proc-var", false, func(p *Program, a, b int) {
-		for i := range p.Nodes {
-			n := p.Nodes[(a+i)%len(p.Nodes)]
+		for i := range p.NumNodes() {
+			n := p.Node(NodeID((a + i) % p.NumNodes()))
 			if n == nil || n.Kind != NAssign || n.Dst == NoVar {
 				continue
 			}
@@ -221,7 +221,7 @@ func TestRegionNodesOrder(t *testing.T) {
 		slices.Sort(ids)
 		var live []NodeID
 		for _, id := range ids {
-			if fork.Nodes[id] != nil {
+			if fork.Node(id) != nil {
 				live = append(live, id)
 			}
 		}
@@ -263,7 +263,7 @@ func TestRegionNodesOrder(t *testing.T) {
 
 // TestForkArenaSizedByAttempt pins the node pool's chunk sizes: a fork of
 // a settled program of over a thousand nodes that writes one node carves a
-// chunk of at most 8 nodes, while a whole program carves at least 64, and a
+// chunk of at most 2 nodes, while a whole program carves at least 64, and a
 // build leaves at most a quarter of its nodes' worth of slots unused.
 func TestForkArenaSizedByAttempt(t *testing.T) {
 	var src strings.Builder
@@ -273,17 +273,17 @@ func TestForkArenaSizedByAttempt(t *testing.T) {
 	}
 	src.WriteString("\tprint(x);\n}\n")
 	p := build(t, src.String())
-	if len(p.Nodes) < 1000 {
-		t.Fatalf("program has %d nodes, want at least 1000", len(p.Nodes))
+	if p.NumNodes() < 1000 {
+		t.Fatalf("program has %d nodes, want at least 1000", p.NumNodes())
 	}
-	if spare := len(p.nodePool); spare > len(p.Nodes)/4 {
-		t.Errorf("a build of %d nodes left %d node slots unused, want at most %d", len(p.Nodes), spare, len(p.Nodes)/4)
+	if spare := len(p.nodePool); spare > p.NumNodes()/4 {
+		t.Errorf("a build of %d nodes left %d node slots unused, want at most %d", p.NumNodes(), spare, p.NumNodes()/4)
 	}
 	p.Settle()
 	fork := Fork(p)
 	fork.Mut(p.Procs[p.MainProc].Entries[0])
-	if chunk := len(fork.nodePool) + 1; chunk > 8 {
-		t.Errorf("a fork that wrote one node carved a chunk of %d nodes, want at most 8", chunk)
+	if chunk := len(fork.nodePool) + 1; chunk > 2 {
+		t.Errorf("a fork that wrote one node carved a chunk of %d nodes, want at most 2", chunk)
 	}
 	whole := &Program{}
 	whole.NewNode(NNop, 0)

@@ -14,17 +14,17 @@ func Simplify(p *Program) int {
 	removed := 0
 	for {
 		changed := false
-		var candidates []*Node
+		var candidates []NodeID
 		p.LiveNodes(func(n *Node) {
 			if n.Kind == NNop && n.Synthetic {
-				candidates = append(candidates, n)
+				candidates = append(candidates, n.ID)
 			}
 		})
-		for _, n := range candidates {
-			if p.Node(n.ID) == nil {
-				continue
-			}
-			if !contractible(p, n) {
+		for _, id := range candidates {
+			// Re-read the candidate: on a forked or shared program an
+			// earlier contraction may have replaced it with a private copy.
+			n := p.Node(id)
+			if n == nil || !contractible(p, n) {
 				continue
 			}
 			succ := n.Succs[0]

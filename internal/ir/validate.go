@@ -28,15 +28,15 @@ func Validate(p *Program) error {
 	// each visits the live nodes to check in ascending ID order.
 	each := func(f func(i int, n *Node)) {
 		if rg == nil {
-			for i, n := range p.Nodes {
-				if n != nil {
+			for i := range p.numNodes {
+				if n := p.Node(NodeID(i)); n != nil {
 					f(i, n)
 				}
 			}
 			return
 		}
 		for _, id := range rg.nodes {
-			if n := p.Nodes[id]; n != nil {
+			if n := p.Node(id); n != nil {
 				f(int(id), n)
 			}
 		}
@@ -339,9 +339,9 @@ func validationRegion(p *Program) *validRegion {
 		return nil
 	}
 	rg := &validRegion{procs: make([]bool, len(p.Procs)), vars: p.base.vars}
-	in := make([]uint64, (len(p.Nodes)+63)/64)
+	in := make([]uint64, (p.numNodes+63)/64)
 	add := func(id NodeID) {
-		if id < 0 || int(id) >= len(p.Nodes) {
+		if id < 0 || int(id) >= p.numNodes {
 			return
 		}
 		w, b := id>>6, uint64(1)<<(uint(id)&63)
@@ -366,14 +366,18 @@ func validationRegion(p *Program) *validRegion {
 	}
 	for i, id := range p.touched {
 		add(id)
-		addNode(p.Nodes[id])
+		addNode(p.Node(id))
 		addNode(p.prior[i])
 	}
 	for i, pr := range p.Procs {
-		if pr == nil || i >= len(p.base.entries) {
+		if pr == nil || i >= len(p.base.procs) || pr == p.base.procs[i] {
 			continue
 		}
-		for _, l := range [2][2][]NodeID{{p.base.entries[i], pr.Entries}, {p.base.exits[i], pr.Exits}} {
+		var entries, exits []NodeID
+		if bp := p.base.procs[i]; bp != nil {
+			entries, exits = bp.Entries, bp.Exits
+		}
+		for _, l := range [2][2][]NodeID{{entries, pr.Entries}, {exits, pr.Exits}} {
 			if slices.Equal(l[0], l[1]) {
 				continue
 			}

@@ -50,7 +50,7 @@ func TestValidateEntryPredCalleeMismatch(t *testing.T) {
 func TestValidateDanglingSuccessor(t *testing.T) {
 	corrupt(t, "dangling successor", func(p *Program) {
 		n := firstOf(t, p, NPrint)
-		n.Succs = append(n.Succs, NodeID(len(p.Nodes)+5))
+		n.Succs = append(n.Succs, NodeID(p.NumNodes()+5))
 	})
 }
 
@@ -120,7 +120,8 @@ func TestValidateCrossProcVarRef(t *testing.T) {
 		if foreign == NoVar {
 			t.Fatalf("no variable owned by add")
 		}
-		for _, n := range p.Nodes {
+		for i := range p.NumNodes() {
+			n := p.Node(NodeID(i))
 			if n != nil && n.Kind == NAssign && n.Proc == p.MainProc {
 				n.Dst = foreign
 				return

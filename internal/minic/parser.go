@@ -14,7 +14,19 @@ type Parser struct {
 	tok    Token  // the lookahead token
 	lexErr error  // the first lexical error; tok is then EOF for good
 	stmts  []Stmt // the open blocks' statements, innermost last
+	// depth counts the expressions and unary minuses being parsed, and
+	// height is the height of the expression just parsed; both stay at
+	// most maxExprDepth.
+	depth, height int
 }
+
+// maxExprDepth bounds how deeply an expression may nest. Two depths count:
+// the parentheses and unary minuses the parser descends through, and the
+// height of the tree it builds, in which a chain a+b+c+… nests one level
+// per operator to the left. The parser, the checker and the lowering
+// recurse once per level, so without a bound a source of a few hundred KB
+// could cost hundreds of MB of stack.
+const maxExprDepth = 1000
 
 // Parse parses a complete MiniC program from source text.
 //
@@ -422,6 +434,29 @@ func (p *Parser) parseCond() (*Cond, error) {
 //	unary   := "-" unary | primary
 //	primary := number | char | ident | ident "(" args ")" | ident "[" expr "]" | "(" expr ")"
 func (p *Parser) parseExpr() (Expr, error) {
+	if p.depth++; p.depth > maxExprDepth {
+		return nil, p.tooDeep(p.tok.Pos)
+	}
+	e, err := p.parseSum()
+	p.depth--
+	return e, err
+}
+
+// tooDeep is the error for an expression nested deeper than maxExprDepth.
+func (p *Parser) tooDeep(pos Pos) error {
+	return errf(pos, "expression nested too deeply (more than %d levels)", maxExprDepth)
+}
+
+// binary records the height of a binary expression whose left operand has
+// height lh and whose right operand was just parsed, checking the bound.
+func (p *Parser) binary(lh int, op Token) error {
+	if p.height = max(lh, p.height) + 1; p.height > maxExprDepth {
+		return p.tooDeep(op.Pos)
+	}
+	return nil
+}
+
+func (p *Parser) parseSum() (Expr, error) {
 	l, err := p.parseMul()
 	if err != nil {
 		return nil, err
@@ -436,9 +471,12 @@ func (p *Parser) parseExpr() (Expr, error) {
 		default:
 			return l, nil
 		}
-		opTok := p.next()
+		lh, opTok := p.height, p.next()
 		r, err := p.parseMul()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.binary(lh, opTok); err != nil {
 			return nil, err
 		}
 		l = &BinExpr{Op: op, L: l, R: r, Pos: opTok.Pos}
@@ -462,9 +500,12 @@ func (p *Parser) parseMul() (Expr, error) {
 		default:
 			return l, nil
 		}
-		opTok := p.next()
+		lh, opTok := p.height, p.next()
 		r, err := p.parseUnary()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.binary(lh, opTok); err != nil {
 			return nil, err
 		}
 		l = &BinExpr{Op: op, L: l, R: r, Pos: opTok.Pos}
@@ -474,12 +515,19 @@ func (p *Parser) parseMul() (Expr, error) {
 func (p *Parser) parseUnary() (Expr, error) {
 	if p.at(TokMinus) {
 		minus := p.next()
+		if p.depth++; p.depth > maxExprDepth {
+			return nil, p.tooDeep(minus.Pos)
+		}
 		x, err := p.parseUnary()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
 		if n, ok := x.(*NumLit); ok {
 			return &NumLit{Val: -n.Val, Pos: minus.Pos}, nil
+		}
+		if p.height++; p.height > maxExprDepth {
+			return nil, p.tooDeep(minus.Pos)
 		}
 		return &NegExpr{X: x, Pos: minus.Pos}, nil
 	}
@@ -490,6 +538,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch p.cur().Kind {
 	case TokNumber, TokChar:
 		t := p.next()
+		p.height = 1
 		return &NumLit{Val: t.Val, Pos: t.Pos}, nil
 	case TokLParen:
 		p.next()
@@ -515,8 +564,12 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(TokRBracket); err != nil {
 				return nil, err
 			}
+			if p.height++; p.height > maxExprDepth {
+				return nil, p.tooDeep(name.Pos)
+			}
 			return &IndexExpr{Ptr: name.Text, Index: idx, Pos: name.Pos}, nil
 		}
+		p.height = 1
 		return &VarRef{Name: name.Text, Pos: name.Pos}, nil
 	}
 	return nil, errf(p.cur().Pos, "expected expression, found %s", p.cur())
@@ -529,12 +582,14 @@ func (p *Parser) parseCallRest(name Token) (*CallExpr, error) {
 		return nil, err
 	}
 	call := &CallExpr{Name: name.Text, Pos: name.Pos}
+	h := 0
 	if !p.at(TokRParen) {
 		for {
 			a, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.height)
 			call.Args = append(call.Args, a)
 			if !p.accept(TokComma) {
 				break
@@ -543,6 +598,9 @@ func (p *Parser) parseCallRest(name Token) (*CallExpr, error) {
 	}
 	if _, err := p.expect(TokRParen); err != nil {
 		return nil, err
+	}
+	if p.height = h + 1; p.height > maxExprDepth {
+		return nil, p.tooDeep(name.Pos)
 	}
 	return call, nil
 }

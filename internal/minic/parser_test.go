@@ -291,3 +291,45 @@ func TestParserTruncationsNeverPanic(t *testing.T) {
 		}
 	}
 }
+
+// nestedParens returns a program printing 1 inside n pairs of parentheses:
+// the print's expression nests n+1 deep.
+func nestedParens(n int) string {
+	return "func main() { print(" + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "); }"
+}
+
+// sumChain returns a program printing x+x+…+x with n terms: a left-deep
+// tree of height n.
+func sumChain(n int) string {
+	return "func main() { var x = 1; print(x" + strings.Repeat("+x", n-1) + "); }"
+}
+
+// TestParseBoundsNesting pins maxExprDepth: expressions nested exactly to
+// the bound parse and check, one level deeper fails with a positional
+// error, and so do sources of 2^19 levels, which without the bound cost
+// the parser, checker and lowering hundreds of MB of stack.
+func TestParseBoundsNesting(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shape func(int) string
+		limit int
+	}{
+		{"parentheses", nestedParens, maxExprDepth - 1},
+		{"left-deep sum", sumChain, maxExprDepth},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Check(mustParse(t, tc.shape(tc.limit))); err != nil {
+				t.Fatalf("at the limit: Check: %v", err)
+			}
+			for _, n := range []int{tc.limit + 1, 1 << 19} {
+				_, err := Parse(tc.shape(n))
+				if err == nil || !strings.Contains(err.Error(), "expression nested too deeply") {
+					t.Fatalf("%d levels: err = %v, want the nesting error", n, err)
+				}
+				if !strings.HasPrefix(err.Error(), "1:") {
+					t.Errorf("%d levels: error %q has no line:column position", n, err)
+				}
+			}
+		})
+	}
+}

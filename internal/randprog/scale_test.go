@@ -35,13 +35,13 @@ func TestScaleShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("default scale program does not compile: %v", err)
 	}
-	if n := len(p.Nodes); n < 100_000 {
+	if n := p.NumNodes(); n < 100_000 {
 		t.Fatalf("default scale program has %d nodes, want >= 100000", n)
 	}
 	if n := len(p.Procs); n < 100 {
 		t.Fatalf("default scale program has %d procedures, want >= 100", n)
 	}
-	t.Logf("nodes=%d procs=%d", len(p.Nodes), len(p.Procs))
+	t.Logf("nodes=%d procs=%d", p.NumNodes(), len(p.Procs))
 }
 
 // TestScaleProbe is a tuning aid, not an assertion: -run ScaleProbe -v prints

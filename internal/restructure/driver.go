@@ -255,7 +255,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	out.Stats.Workers = workers
 	out.Stats.SeedsInjected = seedsInjected
 
-	w := &working{prog: ir.Clone(p), inputs: verifyInputs(opts), maxSteps: verifyMaxSteps,
+	w := &working{prog: ir.Fork(p), inputs: verifyInputs(opts), maxSteps: verifyMaxSteps,
 		check: opts.Check, verify: opts.Verify, stats: &out.Stats}
 	out.Stats.Clones = 1
 	if opts.Check {
@@ -451,9 +451,9 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 		w.finishCheck()
 	}
 	out.Stats.setRatios()
-	// Every fork and fork parent of the working program is discarded, so
-	// the result owns its nodes again and callers may write it in place.
-	w.prog.Unshare()
+	// The result shares every node it did not write with the input, so it
+	// stays copy-on-write: callers write it through the mutators, Mut and
+	// MutProc, which copy before writing.
 	out.Program = w.prog
 	return out
 }
@@ -652,16 +652,12 @@ func visitedDirty(res *analysis.Result, dirty map[ir.NodeID]bool, dirtyBits []ui
 // in the dirty map (consumed by the memo Commit) and in the dirty bitset
 // (consumed by visitedDirty) — and the grown bitset is returned.
 func markChanged(dirty map[ir.NodeID]bool, dirtyBits []uint64, before, after *ir.Program) []uint64 {
-	words := (len(after.Nodes) + 63) / 64
+	words := (after.NumNodes() + 63) / 64
 	for len(dirtyBits) < words {
 		dirtyBits = append(dirtyBits, 0)
 	}
 	for _, id := range after.Touched() {
-		var an *ir.Node
-		if int(id) < len(before.Nodes) {
-			an = before.Nodes[id]
-		}
-		if nodeChanged(an, after.Nodes[id]) {
+		if nodeChanged(before.Node(id), after.Node(id)) {
 			dirty[id] = true
 			dirtyBits[id>>6] |= 1 << (uint(id) & 63)
 		}

@@ -17,16 +17,16 @@ import (
 // compares every node of the two programs. Tests use it as the reference
 // the touched-node diff must reproduce exactly.
 func markChangedFull(dirty map[ir.NodeID]bool, dirtyBits []uint64, before, after *ir.Program) []uint64 {
-	words := (len(after.Nodes) + 63) / 64
+	words := (after.NumNodes() + 63) / 64
 	for len(dirtyBits) < words {
 		dirtyBits = append(dirtyBits, 0)
 	}
-	for i, bn := range after.Nodes {
+	for i := range after.NumNodes() {
 		var an *ir.Node
-		if i < len(before.Nodes) {
-			an = before.Nodes[i]
+		if i < before.NumNodes() {
+			an = before.Node(ir.NodeID(i))
 		}
-		if nodeChanged(an, bn) {
+		if nodeChanged(an, after.Node(ir.NodeID(i))) {
 			dirty[ir.NodeID(i)] = true
 			dirtyBits[i>>6] |= 1 << (uint(i) & 63)
 		}
@@ -159,7 +159,8 @@ func TestRollbackLeavesWorkUntouched(t *testing.T) {
 		{"validate", DriverOptions{}, FailValidate, func(*ir.Program) error { return errors.New("injected") }},
 		{"panic", DriverOptions{}, FailPanic, func(*ir.Program) error { panic("injected") }},
 		{"structure", DriverOptions{}, FailValidate, func(s *ir.Program) error {
-			for _, n := range s.Nodes {
+			for i := range s.NumNodes() {
+				n := s.Node(ir.NodeID(i))
 				if n != nil && n.Kind == ir.NAssign && len(n.Succs) == 1 {
 					m := s.Mut(n.ID)
 					m.Succs[0] = m.ID
@@ -169,7 +170,8 @@ func TestRollbackLeavesWorkUntouched(t *testing.T) {
 			return nil
 		}},
 		{"diff-mismatch", DriverOptions{Verify: true}, FailDiffMismatch, func(s *ir.Program) error {
-			for _, n := range s.Nodes {
+			for i := range s.NumNodes() {
+				n := s.Node(ir.NodeID(i))
 				if n != nil && n.Kind == ir.NPrint && n.Val.IsConst {
 					s.Mut(n.ID).Val.Const += 1000
 					return nil

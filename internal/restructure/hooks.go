@@ -30,8 +30,9 @@ type FaultInjection struct {
 	// before the gating oracles; a non-nil error is treated as a validation
 	// failure (FailValidate). The fork shares every node it has not written
 	// with the working program (ir.Fork), so the hook must write nodes only
-	// through the ir mutators or scratch.Mut; a direct write through
-	// scratch.Nodes or scratch.Node lands in the working program, and once
+	// through the ir mutators or scratch.Mut, and procedure headers through
+	// scratch.MutProc; a direct write through scratch.Node, LiveNodes or
+	// Procs lands in the working program and its input, and once
 	// the working program is settled it also escapes ir.Validate, which
 	// then checks only the nodes the fork touched and their neighbours. A
 	// fork the hook leaves valid but not at a prune fixpoint (an orphaned

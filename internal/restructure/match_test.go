@@ -36,8 +36,10 @@ func settledCopy(p *ir.Program) (q *ir.Program, ok bool) {
 // matchEliminate analyzes every analyzable branch of p under opts and
 // restructures each on two forks of p, one with Eliminate and one with
 // refEliminate. Both must return the same Outcome (counts and
-// BranchDescendants), the same error text and the same program encoding.
-// It returns the number of branches that Eliminate split.
+// BranchDescendants), the same error text and the same program encoding,
+// and p must encode as before: the forks share its nodes and procedure
+// headers, so an edit that bypasses Mut or MutProc on either side shows up
+// in p. It returns the number of branches that Eliminate split.
 func matchEliminate(t testing.TB, label string, p *ir.Program, opts analysis.Options) int {
 	t.Helper()
 	an := analysis.New(p, opts)
@@ -48,6 +50,7 @@ func matchEliminate(t testing.TB, label string, p *ir.Program, opts analysis.Opt
 		}
 	})
 	split := 0
+	before := ir.EncodeProgram(p)
 	for _, b := range branches {
 		res := an.AnalyzeBranch(b)
 		if res == nil {
@@ -66,6 +69,9 @@ func matchEliminate(t testing.TB, label string, p *ir.Program, opts analysis.Opt
 		if !bytes.Equal(ir.EncodeProgram(got), ir.EncodeProgram(want)) {
 			t.Fatalf("%s: branch %d: program differs from the reference\n--- got\n%s\n--- reference\n%s",
 				label, b, got.Dump(), want.Dump())
+		}
+		if !bytes.Equal(ir.EncodeProgram(p), before) {
+			t.Fatalf("%s: branch %d: eliminating on forks changed the program forked", label, b)
 		}
 		if gotOC != nil && gotOC.Splits > 0 {
 			split++

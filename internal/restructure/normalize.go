@@ -3,6 +3,7 @@ package restructure
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"icbe/internal/ir"
 )
@@ -211,11 +212,12 @@ func pruneProgram(p *ir.Program, initiallyDead []ir.NodeID) {
 			return
 		}
 		if n.Proc >= 0 && n.Proc < len(p.Procs) && p.Procs[n.Proc] != nil {
-			pr := p.Procs[n.Proc]
 			switch n.Kind {
 			case ir.NEntry:
+				pr := p.MutProc(n.Proc)
 				pr.Entries = removeID(pr.Entries, id)
 			case ir.NExit:
+				pr := p.MutProc(n.Proc)
 				pr.Exits = removeID(pr.Exits, id)
 			}
 		}
@@ -231,12 +233,16 @@ func pruneProgram(p *ir.Program, initiallyDead []ir.NodeID) {
 		}
 		return changed
 	}
-	// Membership bits for C and for the flood. Nodes are only deleted
-	// here, so the arena never grows past the bits; each iteration clears
-	// exactly the bits it set.
-	words := (len(p.Nodes) + 63) / 64
-	inC, seen := make(nodeBits, words), make(nodeBits, words)
-	var region, stack, dead []ir.NodeID
+	// Membership bits for C and for the flood, and the work lists, come
+	// from a pool shared by every prune, so an attempt's prunes allocate
+	// none of them once the pool is warm. Nodes are only deleted here, so
+	// the arena never grows past the bits; each iteration clears exactly
+	// the bits it set, so they go back clean. A prune that panics drops
+	// its scratch instead of returning it.
+	sc := pruneScratchPool.Get().(*pruneScratch)
+	sc.inC, sc.seen = sc.inC.grow(p.NumNodes()), sc.seen.grow(p.NumNodes())
+	inC, seen := sc.inC, sc.seen
+	region, stack, dead := sc.region[:0], sc.stack[:0], sc.dead[:0]
 	for {
 		// Drop dead entries (never for main, which is invoked externally,
 		// and never for procedures that were already uncalled on input).
@@ -352,13 +358,32 @@ func pruneProgram(p *ir.Program, initiallyDead []ir.NodeID) {
 			changed = true
 		}
 		if !changed {
+			sc.region, sc.stack, sc.dead = region, stack, dead
+			pruneScratchPool.Put(sc)
 			return
 		}
 	}
 }
 
+// pruneScratch is one prune's reusable state: the bitsets, clear between
+// prunes, and the work lists' backing arrays.
+type pruneScratch struct {
+	inC, seen           nodeBits
+	region, stack, dead []ir.NodeID
+}
+
+var pruneScratchPool = sync.Pool{New: func() any { return new(pruneScratch) }}
+
 // nodeBits is a bitset over node IDs; IDs beyond it read as absent.
 type nodeBits []uint64
+
+// grow returns b if it covers n IDs, otherwise a clear bitset that does.
+func (b nodeBits) grow(n int) nodeBits {
+	if len(b)*64 >= n {
+		return b
+	}
+	return make(nodeBits, (n+63)/64)
+}
 
 func (b nodeBits) has(id ir.NodeID) bool {
 	return id >= 0 && int(id>>6) < len(b) && b[id>>6]&(1<<(uint(id)&63)) != 0

@@ -558,11 +558,12 @@ func (r *refRest) cloneNode(n *ir.Node) *ir.Node {
 	}
 	r.ans[c.ID] = am
 
-	pr := r.p.Procs[n.Proc]
 	switch n.Kind {
 	case ir.NEntry:
+		pr := r.p.MutProc(n.Proc)
 		pr.Entries = append(pr.Entries, c.ID)
 	case ir.NExit:
+		pr := r.p.MutProc(n.Proc)
 		pr.Exits = append(pr.Exits, c.ID)
 	case ir.NBranch:
 		tf := r.origTF[r.origOf(n.ID)]
@@ -578,11 +579,12 @@ func (r *refRest) removeNode(id ir.NodeID) {
 	if n == nil {
 		return
 	}
-	pr := r.p.Procs[n.Proc]
 	switch n.Kind {
 	case ir.NEntry:
+		pr := r.p.MutProc(n.Proc)
 		pr.Entries = removeID(pr.Entries, id)
 	case ir.NExit:
+		pr := r.p.MutProc(n.Proc)
 		pr.Exits = removeID(pr.Exits, id)
 	}
 	r.p.DeleteNode(id)

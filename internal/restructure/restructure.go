@@ -264,7 +264,7 @@ func (r *rest) forEachVisited(f func(*ir.Node)) {
 }
 
 func (r *rest) init() {
-	n := len(r.p.Nodes)
+	n := r.p.NumNodes()
 	r.n0 = ir.NodeID(n)
 	r.inWL = make(nodeBits, (n+63)/64)
 	// Copy the analysis answers into one block per visited node, and
@@ -445,8 +445,8 @@ func (r *rest) mainLoop() error {
 		}
 	}
 	r.forEachVisited(converged)
-	for _, n := range r.p.Nodes[r.n0:] {
-		if n != nil {
+	for id := r.n0; int(id) < r.p.NumNodes(); id++ {
+		if n := r.p.Node(id); n != nil {
 			converged(n)
 		}
 	}
@@ -712,11 +712,12 @@ func (r *rest) cloneNode(n *ir.Node) *ir.Node {
 	// Copies are the only nodes created here, so c.ID == n0+len(copies).
 	r.copies = append(r.copies, ci)
 
-	pr := r.p.Procs[n.Proc]
 	switch n.Kind {
 	case ir.NEntry:
+		pr := r.p.MutProc(n.Proc)
 		pr.Entries = append(pr.Entries, c.ID)
 	case ir.NExit:
+		pr := r.p.MutProc(n.Proc)
 		pr.Exits = append(pr.Exits, c.ID)
 	}
 	return c
@@ -728,11 +729,12 @@ func (r *rest) removeNode(id ir.NodeID) {
 	if n == nil {
 		return
 	}
-	pr := r.p.Procs[n.Proc]
 	switch n.Kind {
 	case ir.NEntry:
+		pr := r.p.MutProc(n.Proc)
 		pr.Entries = removeID(pr.Entries, id)
 	case ir.NExit:
+		pr := r.p.MutProc(n.Proc)
 		pr.Exits = removeID(pr.Exits, id)
 	}
 	r.p.DeleteNode(id)

@@ -218,7 +218,8 @@ func TestStructuralCorruptionCaughtByValidate(t *testing.T) {
 			return nil
 		}
 		// Break edge symmetry: retarget a successor without fixing preds.
-		for _, n := range scratch.Nodes {
+		for i := range scratch.NumNodes() {
+			n := scratch.Node(ir.NodeID(i))
 			if n != nil && n.Kind == ir.NAssign && len(n.Succs) == 1 {
 				m := scratch.Mut(n.ID)
 				m.Succs[0] = m.ID // self-loop the assign; preds now dangle
@@ -252,7 +253,8 @@ func TestDiffMismatchRollsBack(t *testing.T) {
 		if calls > 1 {
 			return nil
 		}
-		for _, n := range scratch.Nodes {
+		for i := range scratch.NumNodes() {
+			n := scratch.Node(ir.NodeID(i))
 			if n != nil && n.Kind == ir.NPrint && n.Val.IsConst {
 				scratch.Mut(n.ID).Val.Const += 1000 // wrong output, still a valid graph
 				return nil

@@ -70,7 +70,7 @@ func TestSeedRecordsByteIdentical(t *testing.T) {
 		}
 
 		bad := recs[0]
-		bad.Key.Exit = ir.NodeID(len(p.Nodes) + 7)
+		bad.Key.Exit = ir.NodeID(p.NumNodes() + 7)
 		for _, tc := range []struct {
 			seeds []analysis.PortableRecord
 			want  int

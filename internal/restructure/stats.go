@@ -33,9 +33,9 @@ type DriverStats struct {
 	// result (the analysis had visited a changed node).
 	Analyses   int `json:"analyses" stat:"result"`
 	Reanalyses int `json:"reanalyses" stat:"result"`
-	// Clones counts program copies: one defensive deep copy of the input
-	// (ir.Clone) plus one copy-on-write fork (ir.Fork) per transactional
-	// attempt, correlation applies and fold attempts alike. ClonesAvoided
+	// Clones counts copy-on-write forks (ir.Fork): one of the input, which
+	// becomes the working program, plus one per transactional attempt,
+	// correlation applies and fold attempts alike. ClonesAvoided
 	// counts analyzed conditionals that needed no copy because no
 	// restructuring was attempted for them.
 	Clones        int `json:"clones" stat:"result"`

@@ -132,7 +132,8 @@ func buildLoop(t *testing.T, padded bool) *ir.Program {
 	if !padded {
 		return p
 	}
-	for _, n := range p.Nodes {
+	for i := range p.NumNodes() {
+		n := p.Node(ir.NodeID(i))
 		if n != nil && n.Kind == ir.NAssign && n.Line == 5 {
 			nop := p.NewNode(ir.NNop, n.Proc)
 			succ := n.Succs[0]
@@ -247,7 +248,8 @@ func TestRolledBackAttemptKeepsWorkingFacts(t *testing.T) {
 			s.AddEdge(orphan.ID, pr.Exits[0])
 		},
 		FailDiffMismatch: func(s *ir.Program) {
-			for _, n := range s.Nodes {
+			for i := range s.NumNodes() {
+				n := s.Node(ir.NodeID(i))
 				if n != nil && n.Kind == ir.NPrint {
 					s.Mut(n.ID).Val.Const += 1000
 					return

@@ -53,7 +53,8 @@ func TestEveryServedOptimizationIsChecked(t *testing.T) {
 				// Mutate a printed constant on the scratch fork: valid
 				// graph, wrong output — only the shadow oracle catches it.
 				AfterApply: func(scratch *ir.Program, _ ir.NodeID) error {
-					for _, n := range scratch.Nodes {
+					for i := range scratch.NumNodes() {
+						n := scratch.Node(ir.NodeID(i))
 						if n != nil && n.Kind == ir.NPrint && n.Val.IsConst {
 							scratch.Mut(n.ID).Val.Const += 1000
 							return nil
