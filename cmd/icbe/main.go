@@ -181,14 +181,6 @@ func main() {
 			s := rep.Stats
 			fmt.Printf("driver: %d workers, %d rounds, %d analyses (%d re-analyses), %d clones (%d avoided), analysis %v, apply %v\n",
 				s.Workers, s.Rounds, s.Analyses, s.Reanalyses, s.Clones, s.ClonesAvoided, s.AnalysisWall, s.ApplyWall)
-			if s.SNEMemoEntries > 0 || s.SNEMemoHits > 0 {
-				fmt.Printf("memo: %d summary-node records, %d replayed, analysis caches ~%.1f KB\n",
-					s.SNEMemoEntries, s.SNEMemoHits, float64(s.CacheBytes)/1024)
-			}
-			if s.QueriesReused > 0 || s.SubtreesInvalidated > 0 {
-				fmt.Printf("incremental: %d/%d pairs reused (%.0f%%), %d subtrees invalidated\n",
-					s.QueriesReused, s.PairsTotal, s.ReuseRate*100, s.SubtreesInvalidated)
-			}
 			if s.VerifyRuns > 0 {
 				fmt.Printf("verify: %d shadow comparisons, %v interpreting\n", s.VerifyRuns, s.VerifyWall)
 			}

@@ -1,0 +1,52 @@
+package icbe
+
+import (
+	"math"
+	"runtime"
+	"testing"
+)
+
+// TestColdOptimizeKeepsNoMemo pins the cold path: an Optimize given no
+// summary memo and no seeds keeps no memo, so it records no summary and
+// replays none, and one Compile + Optimize of a `recursion`-shape program
+// allocates at most maxBytesPerOp. With a private memo the same programs
+// cost about 1.12 MB each, a fifth of it the recorded summaries, of which
+// this shape replays none.
+func TestColdOptimizeKeepsNoMemo(t *testing.T) {
+	const maxBytesPerOp = 900_000
+	opts := DefaultOptions()
+	opts.Workers = 1
+	srcs := coldSources(coldShapes[0].gen)
+	// The least of a few passes: anything else the process allocates
+	// meanwhile only adds, and the first pass also fills the pools.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, src := range srcs {
+			p, err := Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := p.Optimize(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := rep.Stats; st.SNEMemoEntries != 0 || st.SNEMemoHits != 0 || st.QueriesReused != 0 {
+				t.Fatalf("cold optimize kept a summary memo: %d entries, %d hits, %d pairs reused",
+					st.SNEMemoEntries, st.SNEMemoHits, st.QueriesReused)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(len(srcs)))
+	}
+	if raceEnabled {
+		t.Logf("%d bytes per program; the bound is not checked under -race", least)
+		return
+	}
+	if least > maxBytesPerOp {
+		t.Errorf("cold Compile + Optimize allocated %d bytes per program, want at most %d", least, maxBytesPerOp)
+	}
+	t.Logf("%d bytes per program", least)
+}

@@ -115,10 +115,11 @@ func checkGolden(t *testing.T, name, got string) {
 // TestScratchIncrementalEquivalence asserts the incremental engine is
 // invisible in every observable: a driver run with the cross-round engine
 // disabled (Options.Scratch) renders byte-identically — per-conditional
-// reports, counters, optimized-program hash, executed behavior — to the
-// default incremental run, for every workload, generated program, and worker
-// count. The incremental engine may only change the cost of an answer,
-// never the answer.
+// reports, counters, optimized-program hash, executed behavior — to a run
+// with a caller-supplied summary memo (Options.SummaryMemo; a default run
+// keeps none), for every workload, generated program, and worker count.
+// The incremental engine may only change the cost of an answer, never the
+// answer.
 func TestScratchIncrementalEquivalence(t *testing.T) {
 	type workload struct {
 		name   string
@@ -166,6 +167,7 @@ func TestScratchIncrementalEquivalence(t *testing.T) {
 				opts.Scratch = true
 				want := renderEquivalence(t, w.src, w.inputs, opts)
 				opts.Scratch = false
+				opts.SummaryMemo = analysis.NewSummaryMemo()
 				got := renderEquivalence(t, w.src, w.inputs, opts)
 				if got != want {
 					t.Errorf("workers=%d: incremental run diverged from scratch:\n--- scratch\n%s--- incremental\n%s",

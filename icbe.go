@@ -205,25 +205,30 @@ type Options struct {
 	BranchTimeout time.Duration
 	// Ctx cancels the optimization run early (nil = context.Background()).
 	Ctx context.Context
-	// SummaryMemo, when non-nil, replaces the run's internal summary memo:
-	// keep it warm across runs, seed it with analysis.SummaryMemo.Inject
-	// to replay another run's procedure summaries, and harvest it with
-	// ExportPristine afterwards.
-	// A replayed summary is pair-for-pair identical to a fresh propagation,
-	// so the optimized program and report are unchanged (the memo hit
-	// counters aside). Only the interprocedural analysis has summaries. The
-	// memo must not be shared between concurrent runs.
+	// SummaryMemo, when non-nil, is the run's summary memo: keep it warm
+	// across runs, seed it with analysis.SummaryMemo.Inject to replay
+	// another run's procedure summaries, and harvest it with ExportPristine
+	// afterwards. A summary memo is used only with a supplied memo or seeds
+	// (SeedRecords): a cold run replays too little to pay for recording, so
+	// without them every conditional is propagated fresh. A replayed summary
+	// is pair-for-pair identical to a fresh propagation, so the optimized
+	// program and report are unchanged (the memo hit counters aside). Only
+	// the interprocedural analysis has summaries. The memo must not be
+	// shared between concurrent runs.
 	SummaryMemo *analysis.SummaryMemo
 	// SeedRecords are portable summary records (for example a prior run's
-	// ExportPristine) injected into the run's summary memo before the first
-	// round, equivalent to seeding SummaryMemo through
-	// analysis.SummaryMemo.Inject. Injection is strict verify-on-read and
-	// replay is exact, so seeds accelerate the run without changing the
-	// optimized program or the report (Report.Stats.SeedsInjected aside).
-	// Ignored for runs without a summary memo (intraprocedural or Scratch).
+	// ExportPristine) injected into the run's summary memo (SummaryMemo, or
+	// a fresh one when it is nil) before the first round, equivalent to
+	// seeding SummaryMemo through analysis.SummaryMemo.Inject. Injection is
+	// strict verify-on-read and replay is exact, so seeds accelerate the run
+	// without changing the optimized program or the report
+	// (Report.Stats.SeedsInjected aside). Ignored for intraprocedural and
+	// Scratch runs.
 	SeedRecords []analysis.PortableRecord
 	// Scratch disables the cross-round incremental engine (the summary
-	// memo): every requeued conditional re-analyzes from scratch. The
+	// memo), so a supplied SummaryMemo or SeedRecords is ignored and every
+	// requeued conditional re-analyzes from scratch. Used only with a
+	// supplied memo or seeds; a run without them keeps no memo anyway. The
 	// optimized program and report are identical either way; Scratch is the
 	// baseline for measuring the incremental speedup.
 	Scratch bool
@@ -247,10 +252,10 @@ func (o Options) analysisOpts() analysis.Options {
 		TerminationLimit: o.TerminationLimit,
 		ArithSubst:       o.ArithSubst,
 		ModSummaries:     o.ModSummaries,
-		// The driver's cross-round summary memo replays identical closures
-		// instead of re-propagating them; results are exact, so there is
-		// nothing to configure (only the interprocedural analysis has
-		// summaries).
+		// A caller-supplied summary memo (SummaryMemo or SeedRecords)
+		// replays identical closures instead of re-propagating them; results
+		// are exact, so there is nothing to configure (only the
+		// interprocedural analysis has summaries).
 		MemoSummaries: o.Interprocedural,
 	}
 }

@@ -36,14 +36,17 @@ type Options struct {
 	// computed with caching lack the supplier structure restructuring
 	// needs — use it for analysis-only measurements.
 	CacheAnswers bool
-	// MemoSummaries asks the optimization driver to keep a cross-round
-	// summary memo: the summary node entries (the TRANS closures computed
-	// at procedure exits) of one round replay into the next round's
-	// re-analyses instead of being re-propagated. Replay is exact — answers,
-	// supplier structure and pair counts match a fresh computation — so
-	// results are interchangeable with unmemoized ones (see memo.go for the
-	// contract). Only interprocedural analysis has summaries to memoize. An
-	// Analyzer itself replays only from a memo handed to NewWithMemo.
+	// MemoSummaries lets the optimization driver keep a cross-round summary
+	// memo: the summary node entries (the TRANS closures computed at
+	// procedure exits) of one round replay into the next round's
+	// re-analyses instead of being re-propagated. It is used only with a
+	// supplied memo or seeds (the driver's Memo or SeedRecords); a cold
+	// driver run keeps no memo, because on its own it replays too little to
+	// pay for recording. Replay is exact — answers, supplier structure and
+	// pair counts match a fresh computation — so results are
+	// interchangeable with unmemoized ones (see memo.go for the contract).
+	// Only interprocedural analysis has summaries to memoize. An Analyzer
+	// itself replays only from a memo handed to NewWithMemo.
 	MemoSummaries bool
 }
 

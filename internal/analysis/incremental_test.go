@@ -215,7 +215,7 @@ func checkInvalidation(t *testing.T, p *ir.Program, b ir.NodeID, want snapshot, 
 	}
 
 	// The conditional itself lies outside every summary's region.
-	m.Commit(map[ir.NodeID]bool{b: true})
+	m.Commit(dirtyBits(b))
 	if m.Entries() != 2 || m.Invalidated() != 0 {
 		t.Fatalf("a dirty node outside every region dropped records: %d left, %d invalidated",
 			m.Entries(), m.Invalidated())
@@ -236,7 +236,7 @@ func checkInvalidation(t *testing.T, p *ir.Program, b ir.NodeID, want snapshot, 
 			break
 		}
 	}
-	m.Commit(map[ir.NodeID]bool{interior: true})
+	m.Commit(dirtyBits(interior))
 	if m.Entries() != 0 || m.Invalidated() != 2 {
 		t.Fatalf("dirtying the inner region left %d records and invalidated %d, want 0 and 2",
 			m.Entries(), m.Invalidated())
@@ -246,6 +246,57 @@ func checkInvalidation(t *testing.T, p *ir.Program, b ir.NodeID, want snapshot, 
 		t.Errorf("replayed %d pairs from invalidated records", reused)
 	}
 	sameAsFresh(t, "after invalidation", got, want)
+}
+
+// dirtyBits returns the dirty bitset Commit takes, with the given node IDs
+// set and no word past the highest of them.
+func dirtyBits(ids ...ir.NodeID) []uint64 {
+	var bits []uint64
+	for _, id := range ids {
+		for int(id>>6) >= len(bits) {
+			bits = append(bits, 0)
+		}
+		bits[id>>6] |= 1 << (uint(id) & 63)
+	}
+	return bits
+}
+
+// TestSummaryCommitShortBitset checks dirty bitsets that end before a
+// record's highest touched node: IDs past the bitset count as clean, so
+// only a set bit inside the bitset drops the record, and Commit neither
+// reads past the bitset nor drops a record for nodes beyond it.
+func TestSummaryCommitShortBitset(t *testing.T) {
+	rec := &memoRecord{touched: []ir.NodeID{3, 70, 200}}
+	for _, tc := range []struct {
+		name  string
+		dirty []uint64
+		want  bool
+	}{
+		{"empty", nil, false},
+		{"first word, hit", dirtyBits(3), true},
+		{"first word, clean", dirtyBits(5), false},
+		{"ends before 70 and 200", dirtyBits(70)[:1], false},
+		{"second word, hit", dirtyBits(70), true},
+		{"ends before 200", dirtyBits(200)[:3], false},
+		{"covers 200", dirtyBits(200), true},
+	} {
+		if got := rec.touchesDirty(tc.dirty); got != tc.want {
+			t.Errorf("%s: touchesDirty(%x) = %v, want %v", tc.name, tc.dirty, got, tc.want)
+		}
+	}
+
+	p := build(t, nestSrc)
+	m := recordedMemo(t, p, condIn(t, p, "main"))
+	entries := m.Entries()
+	last := ir.NodeID(0)
+	for _, rec := range m.committed {
+		last = max(last, rec.touched[len(rec.touched)-1])
+	}
+	m.Commit(make([]uint64, last>>6))
+	if m.Entries() != entries || m.Invalidated() != 0 {
+		t.Fatalf("a clean bitset shorter than the records' regions dropped records: %d of %d left, %d invalidated",
+			m.Entries(), entries, m.Invalidated())
+	}
 }
 
 // TestSummaryMissingNested deletes the nested record under a committed

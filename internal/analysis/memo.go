@@ -38,7 +38,7 @@ import (
 // nested summaries touched. After mutating the program the owner must drop
 // every record whose touched set intersects the modified region; the
 // optimization driver does this once per round via Commit(dirty), using the
-// same dirty set that decides which conditionals to re-analyze. Records
+// same dirty bitset that decides which conditionals to re-analyze. Records
 // pending since the last Commit are not replayed from (the driver's workers
 // analyze concurrently against a frozen per-round view, which keeps results
 // independent of worker count and scheduling).
@@ -132,10 +132,12 @@ func (m *SummaryMemo) record(recs []*memoRecord) {
 }
 
 // Commit publishes the records staged since the last Commit and drops every
-// record — staged or committed — whose touched set intersects dirty (the
-// nodes modified since those records were made). The driver calls it once
-// per optimization round, after applying that round's transformations.
-func (m *SummaryMemo) Commit(dirty map[ir.NodeID]bool) {
+// record — staged or committed — whose touched set intersects dirty, a
+// bitset over node IDs of the nodes modified since those records were made
+// (bit id&63 of word id>>6; IDs past its end count as clean). The driver
+// calls it once per optimization round, after applying that round's
+// transformations.
+func (m *SummaryMemo) Commit(dirty []uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.frozen {
@@ -208,9 +210,16 @@ func (rec *memoRecord) footprint() int64 {
 	return b
 }
 
-func (rec *memoRecord) touchesDirty(dirty map[ir.NodeID]bool) bool {
+// touchesDirty reports whether a node of the record's touched set is set in
+// the dirty bitset. touched is sorted, so the scan stops at the first ID past
+// the bitset.
+func (rec *memoRecord) touchesDirty(dirty []uint64) bool {
 	for _, n := range rec.touched {
-		if dirty[n] {
+		w := int(n >> 6)
+		if w >= len(dirty) {
+			return false
+		}
+		if dirty[w]&(1<<(uint(n)&63)) != 0 {
 			return true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Validate checks the structural invariants of the ICFG, including
@@ -339,7 +340,11 @@ func validationRegion(p *Program) *validRegion {
 		return nil
 	}
 	rg := &validRegion{procs: make([]bool, len(p.Procs)), vars: p.base.vars}
-	in := make([]uint64, (p.numNodes+63)/64)
+	buf := regionBitsPool.Get().(*[]uint64)
+	in := *buf
+	if len(in)*64 < p.numNodes {
+		in = make([]uint64, (p.numNodes+63)/64)
+	}
 	add := func(id NodeID) {
 		if id < 0 || int(id) >= p.numNodes {
 			return
@@ -391,8 +396,18 @@ func validationRegion(p *Program) *validRegion {
 		}
 	}
 	slices.Sort(rg.nodes)
+	// The set bits are exactly rg.nodes: clear them and pool the bitset.
+	for _, id := range rg.nodes {
+		in[id>>6] &^= 1 << (uint(id) & 63)
+	}
+	*buf = in
+	regionBitsPool.Put(buf)
 	return rg
 }
+
+// regionBitsPool holds validationRegion's membership bitsets, all clear,
+// so a region Validate does not allocate a bit per node of the program.
+var regionBitsPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 func procName(p *Program, i int) string {
 	if i >= 0 && i < len(p.Procs) && p.Procs[i] != nil {

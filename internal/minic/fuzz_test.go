@@ -36,6 +36,10 @@ func FuzzParse(f *testing.F) {
 	for _, s := range FuzzParseSeeds {
 		f.Add(s)
 	}
+	// One level of statement nesting past the bound: an error, not a
+	// recursion per level. (Kept out of FuzzParseSeeds, whose compiled
+	// form TestCompileGolden pins.)
+	f.Add(nestedIfs(maxStmtDepth + 1))
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")

@@ -18,6 +18,9 @@ type Parser struct {
 	// height is the height of the expression just parsed; both stay at
 	// most maxExprDepth.
 	depth, height int
+	// nest counts the if and while statements being parsed; it stays at
+	// most maxStmtDepth.
+	nest int
 }
 
 // maxExprDepth bounds how deeply an expression may nest. Two depths count:
@@ -27,6 +30,12 @@ type Parser struct {
 // recurse once per level, so without a bound a source of a few hundred KB
 // could cost hundreds of MB of stack.
 const maxExprDepth = 1000
+
+// maxStmtDepth bounds how deeply statements may nest: each if, else if and
+// while opens a level. The parser, the checker and the lowering recurse
+// once per level, so without a bound 2^16 nested ifs (721 KB of source)
+// cost over 100 MB of stack.
+const maxStmtDepth = 1000
 
 // Parse parses a complete MiniC program from source text.
 //
@@ -315,8 +324,21 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 	return nil, errf(p.cur().Pos, "expected '=', '[' or '(' after identifier %q, found %s", name.Text, p.cur())
 }
 
+// enterStmt opens a level of statement nesting at pos; the caller closes
+// it (p.nest--) once the statement is parsed.
+func (p *Parser) enterStmt(pos Pos) error {
+	if p.nest++; p.nest > maxStmtDepth {
+		return errf(pos, "statements nested too deeply (more than %d levels)", maxStmtDepth)
+	}
+	return nil
+}
+
 func (p *Parser) parseIf() (Stmt, error) {
 	kw := p.next() // 'if'
+	if err := p.enterStmt(kw.Pos); err != nil {
+		return nil, err
+	}
+	defer func() { p.nest-- }()
 	cond, err := p.parseCond()
 	if err != nil {
 		return nil, err
@@ -368,6 +390,10 @@ func ElseBlock(s Stmt) (*Block, bool) {
 
 func (p *Parser) parseWhile() (Stmt, error) {
 	kw := p.next() // 'while'
+	if err := p.enterStmt(kw.Pos); err != nil {
+		return nil, err
+	}
+	defer func() { p.nest-- }()
 	cond, err := p.parseCond()
 	if err != nil {
 		return nil, err

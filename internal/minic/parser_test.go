@@ -1,9 +1,11 @@
 package minic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"icbe/internal/pred"
 )
@@ -328,6 +330,66 @@ func TestParseBoundsNesting(t *testing.T) {
 				}
 				if !strings.HasPrefix(err.Error(), "1:") {
 					t.Errorf("%d levels: error %q has no line:column position", n, err)
+				}
+			}
+		})
+	}
+}
+
+// nestedIfs returns a program whose main nests n if statements.
+func nestedIfs(n int) string {
+	return "func main() { var x = input(); " + strings.Repeat("if (x) { ", n) + "print(1); " +
+		strings.Repeat("} ", n) + "}"
+}
+
+// elseIfChain returns a program whose main holds an if with n-1 else ifs:
+// each else if nests one level inside the statement before it.
+func elseIfChain(n int) string {
+	return "func main() { var x = input(); if (x == 0) { print(0); }" +
+		strings.Repeat(" else if (x == 1) { print(1); }", n-1) + " }"
+}
+
+// nestedWhiles returns a program whose main nests n while statements.
+func nestedWhiles(n int) string {
+	return "func main() { var x = input(); " + strings.Repeat("while (x) { ", n) + "x = 0; " +
+		strings.Repeat("} ", n) + "}"
+}
+
+// TestParseBoundsStatementNesting pins maxStmtDepth: statements nested
+// exactly to the bound parse and check, and one level deeper fails with a
+// positional error at the keyword that opens the extra level. So does a
+// source of 2^16 nested ifs (721 KB, under the server's 1 MiB body cap),
+// which without the bound raised a process's peak memory from 2 MB to
+// 137 MB; with it the parse stops at the bound, in milliseconds.
+func TestParseBoundsStatementNesting(t *testing.T) {
+	const prefix = len("func main() { var x = input(); ")
+	for _, tc := range []struct {
+		name  string
+		shape func(int) string
+		// col is the column of the keyword opening level n.
+		col func(n int) int
+	}{
+		{"if", nestedIfs, func(n int) int { return prefix + len("if (x) { ")*(n-1) + 1 }},
+		{"else if", elseIfChain, func(n int) int {
+			return prefix + len("if (x == 0) { print(0); }") + len(" else if (x == 1) { print(1); }")*(n-2) + len(" else ") + 1
+		}},
+		{"while", nestedWhiles, func(n int) int { return prefix + len("while (x) { ")*(n-1) + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Check(mustParse(t, tc.shape(maxStmtDepth))); err != nil {
+				t.Fatalf("at the limit: Check: %v", err)
+			}
+			for _, n := range []int{maxStmtDepth + 1, 1 << 16} {
+				start := time.Now()
+				_, err := Parse(tc.shape(n))
+				if d := time.Since(start); d > time.Second {
+					t.Errorf("%d levels: Parse took %v", n, d)
+				}
+				if err == nil || !strings.Contains(err.Error(), "statements nested too deeply") {
+					t.Fatalf("%d levels: err = %v, want the nesting error", n, err)
+				}
+				if want := fmt.Sprintf("1:%d: ", tc.col(maxStmtDepth+1)); !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("%d levels: error %q, want it at %s", n, err, want)
 				}
 			}
 		})

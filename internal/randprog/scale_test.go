@@ -73,7 +73,9 @@ func TestScaleProbe(t *testing.T) {
 	so := opts
 	so.Scratch = true
 	run("scratch", so)
-	dr := run("incremental", opts)
+	incr := opts
+	incr.Memo = analysis.NewSummaryMemo()
+	dr := run("incremental", incr)
 	memo := analysis.NewSummaryMemo()
 	wo := opts
 	wo.Memo = memo

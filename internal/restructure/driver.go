@@ -77,27 +77,31 @@ type DriverOptions struct {
 	// branch whose analysis deadline expires is reported with a timeout
 	// failure and left unoptimized; the driver moves on.
 	BranchTimeout time.Duration
-	// Memo, when non-nil, is used as the run's summary memo instead of a
-	// fresh one, letting a caller keep one memo warm across runs (for
-	// example a re-analysis after an edit, as icbe-bench -stress does), seed
-	// it through analysis.SummaryMemo.Inject, or harvest the run's pristine
-	// records afterwards (ExportPristine). The driver still
-	// owns the commit points. Ignored unless the analysis options enable
-	// summary memoization. The memo must not be shared between concurrent
-	// driver runs.
+	// Memo, when non-nil, is the run's summary memo, letting a caller keep
+	// one memo warm across runs (for example a re-analysis after an edit, as
+	// icbe-bench -stress does), seed it through analysis.SummaryMemo.Inject,
+	// or harvest the run's pristine records afterwards (ExportPristine). A
+	// summary memo is used only with a supplied memo or seeds (SeedRecords):
+	// a cold run keeps none and propagates every conditional fresh. The
+	// driver still owns the commit points. Ignored unless the analysis
+	// options enable summary memoization. The memo must not be shared
+	// between concurrent driver runs.
 	Memo *analysis.SummaryMemo
 	// SeedRecords are portable summary records injected into the run's memo
-	// before the first round, equivalent to seeding Memo through
-	// analysis.SummaryMemo.Inject. Injection is strict verify-on-read and
-	// replay is pair-for-pair exact, so seeds change warmth, never results;
-	// invalid or stale records are silently dropped. Ignored when the run has
-	// no memo.
+	// (Memo, or a fresh one when Memo is nil) before the first round,
+	// equivalent to seeding Memo through analysis.SummaryMemo.Inject.
+	// Injection is strict verify-on-read and replay is pair-for-pair exact,
+	// so seeds change warmth, never results; invalid or stale records are
+	// silently dropped. Ignored when summary memoization is off or Scratch
+	// is set.
 	SeedRecords []analysis.PortableRecord
-	// Scratch disables the cross-round incremental engine entirely (no
-	// summary memo): every requeued conditional is re-analyzed from
-	// scratch each round. The optimized program and reports are identical
-	// either way — Scratch exists as the honest baseline for measuring the
-	// incremental speedup (icbe-bench -stress).
+	// Scratch disables the cross-round incremental engine entirely: no
+	// summary memo even when Memo or SeedRecords supply one, so every
+	// requeued conditional is re-analyzed from scratch each round. Used only
+	// with a supplied memo or seeds; without them a run keeps no memo
+	// anyway. The optimized program and reports are identical either way —
+	// Scratch is the honest baseline for measuring the incremental speedup
+	// (icbe-bench -stress).
 	Scratch bool
 	// Verify enables the differential shadow-execution oracle: each
 	// apply's fork is run over VerifyInputs plus built-in input vectors and
@@ -226,14 +230,17 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	}
 	aopts := opts.Analysis
 	aopts.CacheAnswers = false
-	// The summary memo outlives the per-round analyzers; the driver owns the
-	// commit points so workers replay only round-frozen records (see
-	// analysis.SummaryMemo for the invalidation contract).
+	// A summary memo runs only when the caller brings warmth: its own memo,
+	// or seeds to inject into a fresh one. Within one cold run, recording
+	// costs more than replay saves (DESIGN.md §13), so such a run
+	// propagates every conditional fresh. The memo outlives the per-round
+	// analyzers; the driver owns the commit points so workers replay only
+	// round-frozen records (see analysis.SummaryMemo for the invalidation
+	// contract).
 	var memo *analysis.SummaryMemo
 	if aopts.MemoSummaries && aopts.Interprocedural && !opts.Scratch {
-		if opts.Memo != nil {
-			memo = opts.Memo
-		} else {
+		memo = opts.Memo
+		if memo == nil && len(opts.SeedRecords) > 0 {
 			memo = analysis.NewSummaryMemo()
 		}
 	}
@@ -278,10 +285,11 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	if budget <= 0 {
 		budget = 8*len(queue) + 64
 	}
-	// dirtyBits mirrors each round's dirty map as a bitset so the
-	// visited-dirty intersection is a word-wise AND against the analysis'
-	// visited bitset; the backing array is reused across rounds.
-	var dirtyBits []uint64
+	// dirty is the bitset of nodes changed by the round's restructurings:
+	// visitedDirty ANDs it word-wise with each analysis' visited bitset, and
+	// the memo's Commit drops the records it touches. The backing array is
+	// reused across rounds.
+	var dirty []uint64
 
 	for len(queue) > 0 && budget > 0 && ctx.Err() == nil {
 		batch := queue
@@ -302,8 +310,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 		// conditional whose analysis visited any of them is re-analyzed
 		// against the next snapshot instead of being applied stale.
 		t0 := time.Now()
-		dirty := make(map[ir.NodeID]bool)
-		dirtyBits = dirtyBits[:0]
+		dirty = dirty[:0]
 		var next []ir.NodeID
 		for i := range results {
 			cr := &results[i]
@@ -335,7 +342,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 				out.Reports = append(out.Reports, cr.rep)
 				continue
 			}
-			if visitedDirty(cr.res, dirty, dirtyBits) {
+			if visitedDirty(cr.res, dirty) {
 				out.Stats.Reanalyses++
 				release(cr)
 				next = append(next, cr.b)
@@ -384,7 +391,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 				cr.rep.Applied = true
 				cr.rep.Removed = oc.BranchCopiesRemoved
 				out.Optimized++
-				dirtyBits = markChanged(dirty, dirtyBits, w.prog, scratch)
+				dirty = markChanged(dirty, w.prog, scratch)
 				w.adopt(scratch, carried)
 				// Requeue branch copies created as a side effect of this
 				// restructuring (including surviving copies of cr.b
@@ -625,17 +632,14 @@ func analyzeBatch(ctx context.Context, snapshot *ir.Program, batch []ir.NodeID,
 // thousands of nodes. Nodes created after the snapshot lie beyond the
 // visited bitset and can never have been visited, so truncating the AND to
 // the shorter slice is exact.
-func visitedDirty(res *analysis.Result, dirty map[ir.NodeID]bool, dirtyBits []uint64) bool {
+func visitedDirty(res *analysis.Result, dirty []uint64) bool {
 	if len(dirty) == 0 {
 		return false
 	}
 	vis := res.VisitedBits()
-	n := len(vis)
-	if len(dirtyBits) < n {
-		n = len(dirtyBits)
-	}
+	n := min(len(vis), len(dirty))
 	for i := 0; i < n; i++ {
-		if vis[i]&dirtyBits[i] != 0 {
+		if vis[i]&dirty[i] != 0 {
 			return true
 		}
 	}
@@ -648,21 +652,19 @@ func visitedDirty(res *analysis.Result, dirty map[ir.NodeID]bool, dirtyBits []ui
 // same result on the new program (its demand-driven traversal can only
 // reach changed program parts through a changed node). Only the fork's
 // touched nodes can differ — every other node is shared with the working
-// program — so only they are compared. Changed nodes are recorded twice —
-// in the dirty map (consumed by the memo Commit) and in the dirty bitset
-// (consumed by visitedDirty) — and the grown bitset is returned.
-func markChanged(dirty map[ir.NodeID]bool, dirtyBits []uint64, before, after *ir.Program) []uint64 {
+// program — so only they are compared. Changed nodes are set in the dirty
+// bitset, and the grown bitset is returned.
+func markChanged(dirty []uint64, before, after *ir.Program) []uint64 {
 	words := (after.NumNodes() + 63) / 64
-	for len(dirtyBits) < words {
-		dirtyBits = append(dirtyBits, 0)
+	for len(dirty) < words {
+		dirty = append(dirty, 0)
 	}
 	for _, id := range after.Touched() {
 		if nodeChanged(before.Node(id), after.Node(id)) {
-			dirty[id] = true
-			dirtyBits[id>>6] |= 1 << (uint(id) & 63)
+			dirty[id>>6] |= 1 << (uint(id) & 63)
 		}
 	}
-	return dirtyBits
+	return dirty
 }
 
 func nodeChanged(a, b *ir.Node) bool {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
+	"slices"
 	"testing"
 
 	"icbe/internal/analysis"
@@ -16,10 +16,10 @@ import (
 // markChangedFull is the whole-program diff markChanged replaced: it
 // compares every node of the two programs. Tests use it as the reference
 // the touched-node diff must reproduce exactly.
-func markChangedFull(dirty map[ir.NodeID]bool, dirtyBits []uint64, before, after *ir.Program) []uint64 {
+func markChangedFull(dirty []uint64, before, after *ir.Program) []uint64 {
 	words := (after.NumNodes() + 63) / 64
-	for len(dirtyBits) < words {
-		dirtyBits = append(dirtyBits, 0)
+	for len(dirty) < words {
+		dirty = append(dirty, 0)
 	}
 	for i := range after.NumNodes() {
 		var an *ir.Node
@@ -27,11 +27,10 @@ func markChangedFull(dirty map[ir.NodeID]bool, dirtyBits []uint64, before, after
 			an = before.Node(ir.NodeID(i))
 		}
 		if nodeChanged(an, after.Node(ir.NodeID(i))) {
-			dirty[ir.NodeID(i)] = true
-			dirtyBits[i>>6] |= 1 << (uint(i) & 63)
+			dirty[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	return dirtyBits
+	return dirty
 }
 
 // forkCorpus is every shape the driver's goldens cover: the paper
@@ -113,11 +112,9 @@ func TestTouchedDirtySetMatchesFullDiff(t *testing.T) {
 		}
 		adopts++
 		work := w.prog
-		got, want := map[ir.NodeID]bool{}, map[ir.NodeID]bool{}
-		gotBits := markChanged(got, nil, work, scratch)
-		wantBits := markChangedFull(want, nil, work, scratch)
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotBits, wantBits) {
-			t.Errorf("touched diff %v differs from full diff %v", got, want)
+		got, want := markChanged(nil, work, scratch), markChangedFull(nil, work, scratch)
+		if !slices.Equal(got, want) {
+			t.Errorf("touched diff %x differs from full diff %x", got, want)
 		}
 		// Every attempt forks the program adopted by the one before, so
 		// work must still encode as that program did when it was adopted.

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"icbe/internal/analysis"
 	"icbe/internal/ir"
@@ -52,6 +53,7 @@ func Eliminate(p *ir.Program, res *analysis.Result) (*Outcome, error) {
 	}
 	r := &rest{p: p, res: res}
 	r.init()
+	defer r.releaseWorklist()
 	if err := r.checkTransparencyUnambiguous(); err != nil {
 		return nil, err
 	}
@@ -79,11 +81,11 @@ func Eliminate(p *ir.Program, res *analysis.Result) (*Outcome, error) {
 
 // rest is one Eliminate call's state. Its tables are slices sized by the
 // visited nodes, their pairs and the copies made (only the worklist bitset,
-// a bit per node, and the visited rank, an int32 per 64 nodes, span the
-// program), so its cost follows the pairs it reads and the copies it
-// makes. A node's answers are indexed by query slot: slot i is the query
-// res.QueriesAt(origOf(node))[i], so every copy has the slots of the
-// analysis-time node it descends from.
+// a bit per node reused from a pool, and the visited rank, an int32 per 64
+// nodes, span the program), so its cost follows the pairs it reads and the
+// copies it makes. A node's answers are indexed by query slot: slot i is
+// the query res.QueriesAt(origOf(node))[i], so every copy has the slots of
+// the analysis-time node it descends from.
 type rest struct {
 	p   *ir.Program
 	res *analysis.Result
@@ -108,8 +110,11 @@ type rest struct {
 	// node is first popped.
 	ord []int32
 
-	wl   []ir.NodeID
-	inWL nodeBits
+	// wl is the worklist and inWL its membership bitset, whose set bits
+	// are exactly wl's entries; wlBuf is inWL's holder in wlBitsPool.
+	wl    []ir.NodeID
+	inWL  nodeBits
+	wlBuf *nodeBits
 
 	// armIDs (ascending) and arms snapshot the original (true, false) arm
 	// IDs of every branch in the visited region, so arm order can be
@@ -251,6 +256,20 @@ func (r *rest) enqueue(id ir.NodeID) {
 	r.wl = append(r.wl, id)
 }
 
+// releaseWorklist clears the worklist bitset's set bits, those of the
+// nodes still queued, and returns it to wlBitsPool.
+func (r *rest) releaseWorklist() {
+	for _, id := range r.wl {
+		r.inWL.clear(id)
+	}
+	*r.wlBuf, r.inWL = r.inWL, nil
+	wlBitsPool.Put(r.wlBuf)
+}
+
+// wlBitsPool holds Eliminate's worklist bitsets, all clear, so an attempt
+// does not allocate a bit per node of the program.
+var wlBitsPool = sync.Pool{New: func() any { return new(nodeBits) }}
+
 // forEachVisited calls f in ascending ID order for every node the analysis
 // visited that is still live.
 func (r *rest) forEachVisited(f func(*ir.Node)) {
@@ -266,7 +285,8 @@ func (r *rest) forEachVisited(f func(*ir.Node)) {
 func (r *rest) init() {
 	n := r.p.NumNodes()
 	r.n0 = ir.NodeID(n)
-	r.inWL = make(nodeBits, (n+63)/64)
+	r.wlBuf = wlBitsPool.Get().(*nodeBits)
+	r.inWL = r.wlBuf.grow(n)
 	// Copy the analysis answers into one block per visited node, and
 	// snapshot branch arms in the visited region (and the conditional
 	// itself) before any mutation. Seed the worklist with every visited

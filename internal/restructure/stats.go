@@ -50,7 +50,8 @@ type DriverStats struct {
 	// memo (analysis.SummaryMemo): committed records at the end of the run
 	// and summaries replayed instead of re-propagated. CacheBytes is the
 	// memo's footprint. They depend on what the memo held when the run
-	// started.
+	// started, and all read 0 on a run with no supplied memo or seeds
+	// (DriverOptions.Memo, SeedRecords), which keeps no memo.
 	SNEMemoEntries int   `json:"sne_memo_entries" stat:"telemetry"`
 	SNEMemoHits    int64 `json:"sne_memo_hits" stat:"telemetry"`
 	CacheBytes     int64 `json:"cache_bytes" stat:"telemetry"`
@@ -64,7 +65,8 @@ type DriverStats struct {
 	// records the per-round Commits dropped because their recorded region
 	// intersected a dirty set. Both are deterministic across worker counts
 	// (replays come from the round-frozen memo view) but depend on what
-	// the memo held when the run started.
+	// the memo held when the run started; 0 without a supplied memo or
+	// seeds.
 	QueriesReused       int   `json:"queries_reused" stat:"telemetry"`
 	SubtreesInvalidated int64 `json:"subtrees_invalidated" stat:"telemetry"`
 	// PairsTotal mirrors DriverResult.PairsTotal (replayed pairs count in
