@@ -4,6 +4,10 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"icbe/internal/analysis"
+	"icbe/internal/ir"
+	"icbe/internal/randprog"
 )
 
 // TestColdOptimizeKeepsNoMemo pins the cold path: an Optimize given no
@@ -49,4 +53,30 @@ func TestColdOptimizeKeepsNoMemo(t *testing.T) {
 		t.Errorf("cold Compile + Optimize allocated %d bytes per program, want at most %d", least, maxBytesPerOp)
 	}
 	t.Logf("%d bytes per program", least)
+}
+
+// TestAnalyzerNewAllocatesLittle bounds what analysis.New allocates on a
+// 34k-node Scale program: the MOD sets and the analyzer, nothing sized by
+// the node count. The analysis reads call-site links from the nodes' own
+// edges; three node-sized link tables alone would cost about 410 KB here.
+func TestAnalyzerNewAllocatesLittle(t *testing.T) {
+	const maxBytes = 64 << 10
+	const runs = 10
+	p, err := ir.Build(randprog.Scale(3, randprog.ScaleConfig{Leaves: 80, LeafStmts: 400, Hubs: 24}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions().analysisOpts()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		analysis.New(p, opts)
+	}
+	runtime.ReadMemStats(&after)
+	mean := (after.TotalAlloc - before.TotalAlloc) / runs
+	if mean >= maxBytes {
+		t.Errorf("analysis.New allocated %d bytes on %d nodes, want under %d", mean, p.NumNodes(), maxBytes)
+	}
+	t.Logf("analysis.New: %d bytes on %d nodes", mean, p.NumNodes())
 }

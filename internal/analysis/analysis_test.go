@@ -336,6 +336,56 @@ func TestGlobalModifiedByCalleeTraversed(t *testing.T) {
 	}
 }
 
+// TestBrokenCallSiteResolvesUndef breaks the call-site normal form of the
+// call-site exit a query must cross and checks that the analysis resolves
+// the query UNDEF instead of panicking or following a wrong link.
+func TestBrokenCallSiteResolvesUndef(t *testing.T) {
+	const src = `
+		var g;
+		func set(v) { g = v; return 0; }
+		func main() {
+			g = 1;
+			set(5);
+			set(3);
+			if (g == 3) { print(1); }
+		}
+	`
+	cases := []struct {
+		name   string
+		mutate func(p *ir.Program, first, last *ir.Node)
+		want   AnswerSet
+	}{
+		{"intact", func(p *ir.Program, first, last *ir.Node) {}, AnsTrue},
+		{"second call pred", func(p *ir.Program, first, last *ir.Node) {
+			p.AddEdge(first.ID, p.CallExitSuccs(last)[0].ID)
+		}, AnsUndef},
+		{"exit edge removed", func(p *ir.Program, first, last *ir.Node) {
+			ce := p.CallExitSuccs(last)[0]
+			_, exit := p.CallSite(ce)
+			p.RemoveEdge(exit, ce.ID)
+		}, AnsUndef},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := build(t, src)
+			var calls []*ir.Node
+			p.LiveNodes(func(n *ir.Node) {
+				if n.Kind == ir.NCall {
+					calls = append(calls, n)
+				}
+			})
+			if len(calls) != 2 {
+				t.Fatalf("calls = %d, want 2", len(calls))
+			}
+			tc.mutate(p, calls[0], calls[1])
+			res := analyze(t, p, findBranch(t, p, "g", pred.Eq, 3), inter())
+			if got := res.RootAnswers(); got != tc.want {
+				t.Errorf("root answers = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestParameterCorrelationPerCallSite(t *testing.T) {
 	p := build(t, `
 		func check(flag) {

@@ -57,17 +57,17 @@ func DefaultOptions() Options {
 }
 
 // Analyzer analyzes conditionals of one program. It precomputes MOD
-// summaries and an ICFG link index; each conditional is analyzed on demand.
+// summaries; each conditional is analyzed on demand, reading call-site
+// links from the nodes' own edges.
 //
 // An Analyzer is safe for concurrent AnalyzeBranch calls as long as the
 // program is not mutated: per-conditional state lives in the per-call run
 // (drawn from a sync.Pool and returned via Result.Release), the MOD
-// summaries and ICFG index are computed once and read-only afterwards, and
+// summaries are computed once and read-only afterwards, and
 // the cross-conditional answer cache and summary memo are lock-guarded.
 type Analyzer struct {
 	Prog *ir.Program
 	Opts Options
-	idx  *ir.Index
 	mod  []map[ir.VarID]bool
 	memo *SummaryMemo
 	// cache holds rolled-back answers of top-level pairs from previous
@@ -96,7 +96,7 @@ func New(p *ir.Program, opts Options) *Analyzer {
 // known unchanged since the records were made — the optimization driver
 // commits once per round, against its dirty set.
 func NewWithMemo(p *ir.Program, opts Options, memo *SummaryMemo) *Analyzer {
-	a := &Analyzer{Prog: p, Opts: opts, memo: memo, idx: ir.BuildIndex(p)}
+	a := &Analyzer{Prog: p, Opts: opts, memo: memo}
 	if opts.ModSummaries {
 		a.mod = ModSets(p)
 	}
@@ -299,7 +299,6 @@ func (r *Result) FullCorrelation() bool {
 type run struct {
 	a         *Analyzer
 	p         *ir.Program
-	idx       *ir.Index
 	st        *state
 	res       *Result
 	interrupt func() bool // nil = never; polled during propagation
@@ -325,7 +324,7 @@ func (a *Analyzer) AnalyzeBranchInterruptible(b ir.NodeID, interrupt func() bool
 	}
 	st := acquireState(a.Prog.NumNodes(), len(a.Prog.Vars))
 	res := &Result{Cond: b, st: st}
-	r := &run{a: a, p: a.Prog, idx: a.idx, st: st, res: res, interrupt: interrupt}
+	r := &run{a: a, p: a.Prog, st: st, res: res, interrupt: interrupt}
 	// Raise the initial query at the conditional itself; the branch node is
 	// transparent, so the first processing step propagates it to all
 	// predecessors, and the pair (b, root) collects the union of all
@@ -574,8 +573,7 @@ func (r *run) mustTraverse(callee int, v ir.VarID, viaRet bool) bool {
 func (r *run) processCallExit(pid int32, n *ir.Node, q *Query) {
 	st := r.st
 	cv, cp, viaRet := r.callExitContent(n, q)
-	call := r.idx.CallPred(n.ID)
-	exit := r.idx.ExitPred(n.ID)
+	call, exit := r.p.CallSite(n)
 	if call == ir.NoNode || exit == ir.NoNode {
 		// Graph not in normal form — resolve conservatively.
 		st.resolvePair(pid, AnsUndef)
@@ -592,7 +590,8 @@ func (r *run) processCallExit(pid int32, n *ir.Node, q *Query) {
 		return
 	}
 	s := r.getSNE(exit, cv, cp)
-	en := r.idx.EntrySucc(call)
+	callNode := r.p.Node(call)
+	en := r.p.EntrySucc(callNode).ID
 	if owner := q.Owner; owner != nil {
 		// A nested summary: the owner's closure depends on s, and its
 		// replay validity on the call-site linkage consulted here.
@@ -602,7 +601,7 @@ func (r *run) processCallExit(pid int32, n *ir.Node, q *Query) {
 	w := waiter{node: n.ID, q: q, call: call, entry: en}
 	s.Waiters = append(s.Waiters, w)
 	for _, qo := range s.EntriesAt(en) {
-		r.raiseContinuation(w, qo)
+		r.raise(call, r.substEntry(qo, callNode, q.Owner))
 	}
 }
 

@@ -169,8 +169,7 @@ func (r *run) appendSuppliersOf(pid int32) {
 
 	case ir.NCallExit:
 		cv, cp, viaRet := r.callExitContent(n, q)
-		call := r.idx.CallPred(n.ID)
-		exit := r.idx.ExitPred(n.ID)
+		call, exit := r.p.CallSite(n)
 		if call == ir.NoNode || exit == ir.NoNode {
 			return
 		}
@@ -189,8 +188,8 @@ func (r *run) appendSuppliersOf(pid int32) {
 			Mask: maskAll &^ AnsTrans, FromExit: true})
 		// Answers flowing across the transparent paths: the entry queries
 		// continued at the call node.
-		en := r.idx.EntrySucc(call)
 		callNode := r.p.Node(call)
+		en := r.p.EntrySucc(callNode).ID
 		for _, qo := range s.EntriesAt(en) {
 			if cq := r.substEntryLookup(qo, callNode, q.Owner); cq != nil {
 				st.supStore = append(st.supStore, EdgeSupplier{Pred: call, Query: cq, Mask: maskAll})

@@ -147,9 +147,8 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 				if !reach[ce.ID] {
 					continue
 				}
-				exitPred := p.ExitPred(ce)
-				if exitPred != nil {
-					p.AddEdge(exitPred.ID, nodeMap[ce.ID])
+				if _, exit := p.CallSite(ce); exit != ir.NoNode {
+					p.AddEdge(exit, nodeMap[ce.ID])
 				}
 			}
 		}
@@ -157,7 +156,6 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 
 	// Parameter passing: formal_i := arg_i before the body.
 	head := nodeMap[entry.ID]
-	var paramChainEnd ir.NodeID = head
 	// Insert assignments after the entry nop, before its successors.
 	entryClone := p.Node(head)
 	succs := append([]ir.NodeID(nil), entryClone.Succs...)
@@ -176,24 +174,22 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 	for _, s := range succs {
 		p.AddEdge(cur, s)
 	}
-	paramChainEnd = cur
-	_ = paramChainEnd
 
 	// Return wiring: each cloned exit assigns the mapped return variable
 	// into the call-site exit's destination and jumps to that exit's
 	// call-site-exit successor in the caller.
 	for _, ce := range p.CallExitSuccs(call) {
-		exitPred := p.ExitPred(ce)
-		if exitPred == nil {
+		_, exit := p.CallSite(ce)
+		if exit == ir.NoNode {
 			return fmt.Errorf("inline: call %d has call-site exit %d without exit predecessor", callID, ce.ID)
 		}
-		if !reach[exitPred.ID] {
+		if !reach[exit] {
 			// The paired exit is unreachable from this entry; the
 			// call-site exit can never activate. Drop it below with the
 			// call node.
 			continue
 		}
-		exitClone := nodeMap[exitPred.ID]
+		exitClone := nodeMap[exit]
 		after := ce.Succs[0]
 		if ce.Dst != ir.NoVar {
 			asg := p.NewNode(ir.NAssign, caller)

@@ -268,7 +268,12 @@ func (m *machine) run() error {
 				if ce == nil || ce.Kind != ir.NCallExit {
 					continue
 				}
-				if cp := m.prog.CallPred(ce); cp != nil && cp.ID == top.callNode {
+				// A shared exit has a call-site exit per caller; skip the
+				// other callers' without reading their predecessors' nodes.
+				if !slices.Contains(ce.Preds, top.callNode) {
+					continue
+				}
+				if call, _ := m.prog.CallSite(ce); call == top.callNode {
 					ret = ce
 					break
 				}

@@ -154,8 +154,8 @@ func TestMissingReturnPointError(t *testing.T) {
 			ce = n
 		}
 	})
-	exit := p.ExitPred(ce)
-	p.RemoveEdge(exit.ID, ce.ID)
+	_, exit := p.CallSite(ce)
+	p.RemoveEdge(exit, ce.ID)
 	_, err = Run(p, Options{})
 	if err == nil || !strings.Contains(err.Error(), "no return point") {
 		t.Errorf("err = %v, want no-return-point error", err)

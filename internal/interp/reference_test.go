@@ -143,7 +143,7 @@ func referenceRun(p *ir.Program, opts interp.Options) (*interp.Result, error) {
 				if ce == nil || ce.Kind != ir.NCallExit {
 					continue
 				}
-				if cp := m.prog.CallPred(ce); cp != nil && cp.ID == top.callNode {
+				if call, _ := m.prog.CallSite(ce); call == top.callNode {
 					ret = ce
 					break
 				}

@@ -544,34 +544,33 @@ func (p *Program) CallExitSuccs(call *Node) []*Node {
 	return out
 }
 
-// CallPred returns the call-site predecessor of a call-site-exit node, or
-// nil if there is not exactly one.
-func (p *Program) CallPred(ce *Node) *Node {
-	var call *Node
+// CallSite returns the call and procedure-exit predecessors of a
+// call-site-exit node in one pass over its Preds. Each is NoNode unless
+// exactly one predecessor of that kind exists.
+func (p *Program) CallSite(ce *Node) (call, exit NodeID) {
+	call, exit = NoNode, NoNode
+	calls, exits := 0, 0
 	for _, m := range ce.Preds {
-		if mn := p.Node(m); mn != nil && mn.Kind == NCall {
-			if call != nil {
-				return nil
-			}
-			call = mn
+		mn := p.Node(m)
+		if mn == nil {
+			continue
+		}
+		switch mn.Kind {
+		case NCall:
+			call = m
+			calls++
+		case NExit:
+			exit = m
+			exits++
 		}
 	}
-	return call
-}
-
-// ExitPred returns the procedure-exit predecessor of a call-site-exit node,
-// or nil if there is not exactly one.
-func (p *Program) ExitPred(ce *Node) *Node {
-	var exit *Node
-	for _, m := range ce.Preds {
-		if mn := p.Node(m); mn != nil && mn.Kind == NExit {
-			if exit != nil {
-				return nil
-			}
-			exit = mn
-		}
+	if calls != 1 {
+		call = NoNode
 	}
-	return exit
+	if exits != 1 {
+		exit = NoNode
+	}
+	return call, exit
 }
 
 // NodesByProc buckets the live nodes by owning procedure in one pass over

@@ -158,12 +158,8 @@ func TestBuildCallWiring(t *testing.T) {
 		t.Fatalf("call exits = %d", len(ces))
 	}
 	ce := ces[0]
-	if got := p.CallPred(ce); got != call {
-		t.Error("CallPred mismatch")
-	}
-	ep := p.ExitPred(ce)
-	if ep == nil || ep.ID != f.Exits[0] {
-		t.Error("ExitPred mismatch")
+	if cp, ep := p.CallSite(ce); cp != call.ID || ep != f.Exits[0] {
+		t.Errorf("CallSite = (%d, %d), want (%d, %d)", cp, ep, call.ID, f.Exits[0])
 	}
 	if len(call.Args) != 2 {
 		t.Errorf("args = %d", len(call.Args))
@@ -176,6 +172,75 @@ func TestBuildCallWiring(t *testing.T) {
 	}
 	if ce.Dst == NoVar {
 		t.Error("call exit should carry the result")
+	}
+}
+
+// TestCallSite checks the call-site links read from a call-site exit's
+// predecessors: each is the unique predecessor of its kind, NoNode when
+// there are zero or several, and deleted predecessors do not count.
+func TestCallSite(t *testing.T) {
+	const src = `
+		func f() { return 1; }
+		func g() { return 2; }
+		func main() { var x = f(); var y = g(); print(x + y); }
+	`
+	// callSite names the call-site exit of the call to f, its two links,
+	// and the call to g and g's exit for the mutations to wire in.
+	type callSite struct{ ce, call, exit, otherCall, otherExit NodeID }
+	cases := []struct {
+		name       string
+		mutate     func(p *Program, s callSite)
+		call, exit bool // whether the link survives the mutation
+	}{
+		{"intact", func(p *Program, s callSite) {}, true, true},
+		{"no call pred", func(p *Program, s callSite) {
+			p.RemoveEdge(s.call, s.ce)
+		}, false, true},
+		{"two call preds", func(p *Program, s callSite) {
+			p.AddEdge(s.otherCall, s.ce)
+		}, false, true},
+		{"no exit pred", func(p *Program, s callSite) {
+			p.RemoveEdge(s.exit, s.ce)
+		}, true, false},
+		{"two exit preds", func(p *Program, s callSite) {
+			p.AddEdge(s.otherExit, s.ce)
+		}, true, false},
+		{"deleted pred", func(p *Program, s callSite) {
+			stale := p.NewNode(NCall, p.Node(s.ce).Proc).ID
+			p.DeleteNode(stale)
+			n := p.Mut(s.ce)
+			n.Preds = append(n.Preds, stale)
+		}, true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := build(t, src)
+			f, g := p.ProcByName("f"), p.ProcByName("g")
+			s := callSite{ce: NoNode, exit: f.Exits[0], otherCall: NoNode, otherExit: g.Exits[0]}
+			for _, c := range findNodes(p, NCall) {
+				switch p.Procs[c.Callee] {
+				case f:
+					s.call = c.ID
+					s.ce = p.CallExitSuccs(c)[0].ID
+				case g:
+					s.otherCall = c.ID
+				}
+			}
+			if s.ce == NoNode || s.otherCall == NoNode {
+				t.Fatalf("test program lacks the calls to f and g:\n%s", p.Dump())
+			}
+			tc.mutate(p, s)
+			wantCall, wantExit := NoNode, NoNode
+			if tc.call {
+				wantCall = s.call
+			}
+			if tc.exit {
+				wantExit = s.exit
+			}
+			if gotCall, gotExit := p.CallSite(p.Node(s.ce)); gotCall != wantCall || gotExit != wantExit {
+				t.Errorf("CallSite = (%d, %d), want (%d, %d)", gotCall, gotExit, wantCall, wantExit)
+			}
+		})
 	}
 }
 
@@ -420,8 +485,8 @@ func TestValidateCatchesBrokenGraphs(t *testing.T) {
 	`)
 	// Break normal form: remove the exit→callexit edge.
 	ce := findNodes(p, NCallExit)[0]
-	exitPred := p.ExitPred(ce)
-	p.RemoveEdge(exitPred.ID, ce.ID)
+	_, exit := p.CallSite(ce)
+	p.RemoveEdge(exit, ce.ID)
 	err := Validate(p)
 	if err == nil {
 		t.Fatal("Validate accepted broken normal form")

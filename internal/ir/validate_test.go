@@ -71,8 +71,8 @@ func TestValidateBranchArity(t *testing.T) {
 func TestValidateCallExitMissingExitPred(t *testing.T) {
 	corrupt(t, "want 1/1", func(p *Program) {
 		ce := firstOf(t, p, NCallExit)
-		ex := p.ExitPred(ce)
-		p.RemoveEdge(ex.ID, ce.ID)
+		_, ex := p.CallSite(ce)
+		p.RemoveEdge(ex, ce.ID)
 	})
 }
 

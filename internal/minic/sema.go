@@ -229,7 +229,7 @@ func (c *checker) checkStmt(s Stmt) {
 		c.checkExpr(s.Index)
 		c.checkExpr(s.Value)
 	case *CallStmt:
-		c.checkCall(s.Call, true)
+		c.checkCall(s.Call)
 	case *IfStmt:
 		c.checkCond(s.Cond)
 		c.checkBlock(s.Then)
@@ -284,7 +284,7 @@ func (c *checker) checkExpr(e Expr) {
 	case *NegExpr:
 		c.checkExpr(e.X)
 	case *CallExpr:
-		c.checkCall(e, false)
+		c.checkCall(e)
 	case *IndexExpr:
 		e.Sym = c.lookup(e.Ptr, e.Pos)
 		c.checkExpr(e.Index)
@@ -293,7 +293,7 @@ func (c *checker) checkExpr(e Expr) {
 	}
 }
 
-func (c *checker) checkCall(call *CallExpr, isStmt bool) {
+func (c *checker) checkCall(call *CallExpr) {
 	for _, a := range call.Args {
 		c.checkExpr(a)
 	}
@@ -327,5 +327,4 @@ func (c *checker) checkCall(call *CallExpr, isStmt bool) {
 	if call.Name == "main" {
 		c.errorf(call.Pos, "'main' cannot be called")
 	}
-	_ = isStmt
 }

@@ -28,12 +28,12 @@ import (
 
 // requestShape is the encoding hashed into the request fingerprint: every
 // request field besides the program that can change the response body, and
-// the build that renders it. The deadline is deliberately absent.
+// the build that renders it. The deadline is deliberately absent, and so is
+// the worker count: bodies are byte-identical across worker counts.
 type requestShape struct {
 	Build    string  `json:"build"`
 	Term     int     `json:"term"`
 	Limit    int     `json:"limit"`
-	Workers  int     `json:"workers"` // effective, post-clamp
 	FullOnly bool    `json:"full_only"`
 	Compact  bool    `json:"compact"`
 	Fold     bool    `json:"fold"`
@@ -69,7 +69,6 @@ func (s *Server) fingerprintRequest(req *OptimizeRequest) store.Fingerprint {
 		Build:    s.cfg.build,
 		Term:     o.TerminationLimit,
 		Limit:    o.MaxDuplication,
-		Workers:  o.Workers,
 		FullOnly: o.FullOnly,
 		Compact:  o.Compact,
 		Fold:     o.Fold,
