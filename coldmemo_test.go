@@ -7,6 +7,7 @@ import (
 
 	"icbe/internal/analysis"
 	"icbe/internal/ir"
+	"icbe/internal/progs"
 	"icbe/internal/randprog"
 )
 
@@ -51,6 +52,45 @@ func TestColdOptimizeKeepsNoMemo(t *testing.T) {
 	}
 	if least > maxBytesPerOp {
 		t.Errorf("cold Compile + Optimize allocated %d bytes per program, want at most %d", least, maxBytesPerOp)
+	}
+	t.Logf("%d bytes per program", least)
+}
+
+// TestFullTierAllocBound bounds what one Compile + Optimize of a paper
+// program allocates at the full tier (Check, Verify and Fold, verified on
+// the Train input), as the benchmark's paper-suite workload runs it. The
+// check gate's SCCP runs carve their states from one workspace per
+// Optimize; when each run allocated its own, a program cost about 3.6 MB.
+func TestFullTierAllocBound(t *testing.T) {
+	const maxBytesPerOp = 1_800_000
+	opts := DefaultOptions()
+	opts.Workers = 1
+	opts.Check, opts.Verify, opts.Fold = true, true, true
+	ws := progs.All()
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, w := range ws {
+			p, err := Compile(w.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.VerifyInputs = [][]int64{w.Train}
+			if _, _, err := p.Optimize(opts); err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(len(ws)))
+	}
+	if raceEnabled {
+		t.Logf("%d bytes per program; the bound is not checked under -race", least)
+		return
+	}
+	if least > maxBytesPerOp {
+		t.Errorf("full-tier Compile + Optimize allocated %d bytes per program, want at most %d", least, maxBytesPerOp)
 	}
 	t.Logf("%d bytes per program", least)
 }

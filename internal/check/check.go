@@ -55,6 +55,27 @@ func (f Finding) String() string {
 type Context struct {
 	Prog *ir.Program
 	SCCP *SCCP
+	// scratch is the passes' working memory; byProc is Prog's live nodes
+	// by procedure, built in it on first use.
+	scratch *passScratch
+	byProc  [][]*ir.Node
+}
+
+// nodesByProc returns the program's live nodes bucketed by procedure, each
+// bucket in node order. The buckets are scratch: valid for this context's
+// passes only.
+func (cx *Context) nodesByProc() [][]*ir.Node {
+	if cx.byProc == nil {
+		cx.byProc = cx.scr().bucket(cx.Prog)
+	}
+	return cx.byProc
+}
+
+func (cx *Context) scr() *passScratch {
+	if cx.scratch == nil {
+		cx.scratch = new(passScratch)
+	}
+	return cx.scratch
 }
 
 // Pass is one built-in lint pass. Run must be read-only on the program,
@@ -82,28 +103,50 @@ type Report struct {
 	// included, so gate comparisons see every pass).
 	PerPass map[string]int
 	// SCCP is the shared oracle result the passes ran against.
-	SCCP *SCCP
+	SCCP     *SCCP
+	released bool
 }
 
-// Count returns the finding count of the named pass.
-func (r *Report) Count(pass string) int { return r.PerPass[pass] }
+// Count returns the finding count of the named pass. It panics on a
+// released report.
+func (r *Report) Count(pass string) int {
+	r.live()
+	return r.PerPass[pass]
+}
+
+// Release hands the report's oracle memory back to the workspace that
+// computed it, for its next run to reuse. Every later read of the report's
+// SCCP, and every Count and FirstFinding, panics; Findings and PerPass are
+// the report's own and stay as they were. Releasing twice is a no-op. A
+// report made by AnalyzeWith releases the SCCP it was given.
+func (r *Report) Release() {
+	r.released = true
+	r.SCCP.release()
+}
+
+func (r *Report) live() {
+	if r.released {
+		panic("check: read of a released report")
+	}
+}
 
 // AnalyzeInvariants runs every built-in pass — the gate set the
 // optimization driver compares before and after each restructuring.
-func AnalyzeInvariants(p *ir.Program) *Report { return runPasses(p, nil, builtinPasses) }
+func AnalyzeInvariants(p *ir.Program) *Report { return new(Workspace).AnalyzeInvariants(p) }
 
 // AnalyzeWith runs the given passes against a caller-supplied SCCP result
 // (computed with RunSCCP), avoiding a recomputation when the caller already
 // holds one for this exact program.
 func AnalyzeWith(p *ir.Program, s *SCCP, passes []Pass) *Report {
-	return runPasses(p, s, passes)
+	ws := new(Workspace)
+	if s == nil {
+		s = ws.runSCCP(p)
+	}
+	return runPasses(p, s, passes, &ws.pass)
 }
 
-func runPasses(p *ir.Program, s *SCCP, passes []Pass) *Report {
-	if s == nil {
-		s = RunSCCP(p)
-	}
-	cx := &Context{Prog: p, SCCP: s}
+func runPasses(p *ir.Program, s *SCCP, passes []Pass, scratch *passScratch) *Report {
+	cx := &Context{Prog: p, SCCP: s, scratch: scratch}
 	rep := &Report{PerPass: make(map[string]int, len(passes)), SCCP: s}
 	for _, ps := range passes {
 		fs := ps.Run(cx)

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"slices"
+
 	"icbe/internal/ir"
 )
 
@@ -73,21 +75,29 @@ type assignFlow struct {
 // order, and the maps from IDs to positions in one procedure's lists.
 // analyzeAssignments rewrites the position entries of its own nodes and
 // variables, and a lookup confirms the position against the list, so an
-// entry another procedure left never matches.
+// entry another procedure left never matches. The index also holds the one
+// assignFlow analyzeAssignments fills and its bitsets, so a procedure's
+// flow is valid until the next procedure's is computed.
 type flowIndex struct {
 	nodes [][]*ir.Node // by procedure
 	vars  [][]ir.VarID // by procedure
 	node  []int32      // by NodeID
 	vr    []int32      // by VarID
+	af    assignFlow
+	// defRows and mayOut are solve's bitsets.
+	defRows, mayOut []uint64
 }
 
-func newFlowIndex(p *ir.Program) *flowIndex {
-	ix := &flowIndex{
-		nodes: p.NodesByProc(),
-		vars:  make([][]ir.VarID, len(p.Procs)),
-		node:  make([]int32, p.NumNodes()),
-		vr:    make([]int32, len(p.Vars)),
+// newFlowIndex readies the scratch's flow index for p, whose live nodes
+// byProc buckets.
+func (ps *passScratch) newFlowIndex(p *ir.Program, byProc [][]*ir.Node) *flowIndex {
+	ix := &ps.flow
+	ix.nodes = byProc
+	ix.vars = slices.Grow(ix.vars[:0], len(p.Procs))[:len(p.Procs)]
+	for i := range ix.vars {
+		ix.vars[i] = ix.vars[i][:0]
 	}
+	ix.node, ix.vr = resize(ix.node, p.NumNodes()), resize(ix.vr, len(p.Vars))
 	for _, v := range p.Vars {
 		if v != nil && !v.IsGlobal() && v.Proc >= 0 && v.Proc < len(ix.vars) {
 			ix.vars[v.Proc] = append(ix.vars[v.Proc], v.ID)
@@ -100,7 +110,8 @@ func newFlowIndex(p *ir.Program) *flowIndex {
 // procedure index outside the procedure table (only on graphs ir.Validate
 // rejects) has no nodes or variables.
 func analyzeAssignments(p *ir.Program, proc int, ix *flowIndex) *assignFlow {
-	af := &assignFlow{p: p, proc: proc, ix: ix}
+	af := &ix.af
+	*af = assignFlow{p: p, proc: proc, ix: ix, mayIn: af.mayIn[:0]}
 	if proc >= 0 && proc < len(ix.nodes) {
 		af.nodes, af.vars = ix.nodes[proc], ix.vars[proc]
 	}
@@ -118,7 +129,7 @@ func analyzeAssignments(p *ir.Program, proc int, ix *flowIndex) *assignFlow {
 	if af.words == 0 || len(af.nodes) == 0 {
 		return af
 	}
-	af.mayIn = make([]uint64, af.words*len(af.nodes))
+	af.mayIn = resize(af.mayIn, af.words*len(af.nodes))
 	af.solve()
 	return af
 }
@@ -197,14 +208,16 @@ func (af *assignFlow) flowPreds(n *ir.Node, emit func(pos int)) {
 func (af *assignFlow) solve() {
 	w := af.words
 	// Per-node def bitsets, computed once: out(n) = in(n) | defRow(n).
-	defRows := make([]uint64, w*len(af.nodes))
+	af.ix.defRows = resize(af.ix.defRows, w*len(af.nodes))
+	defRows := af.ix.defRows
 	for i, n := range af.nodes {
 		row := defRows[i*w : (i+1)*w]
 		af.defs(n, func(pos int) {
 			row[pos/64] |= 1 << (pos % 64)
 		})
 	}
-	mayOut := make([]uint64, w)
+	af.ix.mayOut = resize(af.ix.mayOut, w)
+	mayOut := af.ix.mayOut
 	for changed := true; changed; {
 		changed = false
 		for i, n := range af.nodes {
@@ -239,7 +252,7 @@ func (af *assignFlow) maybeAssignedIn(n ir.NodeID, v ir.VarID) (bool, bool) {
 		return false, false
 	}
 	pos, ok := af.varPos(v)
-	if !ok || af.mayIn == nil {
+	if !ok || len(af.mayIn) == 0 {
 		return false, false
 	}
 	return af.mayIn[i*af.words+pos/64]&(1<<(pos%64)) != 0, true

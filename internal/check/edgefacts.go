@@ -25,6 +25,7 @@ type EdgeFact struct {
 // sound as the run it came from. Nil is returned for saturated runs,
 // non-branches, and deleted nodes.
 func (s *SCCP) EdgeFacts(b ir.NodeID) []EdgeFact {
+	s.live()
 	bn := s.p.Node(b)
 	if s.saturated || bn == nil || bn.Kind != ir.NBranch {
 		return nil

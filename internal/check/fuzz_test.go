@@ -136,6 +136,8 @@ func mutate(p *ir.Program, r *fuzzRNG) {
 // candidate restructuring). On intact programs it also requires a clean
 // bill of health: no validation error, no invariant findings, no must-fail
 // asserts, and every live edge state within its branch's entry state.
+// Every graph is also analyzed in a workspace whose memory last served a
+// different graph, and the facts and findings must equal the fresh ones.
 func FuzzCheck(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 2, 3, 7, 11, 42, 99, 1234, 0xdeadbeef} {
 		f.Add(seed, seed*3)
@@ -157,6 +159,16 @@ func FuzzCheck(f *testing.F) {
 		verr := ir.Validate(p)
 		rep := AnalyzeInvariants(p)
 		s := RunSCCP(p)
+
+		other, err := ir.Build(randprog.Generate(mutSeed, fuzzCfg))
+		if err != nil {
+			t.Fatalf("generated program rejected: %v", err)
+		}
+		ws := new(Workspace)
+		ws.AnalyzeInvariants(other).Release()
+		if err := sameFacts(p, ws.AnalyzeInvariants(p), rep); err != nil {
+			t.Fatalf("recycled workspace: %v\n%s", err, src)
+		}
 		s.MustFailAsserts()
 		RecallCount(p, s)
 		for _, id := range liveNodeIDs(p) {

@@ -40,6 +40,29 @@ func flattenErrors(err error) []error {
 	return []error{err}
 }
 
+// passScratch is the lint passes' working memory. No finding points into
+// it, so one report's scratch is the next one's.
+type passScratch struct {
+	byProc [][]*ir.Node
+	reach  reach
+	flow   flowIndex
+}
+
+// bucket fills the scratch's buckets with p's live nodes by procedure.
+func (ps *passScratch) bucket(p *ir.Program) [][]*ir.Node {
+	b := slices.Grow(ps.byProc[:0], len(p.Procs))[:len(p.Procs)]
+	for i := range b {
+		b[i] = b[i][:0]
+	}
+	p.LiveNodes(func(n *ir.Node) {
+		if n.Proc >= 0 && n.Proc < len(b) {
+			b[n.Proc] = append(b[n.Proc], n)
+		}
+	})
+	ps.byProc = b
+	return b
+}
+
 // reach computes per-procedure structural reachability sets: BFS from the
 // procedure's entries over same-procedure successor edges. This is exactly
 // the rule restructure's pruning uses, so a node outside the set after an
@@ -52,7 +75,12 @@ type reach struct {
 	stack []ir.NodeID
 }
 
-func newReach(p *ir.Program) *reach { return &reach{mark: make([]int32, p.NumNodes())} }
+// newReach readies the scratch's reach for p, every set empty.
+func (ps *passScratch) newReach(p *ir.Program) *reach {
+	r := &ps.reach
+	r.mark, r.walk = resize(r.mark, p.NumNodes()), 0
+	return r
+}
 
 // from replaces the set with the nodes reachable from pr's entries.
 func (r *reach) from(p *ir.Program, pr *ir.Proc) {
@@ -92,8 +120,8 @@ func (unreachablePass) Name() string { return "unreachable-node" }
 func (unreachablePass) Kind() Kind   { return Invariant }
 func (unreachablePass) Run(cx *Context) []Finding {
 	var out []Finding
-	seen := newReach(cx.Prog)
-	byProc := cx.Prog.NodesByProc()
+	seen := cx.scr().newReach(cx.Prog)
+	byProc := cx.nodesByProc()
 	for i, pr := range cx.Prog.Procs {
 		if pr == nil {
 			continue
@@ -120,8 +148,8 @@ func (useBeforeDefPass) Name() string { return "use-before-def" }
 func (useBeforeDefPass) Kind() Kind   { return Invariant }
 func (useBeforeDefPass) Run(cx *Context) []Finding {
 	var out []Finding
-	ix := newFlowIndex(cx.Prog)
-	seen := newReach(cx.Prog)
+	ix := cx.scr().newFlowIndex(cx.Prog, cx.nodesByProc())
+	seen := cx.scr().newReach(cx.Prog)
 	var reportedHere []ir.VarID
 	for _, pr := range cx.Prog.Procs {
 		if pr == nil {
@@ -188,8 +216,9 @@ func RecallCount(p *ir.Program, s *SCCP) int {
 }
 
 // FirstFinding returns the first finding of the named pass, for error
-// reporting.
+// reporting. It panics on a released report.
 func (r *Report) FirstFinding(pass string) (Finding, error) {
+	r.live()
 	for _, f := range r.Findings {
 		if f.Pass == pass {
 			return f, nil

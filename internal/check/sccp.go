@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"icbe/internal/ir"
 	"icbe/internal/pred"
@@ -209,6 +210,9 @@ func (l *layout) convert(st []cell, to *space) []cell {
 // survive the call in the caller's frame) with the callee exit's globals and
 // return value. Facts are read per point, through ValueAt, BranchOutcome and
 // EdgeFacts.
+//
+// The facts live in memory the Workspace that computed them recycles; once
+// the result is released (Report.Release), every read panics.
 type SCCP struct {
 	layout
 	in       [][]cell
@@ -222,33 +226,65 @@ type SCCP struct {
 	// propagation exceeds the step budget: everything is reported reachable
 	// and nothing decided.
 	saturated bool
+	// mem holds the facts above and goes back to ws on release, after
+	// which released is set.
+	ws       *Workspace
+	mem      *sccpMem
+	released bool
 }
 
 // RunSCCP computes the oracle facts of a program. It is read-only, total,
 // and panic-free even on malformed graphs (every node, variable, and
 // procedure reference is bounds-checked), which the fuzz harness relies on.
-func RunSCCP(p *ir.Program) *SCCP {
-	r := newSCCPRun(p)
+func RunSCCP(p *ir.Program) *SCCP { return new(Workspace).runSCCP(p) }
+
+// runSCCP is RunSCCP on memory the workspace recycles: the result's states
+// and node tables are carved from a released result's memory when there is
+// one.
+func (ws *Workspace) runSCCP(p *ir.Program) *SCCP {
+	m := ws.take()
+	r := ws.newRun(p, m)
 	r.seed()
 	r.drain()
-	s := &SCCP{layout: r.layout, saturated: r.saturated}
-	if r.saturated {
-		return s
-	}
-	s.in, s.exec = r.in, r.exec
-	s.ceRet = make([]Value, len(r.ces))
-	for i := range r.ces {
-		s.ceRet[i] = r.retOf(ir.NodeID(i))
-	}
-	// Executable assertions whose own variable cannot satisfy the predicate
-	// are the sccp-consistency findings (a correct restructuring only keeps
-	// an assert on edges consistent with the branch it materializes).
-	p.LiveNodes(func(n *ir.Node) {
-		if int(n.ID) < len(r.mustFail) && r.mustFail[n.ID] {
-			s.mustFail = append(s.mustFail, n.ID)
+	s := &SCCP{layout: r.layout, saturated: r.saturated, ws: ws, mem: m}
+	if !r.saturated {
+		s.in, s.exec = r.in, r.exec
+		m.ceRet = resize(m.ceRet, len(r.ces))
+		for i := range r.ces {
+			m.ceRet[i] = r.retOf(ir.NodeID(i))
 		}
-	})
+		s.ceRet = m.ceRet
+		// Executable assertions whose own variable cannot satisfy the
+		// predicate are the sccp-consistency findings (a correct
+		// restructuring only keeps an assert on edges consistent with the
+		// branch it materializes).
+		m.mustFail = m.mustFail[:0]
+		p.LiveNodes(func(n *ir.Node) {
+			if int(n.ID) < len(r.mustFail) && r.mustFail[n.ID] {
+				m.mustFail = append(m.mustFail, n.ID)
+			}
+		})
+		s.mustFail = m.mustFail
+	}
 	return s
+}
+
+// live panics when the result was released: its memory may already hold
+// another program's facts, and an oracle read from it would be vacuous.
+func (s *SCCP) live() {
+	if s.released {
+		panic("check: read of a released SCCP")
+	}
+}
+
+// release hands the result's memory back to its workspace. Releasing twice
+// is a no-op.
+func (s *SCCP) release() {
+	if s.released {
+		return
+	}
+	s.ws.free = append(s.ws.free, s.mem)
+	*s = SCCP{released: true}
 }
 
 func (s *SCCP) stateOf(n ir.NodeID) []cell {
@@ -262,6 +298,7 @@ func (s *SCCP) stateOf(n ir.NodeID) []cell {
 // means statically unreachable (the proof is conservative: unreachable nodes
 // may still be reported reachable, never the reverse).
 func (s *SCCP) Reachable(n ir.NodeID) bool {
+	s.live()
 	if s.saturated {
 		return s.p.Node(n) != nil
 	}
@@ -271,6 +308,7 @@ func (s *SCCP) Reachable(n ir.NodeID) bool {
 // ValueAt returns the variable's lattice element on entry to the given node
 // (⊥ when the node is unreachable, deleted, or out of range).
 func (s *SCCP) ValueAt(n ir.NodeID, v ir.VarID) Value {
+	s.live()
 	nd := s.p.Node(n)
 	st := s.stateOf(n)
 	if nd == nil || st == nil {
@@ -285,6 +323,7 @@ func (s *SCCP) ValueAt(n ir.NodeID, v ir.VarID) Value {
 // their cells hold no executable fact, and grading them would manufacture
 // spurious disagreements with the path-sensitive backward analysis.
 func (s *SCCP) BranchOutcome(b ir.NodeID) pred.Outcome {
+	s.live()
 	n := s.p.Node(b)
 	st := s.stateOf(b)
 	if n == nil || n.Kind != ir.NBranch || st == nil {
@@ -298,19 +337,27 @@ func (s *SCCP) BranchOutcome(b ir.NodeID) pred.Outcome {
 // this is empty: an assert only becomes executable through edges consistent
 // with the branch that materialized it.
 func (s *SCCP) MustFailAsserts() []ir.NodeID {
+	s.live()
 	return append([]ir.NodeID(nil), s.mustFail...)
 }
 
-// sccpRun is the in-flight worklist state of one RunSCCP call.
+// sccpRun is the in-flight worklist state of one RunSCCP call. The
+// workspace keeps it between calls, so its tables and buffers are reused;
+// in, exec and the entry states belong to the result's memory, cells.
 type sccpRun struct {
 	layout
 	in       [][]cell
 	exec     []bool
+	cells    *slab
 	mustFail []bool
 	ces      []*ceState
-	queue    []ir.NodeID
-	head     int
-	inWL     []bool
+	// ceBuf holds the call-site exits' ceStates, handed out in order;
+	// newRun sizes it for all of them. A state is reached only through
+	// ces, so an append past its capacity would leave behind only copies.
+	ceBuf []ceState
+	queue []ir.NodeID
+	head  int
+	inWL  []bool
 	// scratch holds the state a transfer function or recomputeCE is
 	// building. Nothing keeps it: meetIn, feedCallHalf and convert copy what
 	// they store.
@@ -340,18 +387,31 @@ type ceState struct {
 	hasExit bool
 }
 
-func newSCCPRun(p *ir.Program) *sccpRun {
-	r := &sccpRun{
-		layout:   newLayout(p),
-		in:       make([][]cell, p.NumNodes()),
-		exec:     make([]bool, p.NumNodes()),
-		mustFail: make([]bool, p.NumNodes()),
-		ces:      make([]*ceState, p.NumNodes()),
-		inWL:     make([]bool, p.NumNodes()),
-	}
-	total := 0
-	p.LiveNodes(func(n *ir.Node) { total += len(r.spaceOf(n.Proc).vars) + 1 })
+// newRun readies the workspace's run for p, its result's states to be
+// carved from m. The slab is sized to hold every live node's entry state
+// and every call-site exit's two halves, each allocated once per run.
+func (ws *Workspace) newRun(p *ir.Program, m *sccpMem) *sccpRun {
+	r := &ws.run
+	r.layout = newLayout(p)
+	total, cells, nce := 0, 0, 0
+	p.LiveNodes(func(n *ir.Node) {
+		k := len(r.spaceOf(n.Proc).vars)
+		total += k + 1
+		cells += k
+		if n.Kind == ir.NCallExit {
+			cells += k + r.nGlob
+			nce++
+		}
+	})
 	r.budget = 4096 + 32*total
+	n := p.NumNodes()
+	m.in, m.exec = resize(m.in, n), resize(m.exec, n)
+	m.cells.reset(cells)
+	r.in, r.exec, r.cells = m.in, m.exec, &m.cells
+	r.mustFail, r.ces, r.inWL = resize(r.mustFail, n), resize(r.ces, n), resize(r.inWL, n)
+	r.ceBuf = slices.Grow(r.ceBuf[:0], nce)
+	r.queue, r.head = r.queue[:0], 0
+	r.steps, r.saturated = 0, false
 	return r
 }
 
@@ -379,7 +439,8 @@ func (r *sccpRun) seed() {
 		return
 	}
 	sp := r.spaceOf(p.MainProc)
-	st := make([]cell, len(sp.vars))
+	st := resize(r.scratch, len(sp.vars))
+	r.scratch = st
 	for i, v := range sp.vars {
 		val := constant(0)
 		if i < r.nGlob && int(v) < len(p.Vars) && p.Vars[v] != nil {
@@ -415,8 +476,6 @@ func (r *sccpRun) drain() {
 		r.process(id)
 	}
 }
-
-func cloneCells(st []cell) []cell { return append([]cell(nil), st...) }
 
 // fill copies st into the buffer *buf, growing it when needed, to be edited
 // and pushed before the buffer's next fill.
@@ -461,7 +520,7 @@ func (r *sccpRun) meetIn(id ir.NodeID, st []cell) {
 		return
 	}
 	if r.in[id] == nil {
-		r.in[id] = cloneCells(st)
+		r.in[id] = r.cells.clone(st)
 		r.exec[id] = true
 		r.enqueue(id)
 		return
@@ -748,7 +807,8 @@ func (r *sccpRun) ceOf(id ir.NodeID) *ceState {
 		return nil
 	}
 	if r.ces[id] == nil {
-		r.ces[id] = &ceState{}
+		r.ceBuf = append(r.ceBuf, ceState{})
+		r.ces[id] = &r.ceBuf[len(r.ceBuf)-1]
 	}
 	return r.ces[id]
 }
@@ -765,7 +825,7 @@ func (r *sccpRun) feedCallHalf(ce *ir.Node, st []cell, sp *space) {
 	changed := !ces.hasCall
 	ces.hasCall = true
 	if ces.callSt == nil {
-		ces.callSt = cloneCells(st)
+		ces.callSt = r.cells.clone(st)
 		changed = true
 	} else if meetCells(ces.callSt, st) {
 		changed = true
@@ -787,7 +847,7 @@ func (r *sccpRun) feedExitHalf(ce *ir.Node, st []cell, ret Value) {
 	r.glb = glb
 	changed := !ces.hasExit
 	if changed {
-		ces.hasExit, ces.exitGlb, ces.ret = true, cloneCells(glb), ret
+		ces.hasExit, ces.exitGlb, ces.ret = true, r.cells.clone(glb), ret
 	} else {
 		changed = meetCells(ces.exitGlb, glb)
 		if nr := meet(ces.ret, ret); nr != ces.ret {

@@ -101,10 +101,14 @@ type machine struct {
 	stack   []int64 // locals of every live frame, innermost last
 	heap    []int64
 	frames  []frame
-	counts  []int64 // by node ID, when Options.Profile
-	extra   map[ir.NodeID]int64
-	inPos   int
-	res     *Result
+	// rets holds, per frame but main's, its call's call-site-exit
+	// successor as enter finds it. It is kept apart from frame, which the
+	// step loop copies and which a fifth field would make costlier.
+	rets   []ir.NodeID
+	counts []int64 // by node ID, when Options.Profile
+	extra  map[ir.NodeID]int64
+	inPos  int
+	res    *Result
 }
 
 // nodeBufs holds the node buffers of finished runs, cleared.
@@ -251,7 +255,7 @@ func (m *machine) run() error {
 					m.write(formal, x)
 				}
 			}
-			cur = m.prog.EntrySucc(cur)
+			cur = m.enter(cur)
 
 		case ir.NExit:
 			top := m.frames[len(m.frames)-1]
@@ -262,22 +266,7 @@ func (m *machine) run() error {
 				// main returned: program halts.
 				return nil
 			}
-			var ret *ir.Node
-			for _, s := range cur.Succs {
-				ce := m.node(s)
-				if ce == nil || ce.Kind != ir.NCallExit {
-					continue
-				}
-				// A shared exit has a call-site exit per caller; skip the
-				// other callers' without reading their predecessors' nodes.
-				if !slices.Contains(ce.Preds, top.callNode) {
-					continue
-				}
-				if call, _ := m.prog.CallSite(ce); call == top.callNode {
-					ret = ce
-					break
-				}
-			}
+			ret := m.returnPoint(cur, top.callNode)
 			if ret == nil {
 				return &RuntimeError{Node: cur.ID, Line: cur.Line,
 					Msg: fmt.Sprintf("internal: exit of %s has no return point for call node %d",
@@ -296,6 +285,65 @@ func (m *machine) run() error {
 				Msg: fmt.Sprintf("internal: unexecutable node kind %s", cur.Kind)}
 		}
 	}
+}
+
+// enter returns the call's entry and records its return point on rets:
+// its call-site-exit successor, NoNode unless it has exactly one. A call
+// without exactly one entry successor panics in EntrySucc. The call and
+// return bookkeeping lives outside run's step loop, whose other cases it
+// would slow.
+func (m *machine) enter(call *ir.Node) *ir.Node {
+	var entry *ir.Node
+	ret := ir.NoNode
+	entries, rets := 0, 0
+	for _, s := range call.Succs {
+		sn := m.node(s)
+		if sn == nil {
+			continue
+		}
+		switch sn.Kind {
+		case ir.NEntry:
+			entry = sn
+			entries++
+		case ir.NCallExit:
+			ret = s
+			rets++
+		}
+	}
+	if rets != 1 {
+		ret = ir.NoNode
+	}
+	m.rets = append(m.rets, ret)
+	if entries != 1 {
+		return m.prog.EntrySucc(call)
+	}
+	return entry
+}
+
+// returnPoint pops the frame's recorded return point and returns the first
+// call-site-exit successor of the exit whose call is callNode, nil when
+// there is none. When the recorded node's predecessors are exactly the
+// call and this exit, it is that node: with symmetric edges the exit
+// reaches it, and any other such successor would be a second call-site
+// exit of the call, for which enter records none. Otherwise the exit's
+// successors are searched.
+func (m *machine) returnPoint(exit *ir.Node, callNode ir.NodeID) *ir.Node {
+	rec := m.node(m.rets[len(m.rets)-1])
+	m.rets = m.rets[:len(m.rets)-1]
+	if rec != nil && len(rec.Preds) == 2 &&
+		(rec.Preds[0] == callNode && rec.Preds[1] == exit.ID || rec.Preds[0] == exit.ID && rec.Preds[1] == callNode) {
+		return rec
+	}
+	for _, s := range exit.Succs {
+		ce := m.node(s)
+		if ce == nil || ce.Kind != ir.NCallExit || !slices.Contains(ce.Preds, callNode) {
+			continue
+		}
+		if call, _ := m.prog.CallSite(ce); call == callNode {
+			return ce
+		}
+	}
+	return nil
 }
 
 // push opens a frame for proc with its slots zeroed.

@@ -457,6 +457,7 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 	if opts.Check {
 		w.finishCheck()
 	}
+	w.facts.release()
 	out.Stats.setRatios()
 	// The result shares every node it did not write with the input, so it
 	// stays copy-on-write: callers write it through the mutators, Mut and

@@ -110,6 +110,7 @@ func foldOne(w *working, scratch *ir.Program, bf *fold.BranchFact,
 	carried, fail = w.gate(scratch, true)
 	if fail == nil {
 		if id, bad := newResidual(w.prog, scratch, w.report().SCCP, carried.rep.SCCP); bad {
+			carried.release()
 			fail = &BranchFailure{Msg: fmt.Sprintf("fold created a new residual constant branch at node %d", id)}
 		}
 	}

@@ -13,9 +13,14 @@ import (
 // derives from it. A fact is computed the first time a gate needs it. An
 // attempt hands back the facts its gates derived for its fork; adopt
 // installs fork and facts together, and a rollback or decline drops them.
+// Every invariant report is computed in ws, one check workspace per driver
+// run, made on first use, and released when it is dropped: on adopt for
+// the superseded report, on a rollback for the fork's, and at the end of
+// the run.
 type working struct {
 	prog *ir.Program
 	facts
+	ws       *check.Workspace
 	inputs   [][]int64 // verifyInputs, built once per driver run
 	maxSteps int64     // bound on each shadow run of prog: verifyMaxSteps
 	// check and verify say whether correlation applies run the invariant
@@ -30,6 +35,14 @@ type facts struct {
 	// runs holds, per verify input, the run interp.Run(prog, maxSteps)
 	// gives; a nil entry is not known yet.
 	runs []*shadowRun
+}
+
+// release hands the report's memory back to the workspace. The facts must
+// not be read afterwards: a released report panics on every read.
+func (f *facts) release() {
+	if f.rep != nil {
+		f.rep.Release()
+	}
 }
 
 type shadowRun struct {
@@ -51,7 +64,10 @@ func (w *working) report() *check.Report {
 // when the analysis is made for the check layer.
 func (w *working) analyze(p *ir.Program, charge bool) *check.Report {
 	t0 := time.Now()
-	rep := check.AnalyzeInvariants(p)
+	if w.ws == nil {
+		w.ws = new(check.Workspace)
+	}
+	rep := w.ws.AnalyzeInvariants(p)
 	if charge {
 		w.stats.CheckRuns++
 		w.stats.CheckWall += time.Since(t0)
@@ -84,7 +100,7 @@ func (w *working) shadowRuns() []*shadowRun {
 // last two as Check and Verify say, charging its analysis to the check
 // layer. A fold runs both, since folds trust a different oracle than the
 // correlation analysis and buy their own evidence. On success gate returns
-// the facts it derived for the fork.
+// the facts it derived for the fork; on failure it releases them.
 func (w *working) gate(fork *ir.Program, fold bool) (*facts, *BranchFailure) {
 	if err := ir.Validate(fork); err != nil {
 		return nil, &BranchFailure{Kind: FailValidate,
@@ -98,8 +114,9 @@ func (w *working) gate(fork *ir.Program, fold bool) (*facts, *BranchFailure) {
 		// deterministic when several regress at once.
 		for _, p := range check.Passes() {
 			pass := p.Name()
-			if n, ok := f.rep.PerPass[pass]; ok && n > base.PerPass[pass] {
+			if n, ok := f.rep.PerPass[pass]; ok && n > base.Count(pass) {
 				first, _ := f.rep.FirstFinding(pass)
+				f.release()
 				return nil, &BranchFailure{Kind: FailCheck,
 					Msg: "restructured program raised " + pass + " finding: " + first.Msg}
 			}
@@ -108,6 +125,7 @@ func (w *working) gate(fork *ir.Program, fold bool) (*facts, *BranchFailure) {
 	if w.verify || fold {
 		var fail *BranchFailure
 		if f.runs, fail = w.verifyShadow(fork); fail != nil {
+			f.release()
 			return nil, fail
 		}
 	}
@@ -116,7 +134,9 @@ func (w *working) gate(fork *ir.Program, fold bool) (*facts, *BranchFailure) {
 
 // adopt is the commit point. The fork passed Validate after its final
 // prune, so it is settled and the next attempt's passes stay region-local.
+// The superseded program's report is released.
 func (w *working) adopt(fork *ir.Program, f *facts) {
 	fork.Settle()
+	w.facts.release()
 	w.prog, w.facts = fork, *f
 }
