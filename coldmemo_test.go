@@ -16,9 +16,11 @@ import (
 // replays none, and one Compile + Optimize of a `recursion`-shape program
 // allocates at most maxBytesPerOp. With a private memo the same programs
 // cost about 1.12 MB each, a fifth of it the recorded summaries, of which
-// this shape replays none.
+// this shape replays none. The bound sits about 15% above the 654 KB
+// measured once the node kinds shared one payload block; at 232 bytes a
+// node, the same op cost 761 KB.
 func TestColdOptimizeKeepsNoMemo(t *testing.T) {
-	const maxBytesPerOp = 900_000
+	const maxBytesPerOp = 750_000
 	opts := DefaultOptions()
 	opts.Workers = 1
 	srcs := coldSources(coldShapes[0].gen)
@@ -61,8 +63,11 @@ func TestColdOptimizeKeepsNoMemo(t *testing.T) {
 // the Train input), as the benchmark's paper-suite workload runs it. The
 // check gate's SCCP runs carve their states from one workspace per
 // Optimize; when each run allocated its own, a program cost about 3.6 MB.
+// The bound sits about 15% above the 1.26 MB measured with 152-byte nodes,
+// 24-byte state cells and fold's edge facts carved from one block (1.61 MB
+// before).
 func TestFullTierAllocBound(t *testing.T) {
-	const maxBytesPerOp = 1_800_000
+	const maxBytesPerOp = 1_450_000
 	opts := DefaultOptions()
 	opts.Workers = 1
 	opts.Check, opts.Verify, opts.Fold = true, true, true

@@ -450,7 +450,7 @@ type PredictionHint struct {
 func (p *Program) branchOnLine(line int) *ir.Node {
 	var target *ir.Node
 	p.g.LiveNodes(func(n *ir.Node) {
-		if n.Kind == ir.NBranch && n.Analyzable() && n.Line == line {
+		if n.Kind == ir.NBranch && n.Analyzable() && int(n.Line) == line {
 			if target == nil || n.ID < target.ID {
 				target = n
 			}
@@ -474,7 +474,7 @@ func (p *Program) PredictionHints(line int, opts Options) []PredictionHint {
 	var hints []PredictionHint
 	for _, s := range res.CorrelationSources(p.g) {
 		h := PredictionHint{
-			SourceLine:      p.g.Node(s.Node).Line,
+			SourceLine:      int(p.g.Node(s.Node).Line),
 			SourceKind:      s.Kind.String(),
 			Interprocedural: !s.SameProc,
 		}
@@ -484,7 +484,7 @@ func (p *Program) PredictionHints(line int, opts Options) []PredictionHint {
 			h.Outcome = "false"
 		}
 		if s.Branch != ir.NoNode {
-			h.BranchLine = p.g.Node(s.Branch).Line
+			h.BranchLine = int(p.g.Node(s.Branch).Line)
 		}
 		hints = append(hints, h)
 	}

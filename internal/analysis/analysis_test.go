@@ -31,7 +31,7 @@ func findBranch(t *testing.T, p *ir.Program, varSuffix string, op pred.Op, c int
 		if n.Kind != ir.NBranch || !n.Analyzable() {
 			return
 		}
-		if strings.HasSuffix(p.VarName(n.CondVar), varSuffix) && n.CondOp == op && n.CondRHS.Const == c {
+		if strings.HasSuffix(p.VarName(n.CondVar()), varSuffix) && n.CondOp() == op && n.CondRHS().Const == c {
 			if found != nil {
 				t.Fatalf("multiple branches match %s %s %d", varSuffix, op, c)
 			}
@@ -644,7 +644,7 @@ func TestAnswerCache(t *testing.T) {
 	p := build(t, src)
 	var bs []*ir.Node
 	p.LiveNodes(func(n *ir.Node) {
-		if n.Kind == ir.NBranch && strings.HasSuffix(p.VarName(n.CondVar), "r") {
+		if n.Kind == ir.NBranch && strings.HasSuffix(p.VarName(n.CondVar()), "r") {
 			bs = append(bs, n)
 		}
 	})

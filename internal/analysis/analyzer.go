@@ -329,7 +329,7 @@ func (a *Analyzer) AnalyzeBranchInterruptible(b ir.NodeID, interrupt func() bool
 	// transparent, so the first processing step propagates it to all
 	// predecessors, and the pair (b, root) collects the union of all
 	// incoming answers, which restructuring uses to split b.
-	res.Root = r.internQuery(node.CondVar, node.CondPred(), nil)
+	res.Root = r.internQuery(node.CondVar(), node.CondPred(), nil)
 	r.raise(b, res.Root)
 	r.propagate()
 	r.rollback()
@@ -579,7 +579,7 @@ func (r *run) processCallExit(pid int32, n *ir.Node, q *Query) {
 		st.resolvePair(pid, AnsUndef)
 		return
 	}
-	if !r.mustTraverse(n.Callee, cv, viaRet) {
+	if !r.mustTraverse(int(n.Callee), cv, viaRet) {
 		r.raise(call, r.internQuery(cv, cp, q.Owner))
 		return
 	}
@@ -659,14 +659,14 @@ func (r *run) transfer(n *ir.Node, q *Query) transferResult {
 		if n.Dst != q.Var {
 			return cont
 		}
-		switch n.RHS.Kind {
+		switch n.RHS().Kind {
 		case ir.RConst:
-			if q.P.Eval(n.RHS.Const) {
+			if q.P.Eval(n.RHS().Const) {
 				return transferResult{resolved: true, ans: AnsTrue}
 			}
 			return transferResult{resolved: true, ans: AnsFalse}
 		case ir.RCopy:
-			return transferResult{next: r.internQuery(n.RHS.Src, q.P, q.Owner)}
+			return transferResult{next: r.internQuery(n.RHS().Src, q.P, q.Owner)}
 		case ir.RByte:
 			// The unsigned-conversion correlation source: byte() yields a
 			// value in [0,255].
@@ -683,12 +683,12 @@ func (r *run) transfer(n *ir.Node, q *Query) transferResult {
 		case ir.RNeg:
 			if r.a.Opts.ArithSubst && q.P.C != math.MinInt64 {
 				// v = -w: (v op c) == (w mirror(op) -c).
-				return transferResult{next: r.internQuery(n.RHS.Src,
+				return transferResult{next: r.internQuery(n.RHS().Src,
 					pred.Pred{Op: mirrorOp(q.P.Op), C: -q.P.C}, q.Owner)}
 			}
 			return transferResult{resolved: true, ans: AnsUndef}
 		case ir.RBinop:
-			if next, ok := r.arithSubst(n.RHS, q); ok {
+			if next, ok := r.arithSubst(n.RHS(), q); ok {
 				return transferResult{next: next}
 			}
 			return transferResult{resolved: true, ans: AnsUndef}
@@ -697,10 +697,10 @@ func (r *run) transfer(n *ir.Node, q *Query) transferResult {
 		}
 
 	case ir.NAssert:
-		if n.AVar != q.Var {
+		if n.AVar() != q.Var {
 			return cont
 		}
-		if o := pred.DecidePred(n.APred, q.P); o != pred.Unknown {
+		if o := pred.DecidePred(n.APred(), q.P); o != pred.Unknown {
 			return transferResult{resolved: true, ans: outcomeToAnswer(o)}
 		}
 		return cont
@@ -717,7 +717,7 @@ func (r *run) transfer(n *ir.Node, q *Query) transferResult {
 
 // arithSubst substitutes a query through v := w ± k when the ArithSubst
 // extension is enabled.
-func (r *run) arithSubst(rhs ir.RHS, q *Query) (*Query, bool) {
+func (r *run) arithSubst(rhs *ir.RHS, q *Query) (*Query, bool) {
 	if !r.a.Opts.ArithSubst {
 		return nil, false
 	}

@@ -88,7 +88,7 @@ func (r *Result) CorrelationSources(p *ir.Program) []Source {
 			Branch: ir.NoNode, SameProc: node.Proc == condProc}
 		switch node.Kind {
 		case ir.NAssign:
-			switch node.RHS.Kind {
+			switch node.RHS().Kind {
 			case ir.RConst:
 				s.Kind = SrcConstant
 			case ir.RByte:

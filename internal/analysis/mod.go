@@ -26,7 +26,7 @@ func ModSets(p *ir.Program) []map[ir.VarID]bool {
 				direct[nd.Proc][nd.Dst] = true
 			}
 		case ir.NCall:
-			calls[nd.Proc] = append(calls[nd.Proc], nd.Callee)
+			calls[nd.Proc] = append(calls[nd.Proc], int(nd.Callee))
 		}
 	})
 

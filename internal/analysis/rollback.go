@@ -173,7 +173,7 @@ func (r *run) appendSuppliersOf(pid int32) {
 		if call == ir.NoNode || exit == ir.NoNode {
 			return
 		}
-		if !r.mustTraverse(n.Callee, cv, viaRet) {
+		if !r.mustTraverse(int(n.Callee), cv, viaRet) {
 			if sq := r.lookupQuery(cv, cp, q.Owner); sq != nil {
 				st.supStore = append(st.supStore, EdgeSupplier{Pred: call, Query: sq, Mask: maskAll})
 			}

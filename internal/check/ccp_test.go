@@ -79,7 +79,7 @@ func TestCCPCopyChainRefinement(t *testing.T) {
 		t.Errorf("branch on x outcome = %v, want true (refined through the copy of y)", o)
 	}
 	// The group fact is per-point: at the inner branch x is the constant 3.
-	if v := s.ValueAt(b.ID, b.CondVar); !v.isConst(3) {
+	if v := s.ValueAt(b.ID, b.CondVar()); !v.isConst(3) {
 		t.Errorf("ValueAt(inner, x) = %s, want 3", v)
 	}
 }
@@ -116,7 +116,7 @@ func TestCCPByteRange(t *testing.T) {
 	`)
 	s := RunSCCP(p)
 	sentinel := findBranch(t, p, "c", pred.Eq, -1)
-	if v := s.ValueAt(sentinel.ID, sentinel.CondVar); v != rangeValue(0, 255) {
+	if v := s.ValueAt(sentinel.ID, sentinel.CondVar()); v != rangeValue(0, 255) {
 		t.Errorf("ValueAt(c) = %s, want the byte interval [0,255]", v)
 	}
 	if o := s.BranchOutcome(sentinel.ID); o != pred.False {

@@ -104,5 +104,5 @@ func CrossCheck(p *ir.Program, s *SCCP, branch ir.NodeID, answers analysis.Answe
 	case outcome == claim:
 		return VerdictAgree, nil
 	}
-	return VerdictDisagree, &CheckFailure{Branch: branch, Line: n.Line, Answers: answers, Outcome: outcome}
+	return VerdictDisagree, &CheckFailure{Branch: branch, Line: int(n.Line), Answers: answers, Outcome: outcome}
 }

@@ -109,7 +109,7 @@ func decidableBranches(p *ir.Program, varSuffix string, op pred.Op, c int64) []*
 	var out []*ir.Node
 	p.LiveNodes(func(n *ir.Node) {
 		if n.Kind == ir.NBranch && n.Analyzable() &&
-			strings.HasSuffix(p.VarName(n.CondVar), varSuffix) && n.CondOp == op && n.CondRHS.Const == c {
+			strings.HasSuffix(p.VarName(n.CondVar()), varSuffix) && n.CondOp() == op && n.CondRHS().Const == c {
 			out = append(out, n)
 		}
 	})

@@ -18,33 +18,33 @@ func forEachRead(n *ir.Node, f func(ir.VarID)) {
 	}
 	switch n.Kind {
 	case ir.NAssign:
-		switch n.RHS.Kind {
+		switch n.RHS().Kind {
 		case ir.RCopy, ir.RNeg, ir.RByte:
-			f(n.RHS.Src)
+			f(n.RHS().Src)
 		case ir.RBinop:
-			operand(n.RHS.A)
-			operand(n.RHS.B)
+			operand(n.RHS().A)
+			operand(n.RHS().B)
 		case ir.RLoad:
-			f(n.RHS.Src)
-			operand(n.RHS.A)
+			f(n.RHS().Src)
+			operand(n.RHS().A)
 		case ir.RAlloc:
-			operand(n.RHS.A)
+			operand(n.RHS().A)
 		}
 	case ir.NBranch:
-		f(n.CondVar)
-		operand(n.CondRHS)
+		f(n.CondVar())
+		operand(n.CondRHS())
 	case ir.NAssert:
-		f(n.AVar)
+		f(n.AVar())
 	case ir.NCall:
 		for _, a := range n.Args {
 			f(a)
 		}
 	case ir.NStore:
-		f(n.Ptr)
-		operand(n.Idx)
-		operand(n.Val)
+		f(n.Ptr())
+		operand(n.Idx())
+		operand(n.Val())
 	case ir.NPrint:
-		operand(n.Val)
+		operand(n.Val())
 	}
 }
 

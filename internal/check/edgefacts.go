@@ -1,6 +1,8 @@
 package check
 
 import (
+	"slices"
+
 	"icbe/internal/ir"
 	"icbe/internal/pred"
 )
@@ -17,29 +19,38 @@ type EdgeFact struct {
 	Outcome pred.Outcome
 }
 
+// EdgeReplay is the state buffer EdgeFacts replays transfer functions in.
+// One buffer serves any number of calls, from one goroutine at a time; the
+// zero value is ready to use.
+type EdgeReplay struct{ buf []cell }
+
 // EdgeFacts replays every predecessor's transfer function on its settled
 // entry state and folds the branch condition in each resulting edge state —
 // the per-edge refinement of BranchOutcome that the fold pass consumes. The
 // replay runs the propagation engine's own transfer functions (transfer and
 // arm, with the settled call-site-exit return value), so an edge fact is as
-// sound as the run it came from. Nil is returned for saturated runs,
-// non-branches, and deleted nodes.
-func (s *SCCP) EdgeFacts(b ir.NodeID) []EdgeFact {
+// sound as the run it came from. It appends one fact per in-edge of branch
+// b to dst and returns the extended slice; saturated runs, non-branches and
+// deleted nodes append nothing. rb is the replay buffer, reused across
+// calls; nil replays in a private one.
+func (s *SCCP) EdgeFacts(dst []EdgeFact, b ir.NodeID, rb *EdgeReplay) []EdgeFact {
 	s.live()
 	bn := s.p.Node(b)
 	if s.saturated || bn == nil || bn.Kind != ir.NBranch {
-		return nil
+		return dst
+	}
+	if rb == nil {
+		rb = new(EdgeReplay)
 	}
 	bsp := s.spaceOf(bn.Proc)
-	out := make([]EdgeFact, 0, len(bn.Preds))
-	var buf []cell
+	dst = slices.Grow(dst, len(bn.Preds))
 	for i, pid := range bn.Preds {
 		ef := EdgeFact{From: pid, Slot: -1, Outcome: pred.Unknown}
 		if pn := s.p.Node(pid); pn != nil {
 			// Parallel edges from one predecessor map to its successive
 			// slots.
 			ef.Slot = nthSuccSlot(pn, b, countOf(bn.Preds[:i], pid))
-			if st := s.edgeState(pn, ef.Slot, &buf); st != nil {
+			if st := s.edgeState(pn, ef.Slot, &rb.buf); st != nil {
 				if s.spaceOf(pn.Proc) != bsp {
 					st = s.convert(st, bsp)
 				}
@@ -47,9 +58,9 @@ func (s *SCCP) EdgeFacts(b ir.NodeID) []EdgeFact {
 				ef.Outcome = condOutcome(bn, st, bsp)
 			}
 		}
-		out = append(out, ef)
+		dst = append(dst, ef)
 	}
-	return out
+	return dst
 }
 
 // edgeState is the state the predecessor sends along its out-edge slot,

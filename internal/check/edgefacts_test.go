@@ -45,7 +45,7 @@ func edgeContainment(p *ir.Program, s *SCCP) (live int, err error) {
 			return
 		}
 		entry, whole, bsp := s.stateOf(bn.ID), s.BranchOutcome(bn.ID), s.spaceOf(bn.Proc)
-		for _, e := range s.EdgeFacts(bn.ID) {
+		for _, e := range s.EdgeFacts(nil, bn.ID, nil) {
 			if !e.Live {
 				continue
 			}
@@ -61,13 +61,13 @@ func edgeContainment(p *ir.Program, s *SCCP) (live int, err error) {
 				return
 			}
 			for i, c := range entry {
-				ec := cell{v: bottom(), alias: ir.NoVar}
+				ec := mkCell(bottom(), ir.NoVar)
 				if i < len(st) {
 					ec = st[i]
 				}
-				if meet(c.v, ec.v) != c.v || (c.alias != ir.NoVar && c.alias != ec.alias) {
+				if meet(c.value(), ec.value()) != c.value() || (c.alias != ir.NoVar && c.alias != ec.alias) {
 					err = fmt.Errorf("%s: slot %d carries %s (alias v%d), not within the entry's %s (alias v%d)",
-						where, i, ec.v, int(ec.alias), c.v, int(c.alias))
+						where, i, ec.value(), int(ec.alias), c.value(), int(c.alias))
 					return
 				}
 			}
@@ -105,12 +105,12 @@ func TestEdgeFactsWithinEntryState(t *testing.T) {
 // edgeFrom returns the fact for the in-edge of b leaving from at slot.
 func edgeFrom(t *testing.T, s *SCCP, b, from ir.NodeID, slot int) EdgeFact {
 	t.Helper()
-	for _, e := range s.EdgeFacts(b) {
+	for _, e := range s.EdgeFacts(nil, b, nil) {
 		if e.From == from && e.Slot == slot {
 			return e
 		}
 	}
-	t.Fatalf("branch %d has no in-edge from %d slot %d: %v", b, from, slot, s.EdgeFacts(b))
+	t.Fatalf("branch %d has no in-edge from %d slot %d: %v", b, from, slot, s.EdgeFacts(nil, b, nil))
 	return EdgeFact{}
 }
 

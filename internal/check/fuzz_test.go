@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -108,14 +109,19 @@ func mutate(p *ir.Program, r *fuzzRNG) {
 		n.Kind = ir.NodeKind(r.intn(16))
 	case 4: // out-of-range variable references
 		n.Dst = ir.VarID(len(p.Vars) + r.intn(4))
-		n.CondVar = ir.VarID(-1 - r.intn(2))
-		n.AVar = ir.VarID(len(p.Vars) + 1)
+		// CondVar, AVar and Ptr share one slot: corrupt it one way or
+		// the other.
+		if r.intn(2) == 0 {
+			n.SetCond(ir.VarID(-1-r.intn(2)), n.CondOp(), n.CondRHS())
+		} else {
+			n.SetAssert(ir.VarID(len(p.Vars)+1), n.APred())
+		}
 	case 5: // out-of-range procedure references
-		n.Callee = len(p.Procs) + r.intn(3)
+		n.Callee = int32(len(p.Procs) + r.intn(3))
 		n.Proc = -1 - r.intn(2)
 	case 6: // invalid predicate operators
-		n.CondOp = pred.Op(64 + r.intn(8))
-		n.APred.Op = pred.Op(64 + r.intn(8))
+		n.SetCond(n.CondVar(), pred.Op(64+r.intn(8)), n.CondRHS())
+		n.SetAssert(n.AVar(), pred.Pred{Op: pred.Op(64 + r.intn(8)), C: n.APred().C})
 	case 7: // out-of-range argument list
 		n.Args = append(n.Args, ir.VarID(len(p.Vars)+r.intn(3)))
 	case 8: // an extra out-edge: a third branch arm, a second entry
@@ -137,7 +143,9 @@ func mutate(p *ir.Program, r *fuzzRNG) {
 // bill of health: no validation error, no invariant findings, no must-fail
 // asserts, and every live edge state within its branch's entry state.
 // Every graph is also analyzed in a workspace whose memory last served a
-// different graph, and the facts and findings must equal the fresh ones.
+// different graph, and the facts and findings must equal the fresh ones;
+// edge facts replayed in one reused buffer must equal fresh ones; and
+// every graph must encode, decode and encode again to the same bytes.
 func FuzzCheck(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 2, 3, 7, 11, 42, 99, 1234, 0xdeadbeef} {
 		f.Add(seed, seed*3)
@@ -156,6 +164,15 @@ func FuzzCheck(f *testing.F) {
 			mutate(p, r)
 		}
 
+		// The codec must carry any in-memory graph, damaged or not: only
+		// the payload its kind holds is written, and read back the same.
+		enc := ir.EncodeProgram(p)
+		if dec, err := ir.DecodeProgram(enc); err != nil {
+			t.Fatalf("decode of an encoding: %v\n%s", err, src)
+		} else if !bytes.Equal(ir.EncodeProgram(dec), enc) {
+			t.Fatalf("encode → decode → encode is not byte-identical\n%s", src)
+		}
+
 		verr := ir.Validate(p)
 		rep := AnalyzeInvariants(p)
 		s := RunSCCP(p)
@@ -171,11 +188,14 @@ func FuzzCheck(f *testing.F) {
 		}
 		s.MustFailAsserts()
 		RecallCount(p, s)
+		var rb EdgeReplay
 		for _, id := range liveNodeIDs(p) {
 			if p.Node(id).Kind != ir.NBranch {
 				continue
 			}
-			s.EdgeFacts(id)
+			if reused, fresh := s.EdgeFacts(nil, id, &rb), s.EdgeFacts(nil, id, nil); !slices.Equal(reused, fresh) {
+				t.Fatalf("branch %d: edge facts %v in a reused replay buffer, %v in a fresh one\n%s", id, reused, fresh, src)
+			}
 			for _, ans := range []analysis.AnswerSet{analysis.AnsTrue, analysis.AnsFalse} {
 				if _, cf := CrossCheck(p, s, id, ans); cf != nil {
 					_ = cf.Error()

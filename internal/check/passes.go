@@ -129,7 +129,7 @@ func (unreachablePass) Run(cx *Context) []Finding {
 		seen.from(cx.Prog, pr)
 		for _, n := range byProc[i] {
 			if !seen.has(n.ID) {
-				out = append(out, Finding{Pass: "unreachable-node", Node: n.ID, Line: n.Line,
+				out = append(out, Finding{Pass: "unreachable-node", Node: n.ID, Line: int(n.Line),
 					Msg: fmt.Sprintf("node (%s) unreachable from proc %q entries", n.Kind, pr.Name)})
 			}
 		}
@@ -172,7 +172,7 @@ func (useBeforeDefPass) Run(cx *Context) []Finding {
 				if v >= 0 && int(v) < len(cx.Prog.Vars) && cx.Prog.Vars[v] != nil {
 					name = cx.Prog.Vars[v].Name
 				}
-				out = append(out, Finding{Pass: "use-before-def", Node: n.ID, Line: n.Line,
+				out = append(out, Finding{Pass: "use-before-def", Node: n.ID, Line: int(n.Line),
 					Msg: fmt.Sprintf("%q read before any assignment", name)})
 			})
 		}
@@ -195,9 +195,9 @@ func (sccpConsistencyPass) Run(cx *Context) []Finding {
 		if n == nil {
 			continue
 		}
-		out = append(out, Finding{Pass: "sccp-consistency", Node: id, Line: n.Line,
+		out = append(out, Finding{Pass: "sccp-consistency", Node: id, Line: int(n.Line),
 			Msg: fmt.Sprintf("reachable assertion (v%d %s) can never hold: variable is %s on entry",
-				int(n.AVar), n.APred, cx.SCCP.ValueAt(id, n.AVar))})
+				int(n.AVar()), n.APred(), cx.SCCP.ValueAt(id, n.AVar()))})
 	}
 	return out
 }

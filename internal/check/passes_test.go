@@ -57,7 +57,7 @@ func TestUseBeforeDefFinding(t *testing.T) {
 	var erased bool
 	for i := range p.NumNodes() {
 		n := p.Node(ir.NodeID(i))
-		if n != nil && n.Kind == ir.NAssign && n.RHS.Kind == ir.RConst && n.RHS.Const == 0 {
+		if n != nil && n.Kind == ir.NAssign && n.RHS().Kind == ir.RConst && n.RHS().Const == 0 {
 			n.Kind = ir.NNop
 			erased = true
 			break

@@ -92,11 +92,21 @@ func meet(a, b Value) Value {
 // cell is one variable slot of a program-point state: its value element plus
 // an optional copy-chain root. When alias is set, the slot's variable
 // provably holds the same value as the root variable at this point, so a
-// branch-edge assertion about either refines the whole group.
+// branch-edge assertion about either refines the whole group. The value is
+// held flat so its kind and the alias share one word: 24 bytes, where a
+// Value field plus an alias would take 32.
 type cell struct {
-	v     Value
-	alias ir.VarID
+	lo, hi int64
+	alias  ir.VarID
+	kind   uint8
 }
+
+func mkCell(v Value, alias ir.VarID) cell {
+	return cell{lo: v.lo, hi: v.hi, alias: alias, kind: v.kind}
+}
+
+// value returns the cell's value element.
+func (c cell) value() Value { return Value{kind: c.kind, lo: c.lo, hi: c.hi} }
 
 // space is the state layout of one procedure: the globals (a prefix shared
 // by every space, in the same slot order) followed by the procedure's own
@@ -176,7 +186,7 @@ func (l *layout) isGlobalVar(v ir.VarID) bool {
 // dropping aliases rooted in non-global variables.
 func (l *layout) globalCell(st []cell, g int) cell {
 	if g >= len(st) {
-		return cell{v: bottom(), alias: ir.NoVar}
+		return mkCell(bottom(), ir.NoVar)
 	}
 	c := st[g]
 	if c.alias != ir.NoVar && !l.isGlobalVar(c.alias) {
@@ -193,7 +203,7 @@ func (l *layout) convert(st []cell, to *space) []cell {
 		if i < l.nGlob {
 			out[i] = l.globalCell(st, i)
 		} else {
-			out[i] = cell{v: bottom(), alias: ir.NoVar}
+			out[i] = mkCell(bottom(), ir.NoVar)
 		}
 	}
 	return out
@@ -446,7 +456,7 @@ func (r *sccpRun) seed() {
 		if i < r.nGlob && int(v) < len(p.Vars) && p.Vars[v] != nil {
 			val = constant(p.Vars[v].Init)
 		}
-		st[i] = cell{v: val, alias: ir.NoVar}
+		st[i] = mkCell(val, ir.NoVar)
 	}
 	en := p.Node(es[0])
 	if en == nil {
@@ -494,19 +504,19 @@ func meetCells(dst, src []cell) bool {
 		m = len(src)
 	}
 	for i := 0; i < m; i++ {
-		nv := meet(dst[i].v, src[i].v)
+		nv := meet(dst[i].value(), src[i].value())
 		na := dst[i].alias
 		if na != src[i].alias {
 			na = ir.NoVar
 		}
-		if nv != dst[i].v || na != dst[i].alias {
-			dst[i] = cell{v: nv, alias: na}
+		if nv != dst[i].value() || na != dst[i].alias {
+			dst[i] = mkCell(nv, na)
 			changed = true
 		}
 	}
 	for i := m; i < len(dst); i++ {
-		if !dst[i].v.IsBottom() || dst[i].alias != ir.NoVar {
-			dst[i] = cell{v: bottom(), alias: ir.NoVar}
+		if dst[i].kind != vBottom || dst[i].alias != ir.NoVar {
+			dst[i] = mkCell(bottom(), ir.NoVar)
 			changed = true
 		}
 	}
@@ -550,7 +560,7 @@ func valueOf(st []cell, sp *space, v ir.VarID) Value {
 	if s < 0 || s >= len(st) {
 		return bottom()
 	}
-	return st[s].v
+	return st[s].value()
 }
 
 func operandValue(st []cell, sp *space, o ir.Operand) Value {
@@ -586,7 +596,7 @@ func assign(st []cell, sp *space, dst ir.VarID, v Value, root ir.VarID) {
 		}
 	}
 	if ds >= 0 && ds < len(st) {
-		st[ds] = cell{v: v, alias: root}
+		st[ds] = mkCell(v, root)
 	}
 }
 
@@ -612,17 +622,17 @@ func refineGroup(st []cell, sp *space, v ir.VarID, p pred.Pred) bool {
 		if ri != root && vi != root {
 			continue
 		}
-		if st[i].v.kind == vTop {
+		if st[i].kind == vTop {
 			continue // no executable value yet: nothing to narrow
 		}
-		nr, ok := st[i].v.rng().Refine(p)
+		nr, ok := st[i].value().rng().Refine(p)
 		if !ok {
 			if vi == v {
 				okOwn = false
 			}
 			continue
 		}
-		st[i].v = rangeValue(nr.Lo, nr.Hi)
+		st[i] = mkCell(rangeValue(nr.Lo, nr.Hi), st[i].alias)
 	}
 	return okOwn
 }
@@ -632,11 +642,11 @@ func refineGroup(st []cell, sp *space, v ir.VarID, p pred.Pred) bool {
 // value and malformed operators (fuzz graphs) decide nothing: both stay
 // Unknown.
 func condOutcome(n *ir.Node, st []cell, sp *space) pred.Outcome {
-	l, r := valueOf(st, sp, n.CondVar), operandValue(st, sp, n.CondRHS)
-	if !validOp(n.CondOp) || l.kind == vTop || r.kind == vTop {
+	l, r := valueOf(st, sp, n.CondVar()), operandValue(st, sp, n.CondRHS())
+	if !validOp(n.CondOp()) || l.kind == vTop || r.kind == vTop {
 		return pred.Unknown
 	}
-	return l.rng().Compare(n.CondOp, r.rng())
+	return l.rng().Compare(n.CondOp(), r.rng())
 }
 
 // transfer is the transfer function of every node kind whose successors
@@ -655,11 +665,11 @@ func (l *layout) transfer(n *ir.Node, in []cell, ret Value, buf *[]cell) []cell 
 		assign(out, sp, n.Dst, v, root)
 		return out
 	case ir.NAssert:
-		if !validOp(n.APred.Op) {
+		if !validOp(n.APred().Op) {
 			return in
 		}
 		out := fill(buf, in)
-		if !refineGroup(out, sp, n.AVar, n.APred) {
+		if !refineGroup(out, sp, n.AVar(), n.APred()) {
 			return nil // statically failing: control cannot continue past it
 		}
 		return out
@@ -687,15 +697,15 @@ func (l *layout) arm(n *ir.Node, in []cell, o pred.Outcome, slot int, buf *[]cel
 	if (slot == 0 && o == pred.False) || (slot == 1 && o == pred.True) {
 		return nil
 	}
-	if !n.CondRHS.IsConst || !validOp(n.CondOp) {
+	if !n.CondRHS().IsConst || !validOp(n.CondOp()) {
 		return in
 	}
-	p := pred.Pred{Op: n.CondOp, C: n.CondRHS.Const}
+	p := pred.Pred{Op: n.CondOp(), C: n.CondRHS().Const}
 	if slot == 1 {
 		p = p.Negate()
 	}
 	out := fill(buf, in)
-	if !refineGroup(out, l.spaceOf(n.Proc), n.CondVar, p) {
+	if !refineGroup(out, l.spaceOf(n.Proc), n.CondVar(), p) {
 		return nil
 	}
 	return out
@@ -743,7 +753,7 @@ func (r *sccpRun) process(id ir.NodeID) {
 // split entries keep their own states, so restructured specialized entries
 // stay specialized.
 func (r *sccpRun) processCall(n *ir.Node, st []cell, sp *space) {
-	callee := n.Callee
+	callee := int(n.Callee)
 	calleeOK := callee >= 0 && callee < len(r.p.Procs) && r.p.Procs[callee] != nil
 	es := r.entry[:0]
 	if calleeOK {
@@ -752,7 +762,7 @@ func (r *sccpRun) processCall(n *ir.Node, st []cell, sp *space) {
 			if i < r.nGlob {
 				es = append(es, r.globalCell(st, i))
 			} else {
-				es = append(es, cell{v: constant(0), alias: ir.NoVar})
+				es = append(es, mkCell(constant(0), ir.NoVar))
 			}
 		}
 		for i, formal := range r.p.Procs[callee].Formals {
@@ -764,7 +774,7 @@ func (r *sccpRun) processCall(n *ir.Node, st []cell, sp *space) {
 			if i < len(n.Args) {
 				v = valueOf(st, sp, n.Args[i])
 			}
-			es[fs] = cell{v: v, alias: ir.NoVar}
+			es[fs] = mkCell(v, ir.NoVar)
 		}
 		r.entry = es
 	}
@@ -892,7 +902,7 @@ func (r *sccpRun) recomputeCE(ce *ir.Node) {
 // lattice does not model (heap loads, allocations, input) is ⊥. The second
 // result is the copy-chain root for RCopy.
 func evalRHS(st []cell, sp *space, n *ir.Node) (Value, ir.VarID) {
-	rh := n.RHS
+	rh := n.RHS()
 	switch rh.Kind {
 	case ir.RConst:
 		return constant(rh.Const), ir.NoVar

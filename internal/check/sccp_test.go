@@ -3,6 +3,7 @@ package check
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"icbe/internal/ir"
 	"icbe/internal/pred"
@@ -29,7 +30,7 @@ func findBranch(t *testing.T, p *ir.Program, varSuffix string, op pred.Op, c int
 		if n.Kind != ir.NBranch || !n.Analyzable() {
 			return
 		}
-		if strings.HasSuffix(p.VarName(n.CondVar), varSuffix) && n.CondOp == op && n.CondRHS.Const == c {
+		if strings.HasSuffix(p.VarName(n.CondVar()), varSuffix) && n.CondOp() == op && n.CondRHS().Const == c {
 			if found != nil {
 				t.Fatalf("multiple branches match %s %s %d", varSuffix, op, c)
 			}
@@ -53,6 +54,15 @@ func findVar(t *testing.T, p *ir.Program, suffix string) ir.VarID {
 	return ir.NoVar
 }
 
+// TestCellSize bounds a state cell: the SCCP slabs, one cell per variable
+// slot per program point, are a quarter of a full-tier optimize's
+// allocated bytes.
+func TestCellSize(t *testing.T) {
+	if got := unsafe.Sizeof(cell{}); got > 24 {
+		t.Errorf("unsafe.Sizeof(cell{}) = %d, want at most 24", got)
+	}
+}
+
 func TestSCCPDecidesConstantBranch(t *testing.T) {
 	p := build(t, `
 		func main() {
@@ -65,7 +75,7 @@ func TestSCCPDecidesConstantBranch(t *testing.T) {
 	if got := s.BranchOutcome(b.ID); got != pred.True {
 		t.Errorf("BranchOutcome = %v, want true", got)
 	}
-	if v := s.ValueAt(b.ID, b.CondVar); v != constant(5) {
+	if v := s.ValueAt(b.ID, b.CondVar()); v != constant(5) {
 		t.Errorf("ValueAt(branch, x) = %s, want 5", v)
 	}
 	if got := RecallCount(p, s); got != 1 {
@@ -100,7 +110,7 @@ func TestSCCPInputIsBottom(t *testing.T) {
 	if got := s.BranchOutcome(b.ID); got != pred.Unknown {
 		t.Errorf("BranchOutcome = %v, want unknown", got)
 	}
-	if v := s.ValueAt(b.ID, b.CondVar); !v.IsBottom() {
+	if v := s.ValueAt(b.ID, b.CondVar()); !v.IsBottom() {
 		t.Errorf("input-fed variable not ⊥: %v", v)
 	}
 	reachPrints := 0
@@ -140,7 +150,7 @@ func TestSCCPFormalMeetConflictingCallSites(t *testing.T) {
 	if got := s.BranchOutcome(b.ID); got != pred.Unknown {
 		t.Errorf("BranchOutcome = %v, want unknown (two call sites conflict)", got)
 	}
-	if v := s.ValueAt(b.ID, b.CondVar); !v.IsBottom() {
+	if v := s.ValueAt(b.ID, b.CondVar()); !v.IsBottom() {
 		t.Errorf("formal with conflicting arguments not ⊥: %v", v)
 	}
 }
@@ -205,7 +215,7 @@ func TestSCCPDivByConstantZero(t *testing.T) {
 	if got := s.BranchOutcome(b.ID); got != pred.Unknown {
 		t.Errorf("BranchOutcome = %v, want unknown (div by zero is ⊥)", got)
 	}
-	if v := s.ValueAt(b.ID, b.CondVar); !v.IsBottom() {
+	if v := s.ValueAt(b.ID, b.CondVar()); !v.IsBottom() {
 		t.Errorf("div-by-zero result not ⊥: %v", v)
 	}
 }
@@ -223,7 +233,7 @@ func TestSCCPLoopTerminates(t *testing.T) {
 	// At the loop test the counter meets 0 from the entry with 1 from the
 	// back edge: incomparable constants, so ⊥.
 	head := findBranch(t, p, ".i", pred.Lt, 3)
-	if v := s.ValueAt(head.ID, head.CondVar); !v.IsBottom() {
+	if v := s.ValueAt(head.ID, head.CondVar()); !v.IsBottom() {
 		t.Errorf("loop counter cell = %v, want ⊥", v)
 	}
 }
@@ -276,14 +286,14 @@ func TestSCCPMustFailAssert(t *testing.T) {
 	y := findVar(t, p, ".y")
 	var assert *ir.Node
 	p.LiveNodes(func(n *ir.Node) {
-		if n.Kind == ir.NAssert && n.APred.Op == pred.Eq && n.APred.C == 5 {
+		if n.Kind == ir.NAssert && n.APred().Op == pred.Eq && n.APred().C == 5 {
 			assert = n
 		}
 	})
 	if assert == nil {
 		t.Fatalf("no (== 5) assertion\n%s", p.Dump())
 	}
-	assert.AVar = y
+	assert.SetAssert(y, assert.APred())
 	s := RunSCCP(p)
 	fails := s.MustFailAsserts()
 	if len(fails) != 1 || fails[0] != assert.ID {

@@ -35,7 +35,7 @@ func sameFacts(p *ir.Program, got, want *Report) error {
 		if a, b := g.BranchOutcome(n), w.BranchOutcome(n); a != b {
 			return fmt.Errorf("node %d: branch outcome %v, want %v", n, a, b)
 		}
-		if a, b := g.EdgeFacts(n), w.EdgeFacts(n); !slices.Equal(a, b) {
+		if a, b := g.EdgeFacts(nil, n, nil), w.EdgeFacts(nil, n, nil); !slices.Equal(a, b) {
 			return fmt.Errorf("node %d: edge facts %v, want %v", n, a, b)
 		}
 		for v := ir.VarID(-1); int(v) <= len(p.Vars); v++ {
@@ -128,7 +128,7 @@ func TestReleasedReportPanics(t *testing.T) {
 		"Reachable":       func() { s.Reachable(b) },
 		"ValueAt":         func() { s.ValueAt(b, 0) },
 		"BranchOutcome":   func() { s.BranchOutcome(b) },
-		"EdgeFacts":       func() { s.EdgeFacts(b) },
+		"EdgeFacts":       func() { s.EdgeFacts(nil, b, nil) },
 		"MustFailAsserts": func() { s.MustFailAsserts() },
 		"CrossCheck":      func() { CrossCheck(p, s, b, analysis.AnsTrue) },
 		"RecallCount":     func() { RecallCount(p, s) },

@@ -140,7 +140,7 @@ func Figure10(ws []*progs.Workload) (intra, inter []Fig10Point, err error) {
 			if res := anIntra.AnalyzeBranch(b.ID); res != nil {
 				if res.HasCorrelation() {
 					intra = append(intra, Fig10Point{
-						Workload: w.Name, Line: b.Line,
+						Workload: w.Name, Line: int(b.Line),
 						Dup:     res.DuplicationEstimate(p),
 						Benefit: res.EstimatedBenefit(prof),
 					})
@@ -150,7 +150,7 @@ func Figure10(ws []*progs.Workload) (intra, inter []Fig10Point, err error) {
 			if res := anInter.AnalyzeBranch(b.ID); res != nil {
 				if res.HasCorrelation() {
 					inter = append(inter, Fig10Point{
-						Workload: w.Name, Line: b.Line,
+						Workload: w.Name, Line: int(b.Line),
 						Dup:     res.DuplicationEstimate(p),
 						Benefit: res.EstimatedBenefit(prof),
 					})

@@ -88,15 +88,27 @@ func Analyze(p *ir.Program) *Facts { return Compute(p, check.RunSCCP(p)) }
 // (which must have been produced from exactly this program).
 func Compute(p *ir.Program, s *check.SCCP) *Facts {
 	f := &Facts{}
+	// Every row's edge facts are carved from one block, replayed in one
+	// buffer.
+	edges := 0
+	p.LiveNodes(func(n *ir.Node) {
+		if n.Kind == ir.NBranch {
+			edges += len(n.Preds)
+		}
+	})
+	block := make([]check.EdgeFact, 0, edges)
+	var rb check.EdgeReplay
 	p.LiveNodes(func(n *ir.Node) {
 		if n.Kind != ir.NBranch {
 			return
 		}
+		start := len(block)
+		block = s.EdgeFacts(block, n.ID, &rb)
 		bf := BranchFact{
 			Branch:  n.ID,
-			Line:    n.Line,
+			Line:    int(n.Line),
 			Outcome: pred.Unknown,
-			Edges:   s.EdgeFacts(n.ID),
+			Edges:   block[start:len(block):len(block)],
 		}
 		whole := s.BranchOutcome(n.ID)
 		agreed := pred.Unknown

@@ -28,7 +28,7 @@ func branchOn(t *testing.T, p *ir.Program, op pred.Op, c int64) *ir.Node {
 	t.Helper()
 	var found *ir.Node
 	p.LiveNodes(func(n *ir.Node) {
-		if n.Kind == ir.NBranch && n.CondOp == op && n.CondRHS.IsConst && n.CondRHS.Const == c {
+		if n.Kind == ir.NBranch && n.CondOp() == op && n.CondRHS().IsConst && n.CondRHS().Const == c {
 			if found != nil {
 				t.Fatalf("two branches test %s %d", op, c)
 			}

@@ -91,23 +91,17 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 		switch n.Kind {
 		case ir.NAssign:
 			c.Dst = mapVar(n.Dst)
-			c.RHS = n.RHS
-			c.RHS.Src = mapVar(n.RHS.Src)
-			c.RHS.A = mapOperand(n.RHS.A)
-			c.RHS.B = mapOperand(n.RHS.B)
+			r := *n.RHS()
+			r.Src, r.A, r.B = mapVar(r.Src), mapOperand(r.A), mapOperand(r.B)
+			c.SetRHS(r)
 		case ir.NBranch:
-			c.CondVar = mapVar(n.CondVar)
-			c.CondOp = n.CondOp
-			c.CondRHS = mapOperand(n.CondRHS)
+			c.SetCond(mapVar(n.CondVar()), n.CondOp(), mapOperand(n.CondRHS()))
 		case ir.NAssert:
-			c.AVar = mapVar(n.AVar)
-			c.APred = n.APred
+			c.SetAssert(mapVar(n.AVar()), n.APred())
 		case ir.NStore:
-			c.Ptr = mapVar(n.Ptr)
-			c.Idx = mapOperand(n.Idx)
-			c.Val = mapOperand(n.Val)
+			c.SetStore(mapVar(n.Ptr()), mapOperand(n.Idx()), mapOperand(n.Val()))
 		case ir.NPrint:
-			c.Val = mapOperand(n.Val)
+			c.SetVal(mapOperand(n.Val()))
 		case ir.NCall:
 			c.Callee = n.Callee
 			c.Args = make([]ir.VarID, len(n.Args))
@@ -166,7 +160,7 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 	for i, formal := range callee.Formals {
 		asg := p.NewNode(ir.NAssign, caller)
 		asg.Dst = mapVar(formal)
-		asg.RHS = ir.RHS{Kind: ir.RCopy, Src: call.Args[i]}
+		asg.SetRHS(ir.RHS{Kind: ir.RCopy, Src: call.Args[i]})
 		asg.Line = call.Line
 		p.AddEdge(cur, asg.ID)
 		cur = asg.ID
@@ -194,7 +188,7 @@ func Call(p *ir.Program, callID ir.NodeID) error {
 		if ce.Dst != ir.NoVar {
 			asg := p.NewNode(ir.NAssign, caller)
 			asg.Dst = ce.Dst
-			asg.RHS = ir.RHS{Kind: ir.RCopy, Src: mapVar(callee.RetVar)}
+			asg.SetRHS(ir.RHS{Kind: ir.RCopy, Src: mapVar(callee.RetVar)})
 			asg.Line = ce.Line
 			p.AddEdge(exitClone, asg.ID)
 			p.AddEdge(asg.ID, after)
@@ -227,10 +221,10 @@ func Exhaustive(p *ir.Program, budget int) int {
 			if target != ir.NoNode || n.Kind != ir.NCall {
 				return
 			}
-			if n.Callee == n.Proc {
+			if int(n.Callee) == n.Proc {
 				return // direct recursion cannot be fully inlined
 			}
-			if callsProc(p, n.Callee, n.Proc) {
+			if callsProc(p, int(n.Callee), n.Proc) {
 				return // mutual recursion
 			}
 			target = n.ID
@@ -262,7 +256,7 @@ func callsProc(p *ir.Program, from, to int) bool {
 		found := false
 		p.LiveNodes(func(n *ir.Node) {
 			if !found && n.Kind == ir.NCall && n.Proc == pr {
-				if walk(n.Callee) {
+				if walk(int(n.Callee)) {
 					found = true
 				}
 			}

@@ -186,7 +186,7 @@ func (m *machine) run() error {
 		}
 		m.res.Steps++
 		if m.res.Steps > maxSteps {
-			return &RuntimeError{Node: cur.ID, Line: cur.Line, Msg: "step limit exceeded", Err: ErrStepLimit}
+			return &RuntimeError{Node: cur.ID, Line: int(cur.Line), Msg: "step limit exceeded", Err: ErrStepLimit}
 		}
 		if m.counts != nil {
 			m.count(cur.ID)
@@ -202,10 +202,10 @@ func (m *machine) run() error {
 		case ir.NAssert:
 			// Asserts are compiler-established facts; a violation means the
 			// graph was miscompiled or incorrectly restructured.
-			if !cur.APred.Eval(m.read(cur.AVar)) {
-				return &RuntimeError{Node: cur.ID, Line: cur.Line,
+			if !cur.APred().Eval(m.read(cur.AVar())) {
+				return &RuntimeError{Node: cur.ID, Line: int(cur.Line),
 					Msg: fmt.Sprintf("internal: assertion %s %s violated (value %d)",
-						m.prog.VarName(cur.AVar), cur.APred, m.read(cur.AVar))}
+						m.prog.VarName(cur.AVar()), cur.APred(), m.read(cur.AVar()))}
 			}
 			cur = m.onlySucc(cur)
 
@@ -219,33 +219,33 @@ func (m *machine) run() error {
 
 		case ir.NBranch:
 			m.res.CondExecs++
-			lhs := m.read(cur.CondVar)
-			rhs := cur.CondRHS.Const
-			if !cur.CondRHS.IsConst {
-				rhs = m.read(cur.CondRHS.Var)
+			lhs := m.read(cur.CondVar())
+			rhs := cur.CondRHS().Const
+			if !cur.CondRHS().IsConst {
+				rhs = m.read(cur.CondRHS().Var)
 			}
-			if cur.CondOp.Eval(lhs, rhs) {
+			if cur.CondOp().Eval(lhs, rhs) {
 				cur = m.node(cur.TrueSucc())
 			} else {
 				cur = m.node(cur.FalseSucc())
 			}
 
 		case ir.NPrint:
-			m.res.Output = append(m.res.Output, m.operand(cur.Val))
+			m.res.Output = append(m.res.Output, m.operand(cur.Val()))
 			cur = m.onlySucc(cur)
 
 		case ir.NStore:
-			ptr := m.read(cur.Ptr)
-			idx := m.operand(cur.Idx)
+			ptr := m.read(cur.Ptr())
+			idx := m.operand(cur.Idx())
 			if err := m.checkAddr(cur, ptr, idx); err != nil {
 				return err
 			}
-			m.heap[ptr+idx] = m.operand(cur.Val)
+			m.heap[ptr+idx] = m.operand(cur.Val())
 			cur = m.onlySucc(cur)
 
 		case ir.NCall:
 			callee := m.prog.Procs[cur.Callee]
-			m.push(cur.Callee, cur.ID)
+			m.push(int(cur.Callee), cur.ID)
 			caller := &m.frames[len(m.frames)-2]
 			for i, formal := range callee.Formals {
 				x := m.readIn(caller, cur.Args[i])
@@ -268,7 +268,7 @@ func (m *machine) run() error {
 			}
 			ret := m.returnPoint(cur, top.callNode)
 			if ret == nil {
-				return &RuntimeError{Node: cur.ID, Line: cur.Line,
+				return &RuntimeError{Node: cur.ID, Line: int(cur.Line),
 					Msg: fmt.Sprintf("internal: exit of %s has no return point for call node %d",
 						m.prog.Procs[cur.Proc].Name, top.callNode)}
 			}
@@ -281,7 +281,7 @@ func (m *machine) run() error {
 			cur = m.onlySucc(cur)
 
 		default:
-			return &RuntimeError{Node: cur.ID, Line: cur.Line,
+			return &RuntimeError{Node: cur.ID, Line: int(cur.Line),
 				Msg: fmt.Sprintf("internal: unexecutable node kind %s", cur.Kind)}
 		}
 	}
@@ -424,18 +424,18 @@ func (m *machine) operand(o ir.Operand) int64 {
 
 func (m *machine) checkAddr(n *ir.Node, ptr, idx int64) error {
 	if ptr == 0 {
-		return &RuntimeError{Node: n.ID, Line: n.Line, Msg: "nil pointer dereference"}
+		return &RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "nil pointer dereference"}
 	}
 	addr := ptr + idx
 	if addr < 1 || addr >= int64(len(m.heap)) {
-		return &RuntimeError{Node: n.ID, Line: n.Line,
+		return &RuntimeError{Node: n.ID, Line: int(n.Line),
 			Msg: fmt.Sprintf("heap access out of bounds (addr %d, heap size %d)", addr, len(m.heap))}
 	}
 	return nil
 }
 
 func (m *machine) evalRHS(n *ir.Node) (int64, error) {
-	r := n.RHS
+	r := n.RHS()
 	switch r.Kind {
 	case ir.RConst:
 		return r.Const, nil
@@ -457,7 +457,7 @@ func (m *machine) evalRHS(n *ir.Node) (int64, error) {
 			return a * b, nil
 		case ir.OpDiv:
 			if b == 0 {
-				return 0, &RuntimeError{Node: n.ID, Line: n.Line, Msg: "division by zero"}
+				return 0, &RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "division by zero"}
 			}
 			if a == math.MinInt64 && b == -1 {
 				return math.MinInt64, nil // wraparound, matching hardware
@@ -465,14 +465,14 @@ func (m *machine) evalRHS(n *ir.Node) (int64, error) {
 			return a / b, nil
 		case ir.OpMod:
 			if b == 0 {
-				return 0, &RuntimeError{Node: n.ID, Line: n.Line, Msg: "modulo by zero"}
+				return 0, &RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "modulo by zero"}
 			}
 			if a == math.MinInt64 && b == -1 {
 				return 0, nil
 			}
 			return a % b, nil
 		}
-		return 0, &RuntimeError{Node: n.ID, Line: n.Line, Msg: "internal: unknown binop"}
+		return 0, &RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "internal: unknown binop"}
 	case ir.RLoad:
 		ptr := m.read(r.Src)
 		idx := m.operand(r.A)
@@ -483,7 +483,7 @@ func (m *machine) evalRHS(n *ir.Node) (int64, error) {
 	case ir.RAlloc:
 		size := m.operand(r.A)
 		if size < 0 || size > 1<<24 {
-			return 0, &RuntimeError{Node: n.ID, Line: n.Line,
+			return 0, &RuntimeError{Node: n.ID, Line: int(n.Line),
 				Msg: fmt.Sprintf("invalid allocation size %d", size)}
 		}
 		base := int64(len(m.heap))
@@ -497,5 +497,5 @@ func (m *machine) evalRHS(n *ir.Node) (int64, error) {
 		m.inPos++
 		return v, nil
 	}
-	return 0, &RuntimeError{Node: n.ID, Line: n.Line, Msg: "internal: unknown rhs kind"}
+	return 0, &RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "internal: unknown rhs kind"}
 }

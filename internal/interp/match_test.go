@@ -195,12 +195,12 @@ var corruptions = map[string]func(t testing.TB, g *ir.Program){
 			if n != nil && n.Kind == ir.NPrint && n.Proc == g.MainProc {
 				pre := g.NewNode(ir.NAssign, g.MainProc)
 				pre.Dst = x
-				pre.RHS = ir.RHS{Kind: ir.RBinop, Op: ir.OpAdd, A: ir.VarOp(x), B: ir.ConstOp(5)}
+				pre.SetRHS(ir.RHS{Kind: ir.RBinop, Op: ir.OpAdd, A: ir.VarOp(x), B: ir.ConstOp(5)})
 				for _, m := range append([]ir.NodeID(nil), n.Preds...) {
 					g.RedirectSucc(m, n.ID, pre.ID)
 				}
 				g.AddEdge(pre.ID, n.ID)
-				n.Val = ir.VarOp(x)
+				n.SetVal(ir.VarOp(x))
 			}
 		}
 	},

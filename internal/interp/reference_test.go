@@ -63,7 +63,7 @@ func referenceRun(p *ir.Program, opts interp.Options) (*interp.Result, error) {
 		}
 		m.res.Steps++
 		if m.res.Steps > maxSteps {
-			return m.res, &interp.RuntimeError{Node: cur.ID, Line: cur.Line, Msg: "step limit exceeded", Err: interp.ErrStepLimit}
+			return m.res, &interp.RuntimeError{Node: cur.ID, Line: int(cur.Line), Msg: "step limit exceeded", Err: interp.ErrStepLimit}
 		}
 		if m.res.ExecCount != nil {
 			m.res.ExecCount[cur.ID]++
@@ -79,10 +79,10 @@ func referenceRun(p *ir.Program, opts interp.Options) (*interp.Result, error) {
 		case ir.NAssert:
 			// Asserts are compiler-established facts; a violation means the
 			// graph was miscompiled or incorrectly restructured.
-			if !cur.APred.Eval(m.read(cur.AVar)) {
-				return m.res, &interp.RuntimeError{Node: cur.ID, Line: cur.Line,
+			if !cur.APred().Eval(m.read(cur.AVar())) {
+				return m.res, &interp.RuntimeError{Node: cur.ID, Line: int(cur.Line),
 					Msg: fmt.Sprintf("internal: assertion %s %s violated (value %d)",
-						m.prog.VarName(cur.AVar), cur.APred, m.read(cur.AVar))}
+						m.prog.VarName(cur.AVar()), cur.APred(), m.read(cur.AVar()))}
 			}
 			cur = m.onlySucc(cur)
 
@@ -96,33 +96,33 @@ func referenceRun(p *ir.Program, opts interp.Options) (*interp.Result, error) {
 
 		case ir.NBranch:
 			m.res.CondExecs++
-			lhs := m.read(cur.CondVar)
-			rhs := cur.CondRHS.Const
-			if !cur.CondRHS.IsConst {
-				rhs = m.read(cur.CondRHS.Var)
+			lhs := m.read(cur.CondVar())
+			rhs := cur.CondRHS().Const
+			if !cur.CondRHS().IsConst {
+				rhs = m.read(cur.CondRHS().Var)
 			}
-			if cur.CondOp.Eval(lhs, rhs) {
+			if cur.CondOp().Eval(lhs, rhs) {
 				cur = m.prog.Node(cur.TrueSucc())
 			} else {
 				cur = m.prog.Node(cur.FalseSucc())
 			}
 
 		case ir.NPrint:
-			m.res.Output = append(m.res.Output, m.operand(cur.Val))
+			m.res.Output = append(m.res.Output, m.operand(cur.Val()))
 			cur = m.onlySucc(cur)
 
 		case ir.NStore:
-			ptr := m.read(cur.Ptr)
-			idx := m.operand(cur.Idx)
+			ptr := m.read(cur.Ptr())
+			idx := m.operand(cur.Idx())
 			if err := m.checkAddr(cur, ptr, idx); err != nil {
 				return m.res, err
 			}
-			m.heap[ptr+idx] = m.operand(cur.Val)
+			m.heap[ptr+idx] = m.operand(cur.Val())
 			cur = m.onlySucc(cur)
 
 		case ir.NCall:
 			callee := m.prog.Procs[cur.Callee]
-			nf := &refFrame{proc: cur.Callee, callNode: cur.ID, vars: make(map[ir.VarID]int64)}
+			nf := &refFrame{proc: int(cur.Callee), callNode: cur.ID, vars: make(map[ir.VarID]int64)}
 			for i, formal := range callee.Formals {
 				nf.vars[formal] = m.read(cur.Args[i])
 			}
@@ -149,7 +149,7 @@ func referenceRun(p *ir.Program, opts interp.Options) (*interp.Result, error) {
 				}
 			}
 			if ret == nil {
-				return m.res, &interp.RuntimeError{Node: cur.ID, Line: cur.Line,
+				return m.res, &interp.RuntimeError{Node: cur.ID, Line: int(cur.Line),
 					Msg: fmt.Sprintf("internal: exit of %s has no return point for call node %d",
 						m.prog.Procs[cur.Proc].Name, top.callNode)}
 			}
@@ -162,7 +162,7 @@ func referenceRun(p *ir.Program, opts interp.Options) (*interp.Result, error) {
 			cur = m.onlySucc(cur)
 
 		default:
-			return m.res, &interp.RuntimeError{Node: cur.ID, Line: cur.Line,
+			return m.res, &interp.RuntimeError{Node: cur.ID, Line: int(cur.Line),
 				Msg: fmt.Sprintf("internal: unexecutable node kind %s", cur.Kind)}
 		}
 	}
@@ -199,18 +199,18 @@ func (m *refMachine) operand(o ir.Operand) int64 {
 
 func (m *refMachine) checkAddr(n *ir.Node, ptr, idx int64) error {
 	if ptr == 0 {
-		return &interp.RuntimeError{Node: n.ID, Line: n.Line, Msg: "nil pointer dereference"}
+		return &interp.RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "nil pointer dereference"}
 	}
 	addr := ptr + idx
 	if addr < 1 || addr >= int64(len(m.heap)) {
-		return &interp.RuntimeError{Node: n.ID, Line: n.Line,
+		return &interp.RuntimeError{Node: n.ID, Line: int(n.Line),
 			Msg: fmt.Sprintf("heap access out of bounds (addr %d, heap size %d)", addr, len(m.heap))}
 	}
 	return nil
 }
 
 func (m *refMachine) evalRHS(n *ir.Node) (int64, error) {
-	r := n.RHS
+	r := n.RHS()
 	switch r.Kind {
 	case ir.RConst:
 		return r.Const, nil
@@ -232,7 +232,7 @@ func (m *refMachine) evalRHS(n *ir.Node) (int64, error) {
 			return a * b, nil
 		case ir.OpDiv:
 			if b == 0 {
-				return 0, &interp.RuntimeError{Node: n.ID, Line: n.Line, Msg: "division by zero"}
+				return 0, &interp.RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "division by zero"}
 			}
 			if a == math.MinInt64 && b == -1 {
 				return math.MinInt64, nil // wraparound, matching hardware
@@ -240,14 +240,14 @@ func (m *refMachine) evalRHS(n *ir.Node) (int64, error) {
 			return a / b, nil
 		case ir.OpMod:
 			if b == 0 {
-				return 0, &interp.RuntimeError{Node: n.ID, Line: n.Line, Msg: "modulo by zero"}
+				return 0, &interp.RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "modulo by zero"}
 			}
 			if a == math.MinInt64 && b == -1 {
 				return 0, nil
 			}
 			return a % b, nil
 		}
-		return 0, &interp.RuntimeError{Node: n.ID, Line: n.Line, Msg: "internal: unknown binop"}
+		return 0, &interp.RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "internal: unknown binop"}
 	case ir.RLoad:
 		ptr := m.read(r.Src)
 		idx := m.operand(r.A)
@@ -258,7 +258,7 @@ func (m *refMachine) evalRHS(n *ir.Node) (int64, error) {
 	case ir.RAlloc:
 		size := m.operand(r.A)
 		if size < 0 || size > 1<<24 {
-			return 0, &interp.RuntimeError{Node: n.ID, Line: n.Line,
+			return 0, &interp.RuntimeError{Node: n.ID, Line: int(n.Line),
 				Msg: fmt.Sprintf("invalid allocation size %d", size)}
 		}
 		base := int64(len(m.heap))
@@ -272,5 +272,5 @@ func (m *refMachine) evalRHS(n *ir.Node) (int64, error) {
 		m.inPos++
 		return v, nil
 	}
-	return 0, &interp.RuntimeError{Node: n.ID, Line: n.Line, Msg: "internal: unknown rhs kind"}
+	return 0, &interp.RuntimeError{Node: n.ID, Line: int(n.Line), Msg: "internal: unknown rhs kind"}
 }

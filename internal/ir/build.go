@@ -145,7 +145,7 @@ func (b *builder) lowerProc(idx int, fn *minic.Proc) {
 	b.loops = nil
 
 	entry := p.NewNode(NEntry, idx)
-	entry.Line = int(fn.Pos.Line)
+	entry.Line = fn.Pos.Line
 	pr.Entries = []NodeID{entry.ID}
 	b.exit = p.NewNode(NExit, idx)
 	pr.Exits = []NodeID{b.exit.ID}
@@ -154,7 +154,7 @@ func (b *builder) lowerProc(idx int, fn *minic.Proc) {
 	b.lowerBlock(fn.Body)
 	if b.cur != nil {
 		// Implicit `return 0` when control falls off the end.
-		n := b.newAssign(pr.RetVar, RHS{Kind: RConst, Const: 0}, int(fn.Pos.Line))
+		n := b.newAssign(pr.RetVar, RHS{Kind: RConst, Const: 0}, fn.Pos.Line)
 		b.emit(n)
 		p.AddEdge(b.cur.ID, b.exit.ID)
 		b.cur = nil
@@ -200,18 +200,17 @@ func (b *builder) newTemp() VarID {
 	return b.prog.NewVar(name, VarTemp, b.proc)
 }
 
-func (b *builder) newAssign(dst VarID, rhs RHS, line int) *Node {
+func (b *builder) newAssign(dst VarID, rhs RHS, line int32) *Node {
 	n := b.prog.NewNode(NAssign, b.proc)
 	n.Dst = dst
-	n.RHS = rhs
+	n.SetRHS(rhs)
 	n.Line = line
 	return n
 }
 
-func (b *builder) newAssert(v VarID, pr pred.Pred, line int) *Node {
+func (b *builder) newAssert(v VarID, pr pred.Pred, line int32) *Node {
 	n := b.prog.NewNode(NAssert, b.proc)
-	n.AVar = v
-	n.APred = pr
+	n.SetAssert(v, pr)
 	n.Line = line
 	return n
 }
@@ -236,46 +235,44 @@ func (b *builder) lowerStmt(s minic.Stmt) {
 		if s.Init != nil {
 			// Initializer evaluated before the variable exists (it may
 			// reference an outer binding of the same name).
-			b.lowerExprInto(id, s.Init, int(s.Pos.Line))
+			b.lowerExprInto(id, s.Init, s.Pos.Line)
 			b.vars[s.Sym.ID] = id
 		} else {
 			b.vars[s.Sym.ID] = id
-			b.emit(b.newAssign(id, RHS{Kind: RConst, Const: 0}, int(s.Pos.Line)))
+			b.emit(b.newAssign(id, RHS{Kind: RConst, Const: 0}, s.Pos.Line))
 		}
 
 	case *minic.AssignStmt:
 		dst := b.vars[s.Sym.ID]
-		b.lowerExprInto(dst, s.Value, int(s.Pos.Line))
+		b.lowerExprInto(dst, s.Value, s.Pos.Line)
 
 	case *minic.StoreStmt:
 		ptr := b.vars[s.Sym.ID]
 		idx := b.lowerOperand(s.Index)
 		val := b.lowerOperand(s.Value)
 		n := b.prog.NewNode(NStore, b.proc)
-		n.Ptr = ptr
-		n.Idx = idx
-		n.Val = val
-		n.Line = int(s.Pos.Line)
+		n.SetStore(ptr, idx, val)
+		n.Line = s.Pos.Line
 		b.emit(n)
 		// The store dereferenced ptr, so ptr != 0 past this point.
-		b.emit(b.newAssert(ptr, pred.Pred{Op: pred.Ne, C: 0}, int(s.Pos.Line)))
+		b.emit(b.newAssert(ptr, pred.Pred{Op: pred.Ne, C: 0}, s.Pos.Line))
 
 	case *minic.CallStmt:
-		b.lowerCall(s.Call, NoVar, int(s.Pos.Line))
+		b.lowerCall(s.Call, NoVar, s.Pos.Line)
 
 	case *minic.PrintStmt:
 		val := b.lowerOperand(s.Value)
 		n := b.prog.NewNode(NPrint, b.proc)
-		n.Val = val
-		n.Line = int(s.Pos.Line)
+		n.SetVal(val)
+		n.Line = s.Pos.Line
 		b.emit(n)
 
 	case *minic.ReturnStmt:
 		retVar := b.prog.Procs[b.proc].RetVar
 		if s.Value != nil {
-			b.lowerExprInto(retVar, s.Value, int(s.Pos.Line))
+			b.lowerExprInto(retVar, s.Value, s.Pos.Line)
 		} else {
-			b.emit(b.newAssign(retVar, RHS{Kind: RConst, Const: 0}, int(s.Pos.Line)))
+			b.emit(b.newAssign(retVar, RHS{Kind: RConst, Const: 0}, s.Pos.Line))
 		}
 		b.prog.AddEdge(b.cur.ID, b.exit.ID)
 		b.cur = nil
@@ -336,10 +333,8 @@ func (b *builder) lowerCond(c *minic.Cond) loweredCond {
 		op = mirror(op)
 	}
 	n := b.prog.NewNode(NBranch, b.proc)
-	n.CondVar = lhs.Var
-	n.CondOp = op
-	n.CondRHS = rhs
-	n.Line = int(c.Pos.Line)
+	n.SetCond(lhs.Var, op, rhs)
+	n.Line = c.Pos.Line
 	return loweredCond{branch: n}
 }
 
@@ -353,7 +348,7 @@ func (b *builder) branchArm(br *Node, takeTrue bool) {
 		if !takeTrue {
 			pr = pr.Negate()
 		}
-		arm = b.newAssert(br.CondVar, pr, br.Line)
+		arm = b.newAssert(br.CondVar(), pr, br.Line)
 	} else {
 		arm = b.prog.NewNode(NNop, b.proc)
 		arm.Line = br.Line
@@ -391,7 +386,7 @@ func (b *builder) lowerIf(s *minic.IfStmt) {
 		return
 	}
 	join := b.prog.NewNode(NNop, b.proc)
-	join.Line = int(s.Pos.Line)
+	join.Line = s.Pos.Line
 	if thenEnd != nil {
 		b.prog.AddEdge(thenEnd.ID, join.ID)
 	}
@@ -411,7 +406,7 @@ func (b *builder) lowerElse(s minic.Stmt) {
 
 func (b *builder) lowerWhile(s *minic.WhileStmt) {
 	head := b.prog.NewNode(NNop, b.proc)
-	head.Line = int(s.Pos.Line)
+	head.Line = s.Pos.Line
 	b.emit(head)
 
 	lc := b.lowerCond(s.Cond)
@@ -421,7 +416,7 @@ func (b *builder) lowerWhile(s *minic.WhileStmt) {
 	}
 
 	after := b.prog.NewNode(NNop, b.proc)
-	after.Line = int(s.Pos.Line)
+	after.Line = s.Pos.Line
 	b.loops = append(b.loops, loopCtx{head: head.ID, after: after.ID})
 
 	if lc.folded { // while (true)
@@ -460,13 +455,13 @@ func (b *builder) lowerOperand(e minic.Expr) Operand {
 		return VarOp(b.vars[e.Sym.ID])
 	default:
 		t := b.newTemp()
-		b.lowerExprInto(t, e, int(e.Position().Line))
+		b.lowerExprInto(t, e, e.Position().Line)
 		return VarOp(t)
 	}
 }
 
 // lowerExprInto lowers an expression, assigning its value to dst.
-func (b *builder) lowerExprInto(dst VarID, e minic.Expr, line int) {
+func (b *builder) lowerExprInto(dst VarID, e minic.Expr, line int32) {
 	switch e := e.(type) {
 	case *minic.NumLit:
 		b.emit(b.newAssign(dst, RHS{Kind: RConst, Const: e.Val}, line))
@@ -531,7 +526,7 @@ func (b *builder) lowerExprInto(dst VarID, e minic.Expr, line int) {
 // lowerCall lowers a procedure call, leaving the result in dst (or
 // discarding it when dst == NoVar). The interprocedural edges are wired in
 // the link phase.
-func (b *builder) lowerCall(call *minic.CallExpr, dst VarID, line int) {
+func (b *builder) lowerCall(call *minic.CallExpr, dst VarID, line int32) {
 	callee := b.info.ProcIdx[call.Name]
 	args := make([]VarID, len(call.Args))
 	for i, a := range call.Args {
@@ -545,13 +540,13 @@ func (b *builder) lowerCall(call *minic.CallExpr, dst VarID, line int) {
 		}
 	}
 	cn := b.prog.NewNode(NCall, b.proc)
-	cn.Callee = callee
+	cn.Callee = int32(callee)
 	cn.Args = args
 	cn.Line = line
 	b.emit(cn)
 
 	ce := b.prog.NewNode(NCallExit, b.proc)
-	ce.Callee = callee
+	ce.Callee = int32(callee)
 	ce.Dst = dst
 	ce.Line = line
 	if dst == NoVar {

@@ -126,41 +126,7 @@ func EncodeProgram(p *Program) []byte {
 			Init: v.Init,
 		})
 	}
-	p.LiveNodes(func(n *Node) {
-		wn := &wireNode{
-			ID:        n.ID,
-			Kind:      n.Kind,
-			Proc:      n.Proc,
-			Line:      n.Line,
-			Synthetic: n.Synthetic,
-			Dst:       n.Dst,
-			CondVar:   n.CondVar,
-			CondOp:    n.CondOp,
-			CondRHS:   wireOp(n.CondRHS),
-			AVar:      n.AVar,
-			APredOp:   n.APred.Op,
-			APredC:    n.APred.C,
-			Ptr:       n.Ptr,
-			Idx:       wireOp(n.Idx),
-			Val:       wireOp(n.Val),
-			Callee:    n.Callee,
-			Args:      n.Args,
-			Succs:     n.Succs,
-			Preds:     n.Preds,
-		}
-		if n.Kind == NAssign || n.Kind == NCallExit {
-			r := wireRHS{
-				Kind:  n.RHS.Kind,
-				Const: n.RHS.Const,
-				A:     wireOp(n.RHS.A),
-				B:     wireOp(n.RHS.B),
-				Src:   n.RHS.Src,
-				Op:    n.RHS.Op,
-			}
-			wn.RHS = &r
-		}
-		wp.Nodes = append(wp.Nodes, wn)
-	})
+	p.LiveNodes(func(n *Node) { wp.Nodes = append(wp.Nodes, wireNodeOf(n)) })
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
@@ -169,6 +135,90 @@ func EncodeProgram(p *Program) []byte {
 		panic("ir: encode: " + err.Error())
 	}
 	return buf.Bytes()
+}
+
+// wireNodeOf maps a node to its wire record. The payload block is written
+// per kind under the names of what the kind keeps there; a nop writes the
+// condition of the branch it was demoted from.
+func wireNodeOf(n *Node) *wireNode {
+	wn := &wireNode{
+		ID:        n.ID,
+		Kind:      n.Kind,
+		Proc:      n.Proc,
+		Line:      int(n.Line),
+		Synthetic: n.Synthetic,
+		Dst:       n.Dst,
+		Succs:     n.Succs,
+		Preds:     n.Preds,
+	}
+	switch n.Kind {
+	case NAssign, NCallExit:
+		r := n.RHS()
+		wn.RHS = &wireRHS{
+			Kind:  r.Kind,
+			Const: r.Const,
+			A:     wireOp(r.A),
+			B:     wireOp(r.B),
+			Src:   r.Src,
+			Op:    r.Op,
+		}
+		if n.Kind == NCallExit {
+			wn.Callee = int(n.Callee)
+		}
+	case NCall:
+		wn.Callee, wn.Args = int(n.Callee), n.Args
+	case NBranch, NNop:
+		wn.CondVar, wn.CondOp, wn.CondRHS = n.CondVar(), n.CondOp(), wireOp(n.CondRHS())
+	case NAssert:
+		wn.AVar, wn.APredOp, wn.APredC = n.AVar(), n.APred().Op, n.APred().C
+	case NStore:
+		wn.Ptr, wn.Idx, wn.Val = n.Ptr(), wireOp(n.Idx()), wireOp(n.Val())
+	case NPrint:
+		wn.Val = wireOp(n.Val())
+	}
+	return wn
+}
+
+// nodeOfWire is wireNodeOf's inverse. It reports false when the record
+// carries what the node cannot hold — payload outside its kind's slots, or
+// a line or callee outside int32 — or lacks the rhs every assignment and
+// call-site exit is written with, since such a record could not re-encode
+// to itself.
+func nodeOfWire(wn *wireNode, n *Node) bool {
+	*n = Node{
+		ID:        wn.ID,
+		Kind:      wn.Kind,
+		Proc:      wn.Proc,
+		Line:      int32(wn.Line),
+		Synthetic: wn.Synthetic,
+		Dst:       wn.Dst,
+		Succs:     wn.Succs,
+		Preds:     wn.Preds,
+	}
+	switch wn.Kind {
+	case NAssign, NCallExit:
+		if r := wn.RHS; r != nil {
+			n.SetRHS(RHS{Kind: r.Kind, Const: r.Const, A: irOp(r.A), B: irOp(r.B), Src: r.Src, Op: r.Op})
+		}
+		n.Callee = int32(wn.Callee)
+	case NCall:
+		n.Callee, n.Args = int32(wn.Callee), wn.Args
+	case NBranch, NNop:
+		n.SetCond(wn.CondVar, wn.CondOp, irOp(wn.CondRHS))
+	case NAssert:
+		n.SetAssert(wn.AVar, pred.Pred{Op: wn.APredOp, C: wn.APredC})
+	case NStore:
+		n.SetStore(wn.Ptr, irOp(wn.Idx), irOp(wn.Val))
+	case NPrint:
+		n.SetVal(irOp(wn.Val))
+	}
+	back := wireNodeOf(n)
+	return back.Line == wn.Line && back.Callee == wn.Callee &&
+		(back.RHS == nil) == (wn.RHS == nil) && (wn.RHS == nil || *back.RHS == *wn.RHS) &&
+		back.CondVar == wn.CondVar && back.CondOp == wn.CondOp && back.CondRHS == wn.CondRHS &&
+		back.AVar == wn.AVar && back.APredOp == wn.APredOp && back.APredC == wn.APredC &&
+		back.Ptr == wn.Ptr && back.Idx == wn.Idx && back.Val == wn.Val &&
+		(back.Args == nil) == (wn.Args == nil)
 }
 
 func wireOp(o Operand) wireOperand {
@@ -249,35 +299,8 @@ func DecodeProgram(data []byte) (*Program, error) {
 		}
 		prev = wn.ID
 		n := &nblock[i]
-		*n = Node{
-			ID:        wn.ID,
-			Kind:      wn.Kind,
-			Proc:      wn.Proc,
-			Line:      wn.Line,
-			Synthetic: wn.Synthetic,
-			Dst:       wn.Dst,
-			CondVar:   wn.CondVar,
-			CondOp:    wn.CondOp,
-			CondRHS:   irOp(wn.CondRHS),
-			AVar:      wn.AVar,
-			APred:     pred.Pred{Op: wn.APredOp, C: wn.APredC},
-			Ptr:       wn.Ptr,
-			Idx:       irOp(wn.Idx),
-			Val:       irOp(wn.Val),
-			Callee:    wn.Callee,
-			Args:      wn.Args,
-			Succs:     wn.Succs,
-			Preds:     wn.Preds,
-		}
-		if wn.RHS != nil {
-			n.RHS = RHS{
-				Kind:  wn.RHS.Kind,
-				Const: wn.RHS.Const,
-				A:     irOp(wn.RHS.A),
-				B:     irOp(wn.RHS.B),
-				Src:   wn.RHS.Src,
-				Op:    wn.RHS.Op,
-			}
+		if !nodeOfWire(wn, n) {
+			return nil, fmt.Errorf("ir: decode: node %d (%s) payload does not fit its kind", wn.ID, wn.Kind)
 		}
 		p.store(wn.ID, n, nil)
 	}

@@ -2,12 +2,16 @@ package ir_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 
 	"icbe"
 	"icbe/internal/interp"
 	"icbe/internal/ir"
+	"icbe/internal/pred"
 	"icbe/internal/progs"
+	"icbe/internal/randprog"
 )
 
 func compileT(t *testing.T, src string) *ir.Program {
@@ -121,4 +125,122 @@ func main() { var a = input(); var r = f(a); print(r); return 0; }
 		}
 		_ = ir.Validate(dec)
 	}
+}
+
+// payloadKinds lists, for every payload field of the wire node record, the
+// node kinds that hold it. A nop holds a branch's fields: the restructurer,
+// the prune and fold demote a decided branch in place.
+var payloadKinds = []struct {
+	key   string
+	value any
+	kinds []ir.NodeKind
+}{
+	{"rhs", map[string]any{"kind": 1, "src": 1}, []ir.NodeKind{ir.NAssign, ir.NCallExit}},
+	{"cvar", 1, []ir.NodeKind{ir.NBranch, ir.NNop}},
+	{"cop", 2, []ir.NodeKind{ir.NBranch, ir.NNop}},
+	{"crhs", map[string]any{"c": 3, "k": true}, []ir.NodeKind{ir.NBranch, ir.NNop}},
+	{"avar", 1, []ir.NodeKind{ir.NAssert}},
+	{"apop", 2, []ir.NodeKind{ir.NAssert}},
+	{"apc", 3, []ir.NodeKind{ir.NAssert}},
+	{"ptr", 1, []ir.NodeKind{ir.NStore}},
+	{"idx", map[string]any{"v": 1}, []ir.NodeKind{ir.NStore}},
+	{"val", map[string]any{"c": 3, "k": true}, []ir.NodeKind{ir.NStore, ir.NPrint}},
+	{"callee", 1, []ir.NodeKind{ir.NCall, ir.NCallExit}},
+	{"args", []any{1}, []ir.NodeKind{ir.NCall}},
+	// Any kind holds a line, but only one that fits in int32.
+	{"line", int64(1) << 40, nil},
+}
+
+// FuzzEncodeRoundTrip pins the per-kind codec. Generated programs, some
+// optimized (decided branches demoted to nops that keep their condition),
+// get random in-memory payload edits through the node setters — retyped
+// nodes, another kind's payload written into the shared slots — and must
+// still encode, decode and encode again to the same bytes. A record given
+// a payload field its kind does not hold must then be rejected, while the
+// same record without it decodes.
+func FuzzEncodeRoundTrip(f *testing.F) {
+	for _, seed := range []uint64{0, 1, 2, 3, 7, 42} {
+		f.Add(seed, seed*5)
+	}
+	f.Fuzz(func(t *testing.T, seed, mutSeed uint64) {
+		prog, err := icbe.Compile(randprog.Generate(seed, randprog.Config{Procs: 3, MaxStmts: 4, MaxDepth: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mutSeed%2 == 0 {
+			if prog, _, err = prog.Optimize(icbe.DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := prog.Graph()
+		r := mutSeed
+		next := func(n int) int {
+			r = r*6364136223846793005 + 1442695040888963407
+			return int((r >> 33) % uint64(n))
+		}
+		var live []ir.NodeID
+		p.LiveNodes(func(n *ir.Node) { live = append(live, n.ID) })
+		for range next(6) {
+			n := p.Mut(live[next(len(live))])
+			op := ir.ConstOp(int64(next(9) - 4))
+			switch next(7) {
+			case 0:
+				n.Kind = ir.NodeKind(next(int(ir.NNop) + 1))
+			case 1:
+				n.SetRHS(ir.RHS{Kind: ir.RHSKind(next(8)), Const: int64(next(5)), A: op, Src: ir.VarID(next(3))})
+			case 2:
+				n.SetCond(ir.VarID(next(3)), pred.Op(next(6)), op)
+			case 3:
+				n.SetAssert(ir.VarID(next(3)), pred.Pred{Op: pred.Op(next(6)), C: int64(next(5))})
+			case 4:
+				n.SetStore(ir.VarID(next(3)), op, ir.VarOp(ir.VarID(next(3))))
+			case 5:
+				n.SetVal(op)
+			default:
+				n.Callee, n.Args = int32(next(3)), []ir.VarID{ir.VarID(next(3))}
+			}
+		}
+		enc := ir.EncodeProgram(p)
+		dec, err := ir.DecodeProgram(enc)
+		if err != nil {
+			t.Fatalf("decode of an encoding: %v", err)
+		}
+		if !bytes.Equal(ir.EncodeProgram(dec), enc) {
+			t.Fatal("encode → decode → encode is not byte-identical")
+		}
+
+		// Give one record a payload field its kind does not hold.
+		var doc map[string]any
+		dj := json.NewDecoder(bytes.NewReader(enc))
+		dj.UseNumber()
+		if err := dj.Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		nodes := doc["nodes"].([]any)
+		rec := nodes[next(len(nodes))].(map[string]any)
+		kn, _ := rec["kind"].(json.Number).Int64()
+		var foreign []int
+		for i, pk := range payloadKinds {
+			if !slices.Contains(pk.kinds, ir.NodeKind(kn)) {
+				foreign = append(foreign, i)
+			}
+		}
+		field := payloadKinds[foreign[next(len(foreign))]]
+		if _, err := ir.DecodeProgram(marshal(t, doc)); err != nil {
+			t.Fatalf("re-marshaled encoding rejected: %v", err)
+		}
+		rec[field.key] = field.value
+		if _, err := ir.DecodeProgram(marshal(t, doc)); err == nil {
+			t.Fatalf("decode accepted %q on a %s node", field.key, ir.NodeKind(kn))
+		}
+	})
+}
+
+func marshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -21,14 +21,14 @@ func forkEdits(t *testing.T, p *Program) {
 	v := p.NewVar("main.$fork", VarTemp, p.MainProc)
 	n := p.NewNode(NAssign, p.MainProc)
 	n.Dst = v
-	n.RHS = RHS{Kind: RConst, Const: 5}
+	n.SetRHS(RHS{Kind: RConst, Const: 5})
 	p.RedirectSucc(entry.ID, succ, n.ID)
 	p.AddEdge(n.ID, succ)
 	pr := findNodes(p, NPrint)[0]
 	after := pr.Succs[0]
 	p.RemoveEdge(pr.ID, after)
 	p.AddEdge(pr.ID, after)
-	p.Mut(pr.ID).Val = ConstOp(99)
+	p.Mut(pr.ID).SetVal(ConstOp(99))
 	p.DeleteNode(findNodes(p, NBranch)[0].ID)
 }
 
@@ -183,7 +183,7 @@ func forkEdit(p *Program, op, a, b byte) {
 	case 0: // create nodes, up to 255 of them, and wire the first in
 		first := p.NewNode(NNop, n.Proc)
 		for i := 1; i < int(b); i++ {
-			p.NewNode(NodeKind(i%int(NNop+1)), n.Proc).Line = i
+			p.NewNode(NodeKind(i%int(NNop+1)), n.Proc).Line = int32(i)
 		}
 		p.AddEdge(n.ID, first.ID)
 	case 1:
@@ -200,8 +200,8 @@ func forkEdit(p *Program, op, a, b byte) {
 		p.DeleteNode(n.ID)
 	case 5:
 		w := p.Mut(n.ID)
-		w.Line = int(b)
-		w.Val = ConstOp(int64(a))
+		w.Line = int32(b)
+		w.SetVal(ConstOp(int64(a)))
 	case 6:
 		pr := p.MutProc(n.Proc)
 		pr.Entries = append(pr.Entries, m.ID)
@@ -219,7 +219,7 @@ func forkEdit(p *Program, op, a, b byte) {
 		p.NewVar(fmt.Sprintf("v%d", b), VarTemp, n.Proc)
 	default: // create a node on the last page of the arena
 		c := p.NewNode(NAssign, m.Proc)
-		c.RHS = RHS{Kind: RConst, Const: int64(a)}
+		c.SetRHS(RHS{Kind: RConst, Const: int64(a)})
 		p.AddEdge(c.ID, m.ID)
 	}
 }

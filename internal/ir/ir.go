@@ -19,6 +19,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"icbe/internal/pred"
 )
@@ -217,55 +218,126 @@ type RHS struct {
 	Op    BinOp // RBinop
 }
 
-// Node is a single ICFG node. The payload fields used depend on Kind.
-// Nodes dominate the optimizer's allocation profile (a fork privatizes a
-// node by copying it, and Clone copies the whole arena), so fields are laid
-// out size-descending to minimize padding rather than grouped by kind; the
-// comments keep the per-kind grouping.
+// Node is a single ICFG node. Nodes dominate the optimizer's allocation
+// profile (a build makes one per statement, a fork privatizes a node by
+// copying it, and Clone copies the whole arena), so a node does not carry
+// every kind's payload side by side: the kinds share one payload block,
+// read and written through accessors named after what each kind keeps
+// there.
+//
+//	kind            accessors                  slots
+//	NAssign         Dst, RHS                   Dst, rhs
+//	NCallExit       Dst, RHS, Callee           Dst, rhs, Callee
+//	NBranch, NNop   CondVar, CondOp, CondRHS   v, op, rhs.A
+//	NAssert         AVar, APred                v, op, rhs.Const
+//	NStore          Ptr, Idx, Val              v, rhs.A, rhs.B
+//	NPrint          Val                        rhs.B
+//	NCall           Callee, Args               Callee, Args
+//
+// A nop keeps the condition of the branch it was demoted from (the
+// restructurer, the prune and fold decide a branch and demote it in place),
+// and the codec writes it under the branch's names. The accessors do not
+// check the kind: read another kind's payload and you get whatever shares
+// its slot, so every reader switches on Kind first.
 type Node struct {
-	// NAssign / NCallExit: RHS is the assigned value; Dst (below) the
-	// destination variable, NoVar when the call result is discarded.
-	RHS RHS
-
-	// NBranch: condition (CondVar CondOp CondRHS). Analyzable when CondRHS
-	// is a constant. Succs[0] is the true successor, Succs[1] the false
-	// successor.
-	CondRHS Operand
-
-	// NStore: heap[Ptr+Idx] := Val.
-	Idx Operand
-	Val Operand // also NPrint value
-
-	// NAssert: the fact (AVar APred) holds on entry to this node's
-	// successor. Assert nodes are synthetic.
-	APred pred.Pred
+	Succs []NodeID
+	Preds []NodeID
 
 	// NCall: argument variables (1:1 with the callee's formals).
 	Args []VarID
 
-	Succs []NodeID
-	Preds []NodeID
-
-	// NCall: callee procedure index. NCallExit: the procedure returned
-	// from.
-	Callee int
+	rhs RHS
 
 	Proc int // owning procedure index
-	Line int // source line, for diagnostics
 
-	ID      NodeID
-	Dst     VarID // NAssign / NCallExit destination
-	CondVar VarID // NBranch condition variable
-	AVar    VarID // NAssert variable
-	Ptr     VarID // NStore pointer
+	// v is the branch's condition variable, the assert's variable or the
+	// store's pointer.
+	v VarID
 
-	Kind   NodeKind
-	CondOp pred.Op // NBranch relational operator
+	ID  NodeID
+	Dst VarID // NAssign / NCallExit destination; NoVar elsewhere
+
+	Line int32 // source line, for diagnostics
+	// NCall: callee procedure index. NCallExit: the procedure returned
+	// from.
+	Callee int32
+
+	Kind NodeKind
+
+	// op is the branch's relational operator or the assert's predicate op.
+	op pred.Op
 
 	// Synthetic nodes (entry, exit, call, asserts, nops) carry no program
 	// operation; they are excluded from operation counts and may be
 	// duplicated freely.
 	Synthetic bool
+}
+
+// RHS returns the assigned value of an NAssign or NCallExit node. The
+// pointer is into the node: write through it only on a node from Mut.
+func (n *Node) RHS() *RHS { return &n.rhs }
+
+// SetRHS sets the assigned value of an NAssign or NCallExit node.
+func (n *Node) SetRHS(r RHS) { n.rhs = r }
+
+// CondVar returns the condition variable of an NBranch (or of the branch
+// an NNop was demoted from).
+func (n *Node) CondVar() VarID { return n.v }
+
+// CondOp returns the relational operator of an NBranch's condition.
+func (n *Node) CondOp() pred.Op { return n.op }
+
+// CondRHS returns the right operand of an NBranch's condition. The branch
+// is analyzable when it is a constant. Succs[0] is the true successor,
+// Succs[1] the false successor.
+func (n *Node) CondRHS() Operand { return n.rhs.A }
+
+// SetCond sets an NBranch's condition (v op rhs).
+func (n *Node) SetCond(v VarID, op pred.Op, rhs Operand) {
+	n.v, n.op, n.rhs.A = v, op, rhs
+}
+
+// AVar returns the variable of an NAssert: the fact (AVar APred) holds on
+// entry to the node's successor. Assert nodes are synthetic.
+func (n *Node) AVar() VarID { return n.v }
+
+// APred returns the predicate of an NAssert.
+func (n *Node) APred() pred.Pred { return pred.Pred{Op: n.op, C: n.rhs.Const} }
+
+// SetAssert sets an NAssert's fact (v pr).
+func (n *Node) SetAssert(v VarID, pr pred.Pred) {
+	n.v, n.op, n.rhs.Const = v, pr.Op, pr.C
+}
+
+// Ptr returns the pointer of an NStore: heap[Ptr+Idx] := Val.
+func (n *Node) Ptr() VarID { return n.v }
+
+// Idx returns the index operand of an NStore.
+func (n *Node) Idx() Operand { return n.rhs.A }
+
+// Val returns the stored value of an NStore or the printed value of an
+// NPrint.
+func (n *Node) Val() Operand { return n.rhs.B }
+
+// SetStore sets an NStore's operation heap[ptr+idx] := val.
+func (n *Node) SetStore(ptr VarID, idx, val Operand) {
+	n.v, n.rhs.A, n.rhs.B = ptr, idx, val
+}
+
+// SetVal sets the printed value of an NPrint.
+func (n *Node) SetVal(val Operand) { n.rhs.B = val }
+
+// CopyPayload makes n carry m's payload: Dst, the payload block, Callee and
+// a copy of Args.
+func (n *Node) CopyPayload(m *Node) {
+	n.Dst, n.rhs, n.v, n.op, n.Callee = m.Dst, m.rhs, m.v, m.op, m.Callee
+	n.Args = append([]VarID(nil), m.Args...)
+}
+
+// SamePayload reports whether n and m carry the same payload.
+func (n *Node) SamePayload(m *Node) bool {
+	return n.Dst == m.Dst && n.rhs == m.rhs && n.v == m.v && n.op == m.op &&
+		n.Callee == m.Callee && slices.Equal(n.Args, m.Args)
 }
 
 // IsOperation reports whether the node represents a real program operation
@@ -287,14 +359,14 @@ func (n *Node) IsBranch() bool { return n.Kind == NBranch }
 
 // Analyzable reports whether a branch node matches the (var relop const)
 // pattern handled by the correlation analysis.
-func (n *Node) Analyzable() bool { return n.Kind == NBranch && n.CondRHS.IsConst }
+func (n *Node) Analyzable() bool { return n.Kind == NBranch && n.rhs.A.IsConst }
 
 // CondPred returns the predicate of an analyzable branch.
 func (n *Node) CondPred() pred.Pred {
 	if !n.Analyzable() {
 		panic(fmt.Sprintf("ir: CondPred on non-analyzable node %d (%s)", n.ID, n.Kind))
 	}
-	return pred.Pred{Op: n.CondOp, C: n.CondRHS.Const}
+	return pred.Pred{Op: n.op, C: n.rhs.A.Const}
 }
 
 // TrueSucc returns the true-edge successor of a branch.

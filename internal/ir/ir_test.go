@@ -3,6 +3,7 @@ package ir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"icbe/internal/pred"
 )
@@ -27,6 +28,17 @@ func findNodes(p *Program, kind NodeKind) []*Node {
 		}
 	})
 	return out
+}
+
+// TestNodeSize bounds the node struct. Node allocation was the largest
+// allocation site of a cold optimize (about half the bytes of the
+// benchmark's scale-cold and recursion shapes, in BenchmarkColdShapes'
+// memory profile) when every kind's payload sat side by side in a 232-byte
+// node; the kinds now share one payload block.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 152 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, want at most 152", got)
+	}
 }
 
 func TestBuildStraightLine(t *testing.T) {
@@ -75,11 +87,11 @@ func TestBuildIfProducesAssertArms(t *testing.T) {
 	if tArm.Kind != NAssert || fArm.Kind != NAssert {
 		t.Fatalf("arms = %s/%s, want assert/assert", tArm.Kind, fArm.Kind)
 	}
-	if tArm.APred != (pred.Pred{Op: pred.Eq, C: 0}) {
-		t.Errorf("true assert = %v", tArm.APred)
+	if tArm.APred() != (pred.Pred{Op: pred.Eq, C: 0}) {
+		t.Errorf("true assert = %v", tArm.APred())
 	}
-	if fArm.APred != (pred.Pred{Op: pred.Ne, C: 0}) {
-		t.Errorf("false assert = %v", fArm.APred)
+	if fArm.APred() != (pred.Pred{Op: pred.Ne, C: 0}) {
+		t.Errorf("false assert = %v", fArm.APred())
 	}
 }
 
@@ -114,8 +126,8 @@ func TestBuildConstCondFolds(t *testing.T) {
 	if len(prints) != 1 {
 		t.Fatalf("prints = %d, want only the taken arm", len(prints))
 	}
-	if !prints[0].Val.IsConst || prints[0].Val.Const != 1 {
-		t.Errorf("kept print = %v", prints[0].Val)
+	if !prints[0].Val().IsConst || prints[0].Val().Const != 1 {
+		t.Errorf("kept print = %v", prints[0].Val())
 	}
 }
 
@@ -130,8 +142,8 @@ func TestBuildFlippedConstLhs(t *testing.T) {
 	if !br.Analyzable() {
 		t.Fatal("flipped branch should be analyzable")
 	}
-	if br.CondOp != pred.Gt || br.CondRHS.Const != 0 {
-		t.Errorf("flipped cond = %s %v", br.CondOp, br.CondRHS)
+	if br.CondOp() != pred.Gt || br.CondRHS().Const != 0 {
+		t.Errorf("flipped cond = %s %v", br.CondOp(), br.CondRHS())
 	}
 }
 
@@ -321,7 +333,7 @@ func TestBuildInfiniteLoopPrunesTail(t *testing.T) {
 		}
 	`)
 	for _, n := range findNodes(p, NPrint) {
-		if n.Val.IsConst && n.Val.Const == 99 {
+		if n.Val().IsConst && n.Val().Const == 99 {
 			t.Error("unreachable print after infinite loop survived")
 		}
 	}
@@ -353,7 +365,7 @@ func TestBuildLoadEmitsDerefAssert(t *testing.T) {
 	// One assert after the store, one after the load.
 	derefs := 0
 	for _, a := range asserts {
-		if a.APred == (pred.Pred{Op: pred.Ne, C: 0}) {
+		if a.APred() == (pred.Pred{Op: pred.Ne, C: 0}) {
 			derefs++
 		}
 	}
@@ -374,7 +386,7 @@ func TestBuildImplicitReturnZero(t *testing.T) {
 		t.Fatalf("exit preds = %d", len(exit.Preds))
 	}
 	last := p.Node(exit.Preds[0])
-	if last.Kind != NAssign || last.Dst != f.RetVar || last.RHS.Kind != RConst || last.RHS.Const != 0 {
+	if last.Kind != NAssign || last.Dst != f.RetVar || last.RHS().Kind != RConst || last.RHS().Const != 0 {
 		t.Errorf("implicit return node = %s", p.NodeString(last))
 	}
 }

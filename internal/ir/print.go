@@ -39,15 +39,15 @@ func (p *Program) NodeString(n *Node) string {
 		}
 		return fmt.Sprintf("%s := ret-from %s", p.VarName(n.Dst), p.Procs[n.Callee].Name)
 	case NAssign:
-		return fmt.Sprintf("%s := %s", p.VarName(n.Dst), p.rhsString(n.RHS))
+		return fmt.Sprintf("%s := %s", p.VarName(n.Dst), p.rhsString(*n.RHS()))
 	case NBranch:
-		return fmt.Sprintf("if %s %s %s", p.VarName(n.CondVar), n.CondOp, p.opString(n.CondRHS))
+		return fmt.Sprintf("if %s %s %s", p.VarName(n.CondVar()), n.CondOp(), p.opString(n.CondRHS()))
 	case NAssert:
-		return fmt.Sprintf("assert %s %s", p.VarName(n.AVar), n.APred)
+		return fmt.Sprintf("assert %s %s", p.VarName(n.AVar()), n.APred())
 	case NStore:
-		return fmt.Sprintf("%s[%s] := %s", p.VarName(n.Ptr), p.opString(n.Idx), p.opString(n.Val))
+		return fmt.Sprintf("%s[%s] := %s", p.VarName(n.Ptr()), p.opString(n.Idx()), p.opString(n.Val()))
 	case NPrint:
-		return fmt.Sprintf("print %s", p.opString(n.Val))
+		return fmt.Sprintf("print %s", p.opString(n.Val()))
 	case NNop:
 		return "nop"
 	}

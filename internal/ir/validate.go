@@ -122,34 +122,34 @@ func Validate(p *Program) error {
 			if n.Dst != NoVar {
 				checkVar(n, n.Dst, "dst")
 			}
-			switch n.RHS.Kind {
+			switch n.RHS().Kind {
 			case RCopy, RNeg, RByte:
-				checkVar(n, n.RHS.Src, "src")
+				checkVar(n, n.RHS().Src, "src")
 			case RBinop:
-				checkOperand(n, n.RHS.A, "operand")
-				checkOperand(n, n.RHS.B, "operand")
+				checkOperand(n, n.RHS().A, "operand")
+				checkOperand(n, n.RHS().B, "operand")
 			case RLoad:
-				checkVar(n, n.RHS.Src, "base")
-				checkOperand(n, n.RHS.A, "index")
+				checkVar(n, n.RHS().Src, "base")
+				checkOperand(n, n.RHS().A, "index")
 			case RAlloc:
-				checkOperand(n, n.RHS.A, "size")
+				checkOperand(n, n.RHS().A, "size")
 			}
 		case NAssert:
-			checkVar(n, n.AVar, "assert var")
+			checkVar(n, n.AVar(), "assert var")
 		case NStore:
-			checkVar(n, n.Ptr, "base")
-			checkOperand(n, n.Idx, "index")
-			checkOperand(n, n.Val, "value")
+			checkVar(n, n.Ptr(), "base")
+			checkOperand(n, n.Idx(), "index")
+			checkOperand(n, n.Val(), "value")
 		case NPrint:
-			checkOperand(n, n.Val, "value")
+			checkOperand(n, n.Val(), "value")
 		}
 		switch n.Kind {
 		case NBranch:
 			if len(n.Succs) != 2 {
 				bad("branch %d has %d successors, want 2", n.ID, len(n.Succs))
 			}
-			checkVar(n, n.CondVar, "condition")
-			checkOperand(n, n.CondRHS, "condition rhs")
+			checkVar(n, n.CondVar(), "condition")
+			checkOperand(n, n.CondRHS(), "condition rhs")
 		case NExit:
 			for _, s := range n.Succs {
 				if sn := p.Node(s); sn != nil && sn.Kind != NCallExit {
@@ -167,7 +167,7 @@ func Validate(p *Program) error {
 				}
 				if mn.Kind != NCall {
 					bad("entry %d has non-call predecessor %d (%s)", n.ID, m, mn.Kind)
-				} else if mn.Callee != n.Proc {
+				} else if int(mn.Callee) != n.Proc {
 					bad("entry %d of proc %q reached by call %d targeting callee %d",
 						n.ID, p.Procs[n.Proc].Name, m, mn.Callee)
 				}
@@ -176,7 +176,7 @@ func Validate(p *Program) error {
 				bad("entry %d not listed in proc %q entries", n.ID, p.Procs[n.Proc].Name)
 			}
 		case NCall:
-			callee := n.Callee
+			callee := int(n.Callee)
 			if callee < 0 || callee >= len(p.Procs) || p.Procs[callee] == nil {
 				bad("call %d has invalid callee %d", n.ID, callee)
 				return
@@ -217,7 +217,7 @@ func Validate(p *Program) error {
 				bad("call %d has no call-site-exit successor", n.ID)
 			}
 		case NCallExit:
-			if n.Callee < 0 || n.Callee >= len(p.Procs) || p.Procs[n.Callee] == nil {
+			if n.Callee < 0 || int(n.Callee) >= len(p.Procs) || p.Procs[n.Callee] == nil {
 				bad("callexit %d has invalid callee %d", n.ID, n.Callee)
 				return
 			}
@@ -238,7 +238,7 @@ func Validate(p *Program) error {
 					}
 				case NExit:
 					exits++
-					if mn.Proc != n.Callee {
+					if mn.Proc != int(n.Callee) {
 						bad("callexit %d returns from proc %q, want %q",
 							n.ID, procName(p, mn.Proc), p.Procs[n.Callee].Name)
 					}

@@ -40,7 +40,7 @@ func TestValidateEntryPredCalleeMismatch(t *testing.T) {
 		// Retarget the call at a different procedure without rewiring its
 		// entry successor: the entry's call pred now disagrees.
 		call := firstOf(t, p, NCall)
-		call.Callee = p.MainProc
+		call.Callee = int32(p.MainProc)
 		// Keep arg count matching main's zero formals out of the picture by
 		// clearing args; the entry-side check is what this test pins.
 		call.Args = nil
@@ -101,7 +101,8 @@ func TestValidateInvalidCallExitCallee(t *testing.T) {
 
 func TestValidateBranchVarOutOfRange(t *testing.T) {
 	corrupt(t, "references invalid var", func(p *Program) {
-		firstOf(t, p, NBranch).CondVar = VarID(len(p.Vars) + 7)
+		br := firstOf(t, p, NBranch)
+		br.SetCond(VarID(len(p.Vars)+7), br.CondOp(), br.CondRHS())
 	})
 }
 

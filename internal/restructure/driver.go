@@ -427,12 +427,12 @@ func Optimize(p *ir.Program, opts DriverOptions) *DriverResult {
 		}
 		rep := CondReport{
 			Cond:       b,
-			Line:       node.Line,
+			Line:       int(node.Line),
 			Analyzable: node.Analyzable(),
 			Skipped:    true,
 		}
 		if timedOut {
-			f := &BranchFailure{Kind: FailTimeout, Cond: b, Line: node.Line,
+			f := &BranchFailure{Kind: FailTimeout, Cond: b, Line: int(node.Line),
 				Msg: "driver deadline expired before this conditional was settled"}
 			rep.Failure, rep.Err = f, f
 			out.Stats.countFailure(FailTimeout)
@@ -533,7 +533,7 @@ func analyzeBatch(ctx context.Context, snapshot *ir.Program, batch []ir.NodeID,
 			return
 		}
 		cr.live = true
-		cr.rep.Line = node.Line
+		cr.rep.Line = int(node.Line)
 		if !node.Analyzable() {
 			return
 		}
@@ -675,15 +675,11 @@ func nodeChanged(a, b *ir.Node) bool {
 	if a == nil {
 		return false
 	}
-	if a.Kind != b.Kind || a.Proc != b.Proc || a.Dst != b.Dst || a.RHS != b.RHS ||
-		a.CondVar != b.CondVar || a.CondOp != b.CondOp || a.CondRHS != b.CondRHS ||
-		a.AVar != b.AVar || a.APred != b.APred || a.Callee != b.Callee ||
-		a.Ptr != b.Ptr || a.Idx != b.Idx || a.Val != b.Val ||
+	if a.Kind != b.Kind || a.Proc != b.Proc || !a.SamePayload(b) ||
 		a.Synthetic != b.Synthetic || a.Line != b.Line {
 		return true
 	}
-	return !slices.Equal(a.Succs, b.Succs) || !slices.Equal(a.Preds, b.Preds) ||
-		!slices.Equal(a.Args, b.Args)
+	return !slices.Equal(a.Succs, b.Succs) || !slices.Equal(a.Preds, b.Preds)
 }
 
 // sortedDescendants flattens an Outcome's branch-descendant map into ID

@@ -169,8 +169,10 @@ func TestRollbackLeavesWorkUntouched(t *testing.T) {
 		{"diff-mismatch", DriverOptions{Verify: true}, FailDiffMismatch, func(s *ir.Program) error {
 			for i := range s.NumNodes() {
 				n := s.Node(ir.NodeID(i))
-				if n != nil && n.Kind == ir.NPrint && n.Val.IsConst {
-					s.Mut(n.ID).Val.Const += 1000
+				if n != nil && n.Kind == ir.NPrint && n.Val().IsConst {
+					v := n.Val()
+					v.Const += 1000
+					s.Mut(n.ID).SetVal(v)
 					return nil
 				}
 			}

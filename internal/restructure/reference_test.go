@@ -526,18 +526,7 @@ func (r *refRest) split(id ir.NodeID, q *analysis.Query) {
 func (r *refRest) cloneNode(n *ir.Node) *ir.Node {
 	n = r.p.Mut(n.ID)
 	c := r.p.NewNode(n.Kind, n.Proc)
-	c.Dst = n.Dst
-	c.RHS = n.RHS
-	c.CondVar = n.CondVar
-	c.CondOp = n.CondOp
-	c.CondRHS = n.CondRHS
-	c.AVar = n.AVar
-	c.APred = n.APred
-	c.Callee = n.Callee
-	c.Args = append([]ir.VarID(nil), n.Args...)
-	c.Ptr = n.Ptr
-	c.Idx = n.Idx
-	c.Val = n.Val
+	c.CopyPayload(n)
 	c.Synthetic = n.Synthetic
 	c.Line = n.Line
 	r.out.NodesCreated++

@@ -26,7 +26,7 @@ func findBranch(t *testing.T, p *ir.Program, varSuffix string, op pred.Op, c int
 		if n.Kind != ir.NBranch || !n.Analyzable() {
 			return
 		}
-		if strings.HasSuffix(p.VarName(n.CondVar), varSuffix) && n.CondOp == op && n.CondRHS.Const == c {
+		if strings.HasSuffix(p.VarName(n.CondVar()), varSuffix) && n.CondOp() == op && n.CondRHS().Const == c {
 			found = n
 		}
 	})

@@ -255,8 +255,10 @@ func TestDiffMismatchRollsBack(t *testing.T) {
 		}
 		for i := range scratch.NumNodes() {
 			n := scratch.Node(ir.NodeID(i))
-			if n != nil && n.Kind == ir.NPrint && n.Val.IsConst {
-				scratch.Mut(n.ID).Val.Const += 1000 // wrong output, still a valid graph
+			if n != nil && n.Kind == ir.NPrint && n.Val().IsConst {
+				v := n.Val()
+				v.Const += 1000 // wrong output, still a valid graph
+				scratch.Mut(n.ID).SetVal(v)
 				return nil
 			}
 		}
@@ -324,7 +326,7 @@ func TestOpGrowthRollsBack(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			n := scratch.NewNode(ir.NAssign, entry.Proc)
 			n.Dst = g
-			n.RHS = ir.RHS{Kind: ir.RCopy, Src: g}
+			n.SetRHS(ir.RHS{Kind: ir.RCopy, Src: g})
 			n.Line = entry.Line
 			n.Preds = []ir.NodeID{prev.ID}
 			prev.Succs[0] = n.ID

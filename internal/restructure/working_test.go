@@ -251,7 +251,9 @@ func TestRolledBackAttemptKeepsWorkingFacts(t *testing.T) {
 			for i := range s.NumNodes() {
 				n := s.Node(ir.NodeID(i))
 				if n != nil && n.Kind == ir.NPrint {
-					s.Mut(n.ID).Val.Const += 1000
+					v := n.Val()
+					v.Const += 1000
+					s.Mut(n.ID).SetVal(v)
 					return
 				}
 			}

@@ -55,8 +55,10 @@ func TestEveryServedOptimizationIsChecked(t *testing.T) {
 				AfterApply: func(scratch *ir.Program, _ ir.NodeID) error {
 					for i := range scratch.NumNodes() {
 						n := scratch.Node(ir.NodeID(i))
-						if n != nil && n.Kind == ir.NPrint && n.Val.IsConst {
-							scratch.Mut(n.ID).Val.Const += 1000
+						if n != nil && n.Kind == ir.NPrint && n.Val().IsConst {
+							v := n.Val()
+							v.Const += 1000
+							scratch.Mut(n.ID).SetVal(v)
 							return nil
 						}
 					}
@@ -86,7 +88,7 @@ func TestEveryServedOptimizationIsChecked(t *testing.T) {
 					for i := 0; i < 4; i++ {
 						n := scratch.NewNode(ir.NAssign, entry.Proc)
 						n.Dst = g
-						n.RHS = ir.RHS{Kind: ir.RCopy, Src: g}
+						n.SetRHS(ir.RHS{Kind: ir.RCopy, Src: g})
 						n.Line = entry.Line
 						n.Preds = []ir.NodeID{prev.ID}
 						prev.Succs[0] = n.ID

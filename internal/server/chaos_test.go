@@ -45,12 +45,12 @@ func main() {
 func TestChaosMixedLoad(t *testing.T) {
 	setFaults(t, restructure.FaultInjection{
 		Analyze: func(snapshot *ir.Program, b ir.NodeID) {
-			if snapshot.Node(b).CondRHS.Const == panicMarker {
+			if snapshot.Node(b).CondRHS().Const == panicMarker {
 				panic("chaos: injected analysis panic")
 			}
 		},
 		CheckAnswers: func(p *ir.Program, b ir.NodeID, ans analysis.AnswerSet) analysis.AnswerSet {
-			if p.Node(b).CondRHS.Const != checkMarker {
+			if p.Node(b).CondRHS().Const != checkMarker {
 				return ans
 			}
 			if ans == analysis.AnsTrue {
